@@ -3,6 +3,7 @@ query access, plus the spectrum estimation and experiment tooling around it.
 """
 
 from .oracle import (
+    CountedOperator,
     SymmetricOperator,
     SpectrumInstance,
     gen_rotated_diag,

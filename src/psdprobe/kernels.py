@@ -179,11 +179,9 @@ def hutchinson_trace(op, n: int, rng: SeedLike) -> EstimatorResult:
     """
     if n <= 0:
         raise ValueError("need at least one sample")
-    gen = rng_from(rng)
-    total = 0.0
-    for _ in range(n):
-        g = gen.standard_normal(op.dim)
-        total += op.quad_form(g)
+    # Row-wise draws give the same numbers as n draws of one vector each.
+    g = rng_from(rng).standard_normal((n, op.dim))
+    total = float(op.quad_forms(g.T).sum())
     return EstimatorResult(value=total / n, n_queries=n)
 
 
@@ -218,19 +216,12 @@ def frobenius_estimate(op, eps_fail: float, rng: SeedLike, block: int = 4) -> Es
     reps = max(1, math.ceil(8.0 * math.log(1.0 / eps_fail)))
     d = op.dim
     estimates = np.empty(reps)
-    queries = 0
     for t in range(reps):
         g = gen.standard_normal((d, block))
         h = gen.standard_normal((d, block))
-        acc = 0.0
-        for j in range(block):
-            hj = np.ascontiguousarray(h[:, j])
-            for i in range(block):
-                acc += op.bilinear(g[:, i], hj) ** 2
-                queries += 1
-        estimates[t] = acc / (block * block)
+        estimates[t] = float(np.mean(op.bilinear_block(g, h) ** 2))
     return EstimatorResult(value=float(np.sqrt(np.median(estimates))),
-                           n_queries=queries)
+                           n_queries=reps * block * block)
 
 
 def schatten1_scale_estimate(op, rng: SeedLike) -> Tuple[float, float]:
@@ -241,17 +232,9 @@ def schatten1_scale_estimate(op, rng: SeedLike) -> Tuple[float, float]:
     constant probability; the bracket is a factor 2 dim^2 wide, so callers
     search step sizes geometrically inside it.
     """
-    gen = rng_from(rng)
     d = op.dim
-    g = gen.standard_normal(d)
-    prod = np.empty(d)
-    for i in range(d):
-        # Fresh basis vector per query: operators cache mapped vectors by
-        # object identity, so probe vectors must never be mutated in place.
-        e = np.zeros(d)
-        e[i] = 1.0
-        prod[i] = op.bilinear(e, g)
-    nrm = float(np.linalg.norm(prod))
+    g = rng_from(rng).standard_normal((d, 1))
+    nrm = float(np.linalg.norm(op.bilinear_block(np.eye(d), g)))
     return nrm / (2.0 * d), d * nrm
 
 

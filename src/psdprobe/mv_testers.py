@@ -326,9 +326,7 @@ def nonadaptive_mv_tester(op, eps: float, p: float, *,
     lam_last = None
     for _ in range(repeats):
         g = gen.standard_normal((d, m)) / math.sqrt(d)
-        prods = np.column_stack(
-            [op.mat_vec(np.ascontiguousarray(g[:, j])) for j in range(m)])
-        s = g.T @ prods
+        s = g.T @ op.mat_vecs(g)
         s = (s + s.T) / 2.0
         w, v = np.linalg.eigh(s)
         lam_last = float(w[0])

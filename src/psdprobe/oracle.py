@@ -1,12 +1,25 @@
 """Query-counted access to hidden symmetric matrices, plus instance generators.
 
 The testers in this package never touch matrix entries directly.  They go
-through a SymmetricOperator, which hides a dense symmetric matrix behind two
-query types and counts every access:
+through a counted operator, which hides a symmetric matrix behind two query
+types and counts every access.  Scalar queries:
 
   * mat_vec(v)      -> A @ v          (one ``mv`` query)
   * bilinear(x, y)  -> x^T A y        (one ``vmv`` query)
   * quad_form(x)    -> x^T A x        (one ``vmv`` query)
+
+Block queries answer many queries whose positions are all fixed in advance.
+Each is charged exactly what the loop of scalar queries it replaces costs:
+
+  * mat_vecs(V)          -> A V                     (V.shape[1] ``mv``)
+  * bilinear_block(X, Y) -> X^T A Y                 (X.cols * Y.cols ``vmv``)
+  * sym_block(G)         -> G^T A G, upper triangle
+                            mirrored to the lower   (k (k + 1) / 2 ``vmv``)
+  * quad_forms(X, Y)     -> x_j^T A y_j per column  (X.cols ``vmv``; Y
+                            defaults to X)
+
+Block queries reject non-finite blocks; scalar queries pass whatever they
+are given, so a diverging caller sees its own non-finite values.
 
 Ground-truth helpers (``dense``, ``eigenvalues``) bypass the counters and are
 reserved for tests and for the experiment harness when it labels instances.
@@ -27,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "MAX_DENSE_DIM",
+    "CountedOperator",
     "SymmetricOperator",
     "SpectrumInstance",
     "rng_from",
@@ -57,37 +71,22 @@ def rng_from(seed: SeedLike, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-class SymmetricOperator:
-    """A hidden symmetric matrix reachable only through counted queries.
+class CountedOperator:
+    """Query counters and the block-query interface shared by all operators.
 
-    Counter increments are lock-guarded so independent trials may run the
-    same process in parallel threads on distinct operator instances; a single
-    operator is not meant to be shared between concurrent testers.
+    Each block query checks its block (two-dimensional, ``dim`` rows, every
+    entry finite), hands it to a subclass hook, and charges the counters
+    what the equivalent scalar loop costs.  Counter increments are
+    lock-guarded so independent trials may run the same process in parallel
+    threads on distinct operator instances; a single operator is not meant
+    to be shared between concurrent testers.
     """
 
-    def __init__(self, matrix: np.ndarray, seed: Optional[int] = None,
-                 validate: bool = True):
-        a = np.array(matrix, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"operator backing must be square, got {a.shape}")
-        if a.shape[0] > MAX_DENSE_DIM:
-            raise ValueError(
-                f"dense backing capped at {MAX_DENSE_DIM}, got dim {a.shape[0]}")
-        if validate:
-            scale = max(float(np.abs(a).max()), 1.0)
-            asym = float(np.abs(a - a.T).max())
-            if asym > 1e-9 * scale:
-                raise ValueError(f"backing not symmetric (max asym {asym:.3e})")
-        # Exact symmetry from here on; generators may hand us tiny float skew.
-        self._a = (a + a.T) / 2.0
-        self._dim = a.shape[0]
-        self.seed = seed
+    def __init__(self, dim: int):
+        self._dim = dim
         self._mv = 0
         self._vmv = 0
         self._lock = threading.Lock()
-        self._cache_vec: Optional[np.ndarray] = None
-        self._cache_prod: Optional[np.ndarray] = None
-        self._eigs: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -101,17 +100,93 @@ class SymmetricOperator:
     def vmv_queries(self) -> int:
         return self._vmv
 
-    def _product(self, y: np.ndarray) -> np.ndarray:
-        # Identity-keyed single-slot cache: filling a sketch issues many
-        # bilinear queries against the same right-hand vector, and recomputing
-        # A @ y each time would quadruple the wall time without changing any
-        # returned value.  Callers never mutate query vectors in place.
-        if y is self._cache_vec:
-            return self._cache_prod
-        prod = self._a @ y
-        self._cache_vec = y
-        self._cache_prod = prod
-        return prod
+    def _charge(self, mv: int, vmv: int) -> None:
+        with self._lock:
+            self._mv += mv
+            self._vmv += vmv
+
+    def _block(self, b, name: str) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.ndim != 2 or b.shape[0] != self._dim:
+            raise ValueError(f"{name} expects a ({self._dim}, n) block, "
+                             f"got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError(f"{name} block holds non-finite entries")
+        return b
+
+    def mat_vecs(self, v) -> np.ndarray:
+        """A V, one ``mv`` query per column of V."""
+        v = self._block(v, "mat_vecs")
+        out = self._mat_vecs(v)
+        self._charge(v.shape[1], 0)
+        return out
+
+    def bilinear_block(self, x, y) -> np.ndarray:
+        """X^T A Y, one ``vmv`` query per entry of the result."""
+        x = self._block(x, "bilinear_block")
+        y = self._block(y, "bilinear_block")
+        out = self._bilinear_block(x, y)
+        self._charge(0, x.shape[1] * y.shape[1])
+        return out
+
+    def sym_block(self, g) -> np.ndarray:
+        """G^T A G, one ``vmv`` query per entry on or above the diagonal.
+
+        The lower triangle is a mirror of the upper one, so the result is
+        exactly symmetric.
+        """
+        g = self._block(g, "sym_block")
+        out = self._sym_block(g)
+        k = g.shape[1]
+        self._charge(0, k * (k + 1) // 2)
+        return out
+
+    def quad_forms(self, x, y=None) -> np.ndarray:
+        """Column-wise x_j^T A y_j (y defaults to x), one ``vmv`` per column."""
+        x = self._block(x, "quad_forms")
+        if y is not None:
+            y = self._block(y, "quad_forms")
+            if y.shape != x.shape:
+                raise ValueError(f"quad_forms blocks differ in shape: "
+                                 f"{x.shape} vs {y.shape}")
+        out = self._quad_forms(x, y)
+        self._charge(0, x.shape[1])
+        return out
+
+    # Subclass hooks: answer an already checked block, without charging.
+    def _unsupported(self, *blocks):
+        raise NotImplementedError(
+            f"{type(self).__name__} does not answer this block query")
+
+    _mat_vecs = _bilinear_block = _sym_block = _quad_forms = _unsupported
+
+
+class SymmetricOperator(CountedOperator):
+    """A hidden dense symmetric matrix reachable only through counted queries.
+
+    A block query costs one BLAS-3 product with the backing matrix.
+    """
+
+    def __init__(self, matrix: np.ndarray, seed: Optional[int] = None,
+                 validate: bool = True):
+        a = np.array(matrix, dtype=float, copy=True)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"operator backing must be square, got {a.shape}")
+        if a.shape[0] > MAX_DENSE_DIM:
+            raise ValueError(
+                f"dense backing capped at {MAX_DENSE_DIM}, got dim {a.shape[0]}")
+        if not np.isfinite(a).all():
+            raise ValueError("operator backing holds non-finite entries")
+        if validate:
+            scale = max(float(np.abs(a).max()), 1.0)
+            asym = float(np.abs(a - a.T).max())
+            if asym > 1e-9 * scale:
+                raise ValueError(f"backing not symmetric (max asym {asym:.3e})")
+        super().__init__(a.shape[0])
+        # Exact symmetry from here on; generators may hand us tiny float skew.
+        self._a = (a + a.T) / 2.0
+        self.seed = seed
+        self._eigs: Optional[np.ndarray] = None
 
     def mat_vec(self, v: np.ndarray) -> np.ndarray:
         """One mv query: the full vector A @ v."""
@@ -126,13 +201,26 @@ class SymmetricOperator:
         """One vmv query: the scalar x^T A y."""
         with self._lock:
             self._vmv += 1
-        return float(x @ self._product(y))
+        return float(x @ (self._a @ y))
 
     def quad_form(self, x: np.ndarray) -> float:
         """One vmv query: the scalar x^T A x."""
         with self._lock:
             self._vmv += 1
-        return float(x @ self._product(x))
+        return float(x @ (self._a @ x))
+
+    def _mat_vecs(self, v: np.ndarray) -> np.ndarray:
+        return self._a @ v
+
+    def _bilinear_block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x.T @ (self._a @ y)
+
+    def _sym_block(self, g: np.ndarray) -> np.ndarray:
+        upper = np.triu(g.T @ (self._a @ g))
+        return upper + np.triu(upper, 1).T
+
+    def _quad_forms(self, x: np.ndarray, y: Optional[np.ndarray]) -> np.ndarray:
+        return np.einsum("ij,ij->j", x, self._a @ (x if y is None else y))
 
     # -- uncounted ground-truth access -------------------------------------
 

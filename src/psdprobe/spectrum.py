@@ -76,22 +76,6 @@ class SpectrumSketch:
     queries_used: int
 
 
-def _fill_cross(op: SymmetricOperator, left: np.ndarray,
-                right: np.ndarray) -> np.ndarray:
-    """All products left[i] @ A @ right[:, j], one bilinear query per entry.
-
-    Iterates with the right-hand column fixed innermost-constant so the
-    operator's product cache turns each column into one matrix product plus
-    cheap dots.
-    """
-    out = np.empty((left.shape[0], right.shape[1]))
-    for j in range(right.shape[1]):
-        col = np.ascontiguousarray(right[:, j])
-        for i in range(left.shape[0]):
-            out[i, j] = op.bilinear(left[i], col)
-    return out
-
-
 def _sketch_dims(d: int, k: int, eps: float) -> Tuple[int, int]:
     m = min(d, math.ceil(defaults.SKETCH_R_KAPPA * k / eps))
     rows = min(d, math.ceil(defaults.EMBED_KAPPA * m / (eps * eps)))
@@ -116,9 +100,9 @@ def build_spectrum_sketch(op: SymmetricOperator, k: int, eps: float,
     r = gen.standard_normal((d, m))
     s1 = affine_embedding(rows, d, gen)
     s2 = affine_embedding(rows, d, gen)
-    m1 = _fill_cross(op, s1, r)
-    m2 = _fill_cross(op, s2, r)
-    q = _fill_cross(op, s1, s2.T)
+    m1 = op.bilinear_block(s1.T, r)
+    m2 = op.bilinear_block(s2.T, r)
+    q = op.bilinear_block(s1.T, s2.T)
     return SpectrumSketch(r=r, s1=s1, s2=s2, m1=m1, m2=m2, q=q,
                           queries_used=m1.size + m2.size + q.size)
 
@@ -361,16 +345,8 @@ def _frob_sq_estimate(op: SymmetricOperator, eps: float,
     budget = math.ceil(defaults.FROB_SQ_KAPPA / (eps * eps))
     exact_cost = d * (d + 1) // 2
     if exact_cost <= budget:
-        total = 0.0
-        for j in range(d):
-            ej = np.zeros(d)
-            ej[j] = 1.0
-            for i in range(j + 1):
-                ei = np.zeros(d)
-                ei[i] = 1.0
-                entry = op.bilinear(ei, ej)
-                total += entry * entry if i == j else 2.0 * entry * entry
-        return total, exact_cost
+        entries = op.sym_block(np.eye(d))
+        return float(np.sum(entries * entries)), exact_cost
     gen = rng_from(rng)
     total = 0.0
     left = budget
@@ -378,8 +354,7 @@ def _frob_sq_estimate(op: SymmetricOperator, eps: float,
         block = min(left, 256)
         g = gen.standard_normal((block, d))
         h = gen.standard_normal((block, d))
-        for t in range(block):
-            total += op.bilinear(g[t], h[t]) ** 2
+        total += float(np.sum(op.quad_forms(g.T, h.T) ** 2))
         left -= block
     return total / budget, budget
 
@@ -400,9 +375,9 @@ def _holdout_sketch(op: SymmetricOperator, r: np.ndarray, rows: int, gen):
     d = op.dim
     t1 = affine_embedding(rows, d, gen)
     t2 = affine_embedding(rows, d, gen)
-    n1 = _fill_cross(op, t1, r)
-    n2 = _fill_cross(op, t2, r)
-    q2 = _fill_cross(op, t1, t2.T)
+    n1 = op.bilinear_block(t1.T, r)
+    n2 = op.bilinear_block(t2.T, r)
+    q2 = op.bilinear_block(t1.T, t2.T)
 
     def holdout_cost(y, q_sign):
         return float(np.linalg.norm(n1 @ y @ n2.T + q_sign * q2) ** 2)
@@ -545,8 +520,8 @@ def _adaptive_sketch(op: SymmetricOperator, k: int, eps: float, gen,
         r = gen.standard_normal((d, m))
     s1 = affine_embedding(rows, d, gen)
     s2 = affine_embedding(rows, d, gen)
-    m1 = _fill_cross(op, s1, r)
-    m2 = _fill_cross(op, s2, r)
+    m1 = op.bilinear_block(s1.T, r)
+    m2 = op.bilinear_block(s2.T, r)
 
     def range_basis(mat):
         u, sv, _ = np.linalg.svd(mat, full_matrices=False)
@@ -555,18 +530,16 @@ def _adaptive_sketch(op: SymmetricOperator, k: int, eps: float, gen,
 
     u1 = range_basis(m1)
     u2 = range_basis(m2)
-    bq = _fill_cross(op, (s1.T @ u1).T, s2.T @ u2)
+    bq = op.bilinear_block(s1.T @ u1, s2.T @ u2)
 
-    resid = 0.0
-    for _ in range(_RESIDUAL_PROBES):
-        g = gen.standard_normal(rows)
-        h = gen.standard_normal(rows)
-        g_in, g_out = u1 @ (u1.T @ g), g - u1 @ (u1.T @ g)
-        h_in, h_out = u2 @ (u2.T @ h), h - u2 @ (u2.T @ h)
-        resid += op.bilinear(s1.T @ g_out, s2.T @ h_in) ** 2
-        resid += op.bilinear(s1.T @ g_in, s2.T @ h_out) ** 2
-        resid += op.bilinear(s1.T @ g_out, s2.T @ h_out) ** 2
-    resid /= _RESIDUAL_PROBES
+    # Probe t draws g_t then h_t, so the pairs come out as rows of one draw.
+    gh = gen.standard_normal((_RESIDUAL_PROBES, 2, rows))
+    g, h = gh[:, 0].T, gh[:, 1].T
+    g_in, h_in = u1 @ (u1.T @ g), u2 @ (u2.T @ h)
+    g_out, h_out = g - g_in, h - h_in
+    left = s1.T @ np.hstack([g_out, g_in, g_out])
+    right = s2.T @ np.hstack([h_in, h_out, h_out])
+    resid = float(np.sum(op.quad_forms(left, right) ** 2)) / _RESIDUAL_PROBES
     # Project the regression matrices too; u^T m has the same fit residuals
     # as m once the constant block mass is accounted separately.
     return u1.T @ m1, u2.T @ m2, bq, resid

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import defaults
 from .kernels import frobenius_estimate, schatten1_scale_estimate, trace_estimate
-from .oracle import SeedLike, SymmetricOperator, rng_from
+from .oracle import CountedOperator, SeedLike, rng_from
 
 __all__ = [
     "Verdict",
@@ -120,32 +120,22 @@ class OjaConfig:
                    else amplification)
 
 
-class SketchedOperator:
+class SketchedOperator(CountedOperator):
     """Virtual view of G^T A G; every query costs one query on the parent.
 
     G columns are the sketch directions, so the virtual operator is
-    ``g.shape[1]``-dimensional.  Query vectors are mapped through G and the
-    mapped image of the most recent vector is cached by identity, which
-    keeps repeated right-hand sides (sketch fills, quad-form series) from
-    paying the G multiplication twice.  As with the dense oracle, callers
-    must not mutate a query vector in place between queries.
+    ``g.shape[1]``-dimensional.  Query vectors are mapped through G, and a
+    block query maps its whole block with one product before forwarding it
+    to the matching block query of the parent.
     """
 
     def __init__(self, parent, g: np.ndarray):
         g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != parent.dim:
             raise ValueError(f"sketch must be {parent.dim} x m, got {g.shape}")
+        super().__init__(g.shape[1])
         self._parent = parent
         self._g = g
-        self._dim = g.shape[1]
-        self._mv = 0
-        self._vmv = 0
-        self._map_key: Optional[np.ndarray] = None
-        self._map_val: Optional[np.ndarray] = None
-
-    @property
-    def dim(self) -> int:
-        return self._dim
 
     @property
     def parent(self):
@@ -155,37 +145,31 @@ class SketchedOperator:
     def g(self) -> np.ndarray:
         return self._g
 
-    @property
-    def mv_queries(self) -> int:
-        return self._mv
-
-    @property
-    def vmv_queries(self) -> int:
-        return self._vmv
-
-    def _map(self, x: np.ndarray) -> np.ndarray:
-        if x is self._map_key:
-            return self._map_val
-        mapped = self._g @ x
-        self._map_key = x
-        self._map_val = mapped
-        return mapped
-
     def bilinear(self, x: np.ndarray, y: np.ndarray) -> float:
-        self._vmv += 1
-        return self._parent.bilinear(self._map(x), self._map(y))
+        self._charge(0, 1)
+        return self._parent.bilinear(self._g @ x, self._g @ y)
 
     def quad_form(self, x: np.ndarray) -> float:
-        self._vmv += 1
-        return self._parent.quad_form(self._map(x))
+        self._charge(0, 1)
+        return self._parent.quad_form(self._g @ x)
 
     def _raw(self, x_img: np.ndarray, y_img: Optional[np.ndarray] = None) -> float:
         # Counted query on vectors already mapped to the parent space; the
         # descent loop maintains images incrementally and enters here.
-        self._vmv += 1
+        self._charge(0, 1)
         if y_img is None:
             return self._parent.quad_form(x_img)
         return self._parent.bilinear(x_img, y_img)
+
+    def _bilinear_block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._parent.bilinear_block(self._g @ x, self._g @ y)
+
+    def _sym_block(self, h: np.ndarray) -> np.ndarray:
+        return self._parent.sym_block(self._g @ h)
+
+    def _quad_forms(self, x: np.ndarray, y: Optional[np.ndarray]) -> np.ndarray:
+        return self._parent.quad_forms(self._g @ x,
+                                       None if y is None else self._g @ y)
 
     def mat_vec(self, v: np.ndarray):
         raise NotImplementedError(
@@ -245,8 +229,6 @@ def oja_step(op, x: np.ndarray, eta: float, rng: SeedLike,
     """
     if g is None:
         g = rng_from(rng).standard_normal(op.dim)
-    # Query order (t before s) keeps g hot in the single-slot map cache of
-    # virtual operators; the returned values do not depend on it.
     t = op.quad_form(g)
     s = op.bilinear(g, x)
     return x - (eta * s) * g, (s, t)
@@ -473,8 +455,9 @@ class SketchState:
     """Realized bilinear sketch plus the scalars of the gamma statistic.
 
     ``g`` is the d x k standard Gaussian sketch matrix, ``s`` the dense
-    symmetric k x k compressed matrix G^T A G, ``alpha`` a trace estimate,
-    ``beta`` a Frobenius estimate, and
+    symmetric k x k compressed matrix G^T A G, ``eigvals`` (ascending) and
+    ``eigvecs`` its eigenpairs, ``alpha`` a trace estimate, ``beta`` a
+    Frobenius estimate, and
     gamma = (alpha - lambda_min(s)) / (beta sqrt(k) ln(max(k, 2))),
     defined as 0 when beta = 0 (the zero operator).
     """
@@ -482,6 +465,8 @@ class SketchState:
     k: int
     g: np.ndarray
     s: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     alpha: float
     beta: float
     gamma: float
@@ -510,20 +495,14 @@ def build_sketch(op, k: int, seed: SeedLike) -> SketchState:
     if k < 1:
         raise ValueError(f"sketch size must be >= 1, got {k}")
     gen = rng_from(seed, 0x5CE7)
-    d = op.dim
-    g = gen.standard_normal((d, k))
-    s = np.empty((k, k))
-    for j in range(k):
-        col = np.ascontiguousarray(g[:, j])
-        for i in range(j + 1):
-            val = op.bilinear(g[:, i], col)
-            s[i, j] = val
-            s[j, i] = val
+    g = gen.standard_normal((op.dim, k))
+    s = op.sym_block(g)
     alpha = trace_estimate(op, gen).value
     beta = frobenius_estimate(op, defaults.FROB_EPS_FAIL, gen).value
-    lam_min = float(np.linalg.eigvalsh(s)[0])
-    return SketchState(k=k, g=g, s=s, alpha=alpha, beta=beta,
-                       gamma=gamma_statistic(alpha, beta, lam_min, k))
+    w, v = np.linalg.eigh(s)
+    return SketchState(k=k, g=g, s=s, eigvals=w, eigvecs=v, alpha=alpha,
+                       beta=beta,
+                       gamma=gamma_statistic(alpha, beta, float(w[0]), k))
 
 
 def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
@@ -541,10 +520,9 @@ def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
         c_psd = defaults.C_PSD
     start = _queries_on(op)
     state = build_sketch(op, sketch_dim(eps, kappa), rng)
-    w, v = np.linalg.eigh(state.s)
     noise_floor = defaults.SKETCH_EIG_TOL * max(state.beta, 1e-300) * state.k
-    if w[0] < -noise_floor:
-        witness = state.g @ v[:, 0]
+    if state.eigvals[0] < -noise_floor:
+        witness = state.g @ state.eigvecs[:, 0]
         if op.quad_form(witness) >= 0.0:  # assembly noise; keep the rejection
             witness = None
         return Verdict(is_psd=False, witness=witness,
@@ -563,7 +541,7 @@ def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
 # adaptive l2
 # ---------------------------------------------------------------------------
 
-class _GammaOperator:
+class _GammaOperator(CountedOperator):
     """Implicit (G^T A G - alpha I) / (beta sqrt(k) ln k) + (C_far - 1) I.
 
     The affine part is query-free, so each virtual query costs exactly one
@@ -571,47 +549,25 @@ class _GammaOperator:
     to PSD operators (up to the calibrated gamma tail), inputs far from PSD
     map to operators with an eigenvalue at or below -1, and its trace is
     known analytically, so the descent that runs on it needs neither a norm
-    probe nor a scale search.
+    probe nor a scale search.  Only the descent queries it, through
+    ``_raw`` on parent-space images, applying ``_affine`` itself.
     """
 
     def __init__(self, parent, g: np.ndarray, alpha: float, beta: float,
                  shift: float):
         self._inner = SketchedOperator(parent, g)
         k = g.shape[1]
+        super().__init__(k)
         self._denom = beta * math.sqrt(k) * math.log(max(k, 2))
         self._alpha = alpha
         self._shift = shift
-        self._dim = k
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def mv_queries(self) -> int:
-        return self._inner.mv_queries
-
-    @property
-    def vmv_queries(self) -> int:
-        return self._inner.vmv_queries
 
     def _affine(self, raw: float, dot: float) -> float:
         return (raw - self._alpha * dot) / self._denom + self._shift * dot
 
     def _raw(self, x_img: np.ndarray, y_img: Optional[np.ndarray] = None) -> float:
+        self._charge(0, 1)
         return self._inner._raw(x_img, y_img)
-
-    def bilinear(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self._affine(self._inner.bilinear(x, y), float(x @ y))
-
-    def quad_form(self, x: np.ndarray) -> float:
-        return self._affine(self._inner.quad_form(x), float(x @ x))
-
-    def pull_back(self, w: np.ndarray) -> np.ndarray:
-        # The shifts break congruence with the parent, so a negative
-        # direction here certifies nothing about A; exposed only to satisfy
-        # the descent's witness plumbing.
-        return np.asarray(w, dtype=float)
 
 
 def c_far_curve(k: int, eps: float) -> float:
@@ -715,13 +671,7 @@ def nonadaptive_l1_tester(op, eps: float, *, repeats: Optional[int] = None,
     lam_last = None
     for _ in range(repeats):
         g = gen.standard_normal((op.dim, m)) / math.sqrt(op.dim)
-        s = np.empty((m, m))
-        for j in range(m):
-            col = np.ascontiguousarray(g[:, j])
-            for i in range(j + 1):
-                val = op.bilinear(g[:, i], col)
-                s[i, j] = val
-                s[j, i] = val
+        s = op.sym_block(g)
         w, v = np.linalg.eigh(s)
         lam_last = float(w[0])
         noise_floor = 1e-9 * float(np.linalg.norm(s, "fro"))

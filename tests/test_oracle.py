@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdprobe.oracle import (
     MAX_DENSE_DIM,
@@ -12,6 +14,7 @@ from psdprobe.oracle import (
     operator_from_descriptor,
     rng_from,
 )
+from psdprobe.vmv_testers import SketchedOperator
 
 
 def test_query_counters_start_at_zero_and_count_exactly():
@@ -53,19 +56,32 @@ def test_bilinear_is_symmetric_and_polarization_holds():
         assert lhs == pytest.approx(op.bilinear(x, y), rel=1e-8, abs=1e-9)
 
 
-def test_product_cache_never_changes_returned_values():
+def test_mutating_a_query_vector_never_changes_a_later_answer():
     rng = rng_from(13)
     a = rng.standard_normal((10, 10))
     a = a + a.T
     op = SymmetricOperator(a)
     y = rng.standard_normal(10)
-    z = rng.standard_normal(10)
-    first = [op.bilinear(np.eye(10)[i], y) for i in range(10)]
+    e = np.zeros(10)
+    first = []
+    for i in range(10):
+        # One buffer, rewritten in place between queries.
+        e[:] = 0.0
+        e[i] = 1.0
+        first.append(op.bilinear(e, y))
     np.testing.assert_allclose(first, a @ y, atol=1e-12)
-    # Interleave a different vector, then return to y.
-    assert op.quad_form(z) == pytest.approx(z @ a @ z, abs=1e-10)
-    again = [op.bilinear(np.eye(10)[i], y) for i in range(10)]
-    np.testing.assert_allclose(again, first, atol=0)
+    y_saved = y.copy()
+    y *= 3.0
+    assert op.quad_form(y) == pytest.approx(y @ a @ y, rel=1e-12)
+    assert op.bilinear(e, y) == pytest.approx(3.0 * first[-1], rel=1e-12)
+    y[:] = y_saved
+    assert op.bilinear(e, y) == pytest.approx(first[-1], rel=1e-12)
+    block = np.eye(10)
+    block[:, 0] = y
+    got = op.quad_forms(block)
+    block[:, 0] = 0.0
+    np.testing.assert_allclose(op.quad_forms(block)[1:], got[1:], rtol=1e-12)
+    assert op.quad_forms(block)[0] == 0.0
 
 
 def test_operator_rejects_bad_backing():
@@ -80,6 +96,169 @@ def test_operator_rejects_bad_backing():
                                rotation_seed=0)
     with pytest.raises(ValueError):
         gen_rotated_diag(too_big)
+
+
+def test_operator_rejects_non_finite_backing():
+    with pytest.raises(ValueError, match="non-finite"):
+        SymmetricOperator(np.diag([np.nan, 1.0, 1.0, 1.0]))
+    backing = np.eye(4)
+    backing[1, 2] = backing[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        SymmetricOperator(backing)
+    with pytest.raises(ValueError, match="non-finite"):
+        SymmetricOperator(backing, validate=False)
+
+
+def test_block_queries_reject_non_finite_blocks_and_charge_nothing():
+    op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
+    red = SketchedOperator(op, np.ones((3, 2)))
+    good = np.ones((3, 2))
+    bad = np.ones((3, 2))
+    bad[1, 1] = np.nan
+    for target, ok, nan_block in ((op, good, bad), (red, good[:2], bad[:2])):
+        calls = [lambda b: target.bilinear_block(b, ok),
+                 lambda b: target.bilinear_block(ok, b),
+                 lambda b: target.sym_block(b),
+                 lambda b: target.quad_forms(b),
+                 lambda b: target.quad_forms(ok, b)]
+        if target is op:
+            calls.append(lambda b: target.mat_vecs(b))
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call(nan_block)
+            with pytest.raises(ValueError, match="non-finite"):
+                call(np.where(nan_block != nan_block, np.inf, nan_block))
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+    assert red.vmv_queries == 0
+
+
+def test_block_queries_reject_bad_shapes():
+    op = SymmetricOperator(np.eye(3))
+    with pytest.raises(ValueError):
+        op.mat_vecs(np.ones(3))            # a vector is not a block
+    with pytest.raises(ValueError):
+        op.bilinear_block(np.ones((4, 2)), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        op.quad_forms(np.ones((3, 2)), np.ones((3, 3)))
+    red = SketchedOperator(op, np.ones((3, 2)))
+    with pytest.raises(NotImplementedError):
+        red.mat_vecs(np.ones((2, 1)))
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
+def test_scalar_queries_pass_non_finite_values_through():
+    # The descent detects blow-up from the values it gets back, so scalar
+    # queries must answer rather than raise.
+    op = SymmetricOperator(np.eye(3))
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(op.quad_form(np.array([np.inf, 0.0, 0.0])))
+    assert op.vmv_queries == 1
+
+
+def _dense_blocks(target, dense, x, y):
+    """(query, result, expected, vmv charge, mv charge) for every block query."""
+    k = x.shape[1]
+    cases = [
+        ("bilinear_block", lambda: target.bilinear_block(x, y), x.T @ dense @ y,
+         x.shape[1] * y.shape[1], 0),
+        ("sym_block", lambda: target.sym_block(x), x.T @ dense @ x,
+         k * (k + 1) // 2, 0),
+        ("quad_forms", lambda: target.quad_forms(x),
+         np.einsum("ij,ij->j", x, dense @ x), k, 0),
+        ("quad_forms_xy", lambda: target.quad_forms(x, x[:, ::-1]),
+         np.einsum("ij,ij->j", x, dense @ x[:, ::-1]), k, 0),
+    ]
+    if isinstance(target, SymmetricOperator):
+        cases.append(("mat_vecs", lambda: target.mat_vecs(x), dense @ x, 0, k))
+    return cases
+
+
+def _check_block_queries(target, dense, x, y, scale):
+    counters = [target] + ([target.parent] if isinstance(target, SketchedOperator)
+                           else [])
+    for name, run, expected, vmv, mv in _dense_blocks(target, dense, x, y):
+        before = [(c.mv_queries, c.vmv_queries) for c in counters]
+        got = run()
+        for c, (mv0, vmv0) in zip(counters, before):
+            assert (c.mv_queries - mv0, c.vmv_queries - vmv0) == (mv, vmv), name
+        assert got.shape == expected.shape, name
+        err = float(np.abs(got - expected).max()) if got.size else 0.0
+        assert err <= 1e-12 * scale, (name, err, scale)
+        if name == "sym_block":
+            np.testing.assert_array_equal(got, got.T)
+
+
+def _block_scale(dense, x, y, g=None):
+    """Bound on |x_i^T M y_j|, which sets the size of rounding errors."""
+    nrm = float(np.linalg.norm(dense, 2))
+    if g is not None:
+        nrm *= float(np.linalg.norm(g, 2)) ** 2
+    cols = lambda b: float(np.linalg.norm(b, axis=0).max()) if b.size else 0.0
+    return max(nrm * max(cols(x), cols(y)) ** 2, 1e-300)
+
+
+def test_block_queries_match_dense_and_charge_scalar_cost():
+    rng = rng_from(31)
+    a = rng.standard_normal((12, 12))
+    op = SymmetricOperator(a + a.T)
+    x = rng.standard_normal((12, 5))
+    y = rng.standard_normal((12, 3))
+    _check_block_queries(op, op.dense(), x, y, _block_scale(op.dense(), x, y))
+
+
+def test_sketched_block_queries_match_dense_and_charge_parent_equally():
+    rng = rng_from(32)
+    a = rng.standard_normal((12, 12))
+    op = SymmetricOperator(a + a.T)
+    g = rng.standard_normal((12, 6))
+    red = SketchedOperator(op, g)
+    x = rng.standard_normal((6, 4))
+    y = rng.standard_normal((6, 2))
+    _check_block_queries(red, red.realize(), x, y,
+                         _block_scale(op.dense(), x, y, g))
+
+
+def test_block_queries_match_the_scalar_loops_they_replace():
+    rng = rng_from(33)
+    a = rng.standard_normal((9, 9))
+    op = SymmetricOperator(a + a.T)
+    red = SketchedOperator(op, rng.standard_normal((9, 5)))
+    for target in (op, red):
+        x = rng.standard_normal((target.dim, 4))
+        y = rng.standard_normal((target.dim, 3))
+        loop = np.array([[target.bilinear(xi, yj) for yj in y.T] for xi in x.T])
+        np.testing.assert_allclose(target.bilinear_block(x, y), loop,
+                                   rtol=1e-12, atol=1e-12 * np.abs(loop).max())
+        loop = np.array([[target.bilinear(xi, xj) for xj in x.T] for xi in x.T])
+        iu = np.triu_indices(4)
+        np.testing.assert_allclose(target.sym_block(x)[iu], loop[iu],
+                                   rtol=1e-12, atol=1e-12 * np.abs(loop).max())
+        loop = np.array([target.quad_form(xi) for xi in x.T])
+        np.testing.assert_allclose(target.quad_forms(x), loop,
+                                   rtol=1e-12, atol=1e-12 * np.abs(loop).max())
+    v = rng.standard_normal((9, 3))
+    loop = np.column_stack([op.mat_vec(c) for c in v.T])
+    np.testing.assert_allclose(op.mat_vecs(v), loop, rtol=1e-12,
+                               atol=1e-12 * np.abs(loop).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 10), kx=st.integers(0, 6), ky=st.integers(0, 6),
+       m=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_queries_over_shapes(d, kx, ky, m, seed):
+    rng = rng_from(seed)
+    a = rng.standard_normal((d, d))
+    op = SymmetricOperator(a + a.T)
+    x = rng.standard_normal((d, kx))
+    y = rng.standard_normal((d, ky))
+    _check_block_queries(op, op.dense(), x, y, _block_scale(op.dense(), x, y))
+    m = min(m, d)
+    g = rng.standard_normal((d, m))
+    red = SketchedOperator(op, g)
+    xs = rng.standard_normal((m, kx))
+    ys = rng.standard_normal((m, ky))
+    _check_block_queries(red, red.realize(), xs, ys,
+                         _block_scale(op.dense(), xs, ys, g))
 
 
 def test_uncounted_access_leaves_counters_alone():
