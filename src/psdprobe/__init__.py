@@ -15,15 +15,12 @@ from .oracle import (
 from .kernels import (
     EstimatorResult,
     sym_eig_small,
-    orthonormalize,
     ThresholdPolynomial,
     chebyshev_threshold_poly,
     hutchinson_trace,
     trace_estimate,
     frobenius_estimate,
     schatten1_scale_estimate,
-    sphere_moments,
-    sphere_quadform_variance_exact,
 )
 from .vmv_testers import (
     Verdict,
@@ -31,9 +28,7 @@ from .vmv_testers import (
     SketchedOperator,
     SketchState,
     sketch_reduce,
-    oja_step,
     oja_l1_tester,
-    lp_to_l1_eps,
     sketch_dim,
     build_sketch,
     bilinear_sketch_tester,

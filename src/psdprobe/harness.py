@@ -38,7 +38,8 @@ from .mv_testers import krylov_tester, nonadaptive_mv_tester
 from .oracle import (SpectrumInstance, SymmetricOperator, gen_rotated_diag,
                      gen_wishart, operator_from_descriptor, rng_from)
 from .spectrum import top_eigs_signed, top_eigs_signed_adaptive
-from .vmv_testers import (OjaConfig, adaptive_l2_tester, bilinear_sketch_tester,
+from .vmv_testers import (_OJA_STREAM, OjaConfig, _descend,
+                          adaptive_l2_tester, bilinear_sketch_tester,
                           build_sketch, nonadaptive_l1_tester, oja_l1_tester,
                           sketch_dim)
 
@@ -849,7 +850,8 @@ def _scaling_instance(tester: str, p: float, d: int, eps: float, seed: int):
 
 
 def _knob_run(tester: str, op: SymmetricOperator, lam: np.ndarray, eps: float,
-              p: float, knob: int, seed: int):
+              p: float, knob: int, seed: int) -> bool:
+    """Run one trial at the given knob; True when the tester accepts."""
     if tester == "oja_l1":
         # One descent run, one step-size scale, step pinned at the cap.
         # Amplified runs would make the resolved knob the distribution's low
@@ -861,28 +863,29 @@ def _knob_run(tester: str, op: SymmetricOperator, lam: np.ndarray, eps: float,
                         eta_scales=1, amplification=1)
         if math.ceil(defaults.REDUCE_KAPPA / eps) >= op.dim:
             # No dimension reduction: the descent sees the instance itself,
-            # whose trace norm is known exactly.
+            # whose trace norm is known exactly, so it runs at that scale
+            # without the tester's norm probe, on the tester's own stream.
             norm = float(np.abs(lam).sum())
-            return oja_l1_tester(op, eps, cfg, rng=seed,
-                                 norm_interval=(norm, norm))
-        return oja_l1_tester(op, eps, cfg, rng=seed)
+            return _descend(op, None, cfg.eta / norm, knob,
+                            rng_from(seed, _OJA_STREAM), norm) is None
+        return oja_l1_tester(op, eps, cfg, rng=seed).is_psd
     if tester == "nonadaptive_l1":
         # Shipped repeat count.  With a single repetition the 0.9 target sits
         # in the Wishart quantile tail, whose sqrt(m) correction bends the
         # fitted exponent; five repetitions put the per-run target near the
         # median crossing, where the grid size follows the clean law.
         return nonadaptive_l1_tester(op, eps, rng=seed,
-                                     kappa=(knob - 0.5) * eps)
+                                     kappa=(knob - 0.5) * eps).is_psd
     if tester == "krylov":
         factor = eps ** (-p / (2.0 * p + 1.0)) * math.log(1.0 / eps)
         if p > 1:
             factor *= math.log2(op.dim)
         norm = float((np.abs(lam) ** p).sum() ** (1.0 / p))
         return krylov_tester(op, eps, p, norm, repeats=1, rng=seed,
-                             kappa=(knob - 0.5) / factor)
+                             kappa=(knob - 0.5) / factor).is_psd
     factor = op.dim ** (1.0 - 1.0 / p) / eps
     return nonadaptive_mv_tester(op, eps, p, repeats=1, rng=seed,
-                                 kappa=(knob - 0.5) / factor)
+                                 kappa=(knob - 0.5) / factor).is_psd
 
 
 def _knob_cap(tester: str, d: int, eps: float) -> int:
@@ -916,9 +919,9 @@ def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
                 seed = seed0 + i
                 op, lam = _scaling_instance(tester, p, d, eps, seed)
                 mv0, vmv0 = op.mv_queries, op.vmv_queries
-                verdict = _knob_run(tester, op, lam, eps, p, knob, seed)
+                accepted = _knob_run(tester, op, lam, eps, p, knob, seed)
                 budgets.append(op.mv_queries - mv0 + op.vmv_queries - vmv0)
-                hits += not verdict.is_psd
+                hits += not accepted
             evals[knob] = (hits / trials, float(np.mean(budgets)),
                            int(max(budgets)))
         return evals[knob]

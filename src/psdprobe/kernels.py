@@ -2,19 +2,18 @@
 
 Contents:
 
-  * sym_eig_small / orthonormalize     -- dense linear-algebra plumbing
+  * sym_eig_small                      -- dense symmetric eigensolver
   * chebyshev_threshold_poly           -- suppress [0, r], pinned to 1 at -alpha
   * hutchinson_trace / trace_estimate  -- quadratic-form trace estimators
   * frobenius_estimate                 -- factor-2 Frobenius norm from bilinear probes
   * schatten1_scale_estimate           -- coarse nuclear-norm bracket from one probe
-  * sphere_moments / sphere_quadform_variance_exact -- closed forms for tests
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,15 +22,12 @@ from .oracle import MAX_DENSE_DIM, SeedLike, rng_from
 __all__ = [
     "EstimatorResult",
     "sym_eig_small",
-    "orthonormalize",
     "ThresholdPolynomial",
     "chebyshev_threshold_poly",
     "hutchinson_trace",
     "trace_estimate",
     "frobenius_estimate",
     "schatten1_scale_estimate",
-    "sphere_moments",
-    "sphere_quadform_variance_exact",
 ]
 
 
@@ -65,45 +61,12 @@ def sym_eig_small(m: np.ndarray, sym_tol: float = 1e-8) -> Tuple[np.ndarray, np.
     return w, v
 
 
-def orthonormalize(vectors, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis for the span of the given vectors (as columns).
-
-    Modified Gram-Schmidt; a second projection pass runs whenever the first
-    one removes most of a vector, which keeps the basis orthonormal to
-    machine precision even for nearly dependent inputs.  Vectors whose
-    residual drops below ``tol`` times their original norm are dropped.
-    """
-    v = np.asarray(vectors, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    d, n = v.shape
-    basis = []
-    for j in range(n):
-        w = v[:, j].copy()
-        orig = np.linalg.norm(w)
-        if orig == 0.0:
-            continue
-        for b in basis:
-            w -= (b @ w) * b
-        if np.linalg.norm(w) < 0.5 * orig:
-            for b in basis:
-                w -= (b @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm < tol * orig:
-            continue
-        basis.append(w / nrm)
-    if not basis:
-        return np.zeros((d, 0))
-    return np.stack(basis, axis=1)
-
-
 class ThresholdPolynomial:
     """Least-degree Chebyshev polynomial that is 1 at ``-alpha`` and at most
     ``delta`` in magnitude on all of ``[0, r]``.
 
     Evaluation always runs the three-term recurrence on the affinely mapped
-    argument; monomial coefficients are exposed only up to degree 30, beyond
-    which that basis is numerically meaningless.
+    argument.
     """
 
     GRID_POINTS = 10_000
@@ -141,15 +104,6 @@ class ThresholdPolynomial:
             tk, tk_prev = 2.0 * t * tk - tk_prev, tk
         out = tk * (self._sign / self._norm)
         return float(out[0]) if scalar else out
-
-    @property
-    def coefficients(self) -> Optional[list]:
-        """Ascending monomial coefficients, or None above degree 30."""
-        if self.degree > 30:
-            return None
-        cheb = np.polynomial.Chebyshev.basis(self.degree, domain=[0.0, self.r])
-        poly = cheb.convert(kind=np.polynomial.Polynomial)
-        return list(poly.coef * (self._sign / self._norm))
 
     def _grid_check(self):
         at_alpha = self.evaluate(-self.alpha)
@@ -236,21 +190,3 @@ def schatten1_scale_estimate(op, rng: SeedLike) -> Tuple[float, float]:
     g = rng_from(rng).standard_normal((d, 1))
     nrm = float(np.linalg.norm(op.bilinear_block(np.eye(d), g)))
     return nrm / (2.0 * d), d * nrm
-
-
-def sphere_moments(d: int) -> Tuple[float, float]:
-    """(E[u_i^4], E[u_i^2 u_j^2]) for u uniform on the unit sphere in R^d."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    return 3.0 / (d * (d + 2.0)), 1.0 / (d * (d + 2.0))
-
-
-def sphere_quadform_variance_exact(m: np.ndarray) -> float:
-    """Exact Var(u^T M u) over the unit sphere, via the eigenvalues of M.
-
-    Equals (2/(d+2)) * (mean(lam^2) - mean(lam)^2); white-box helper used as
-    an oracle for the randomized estimators.
-    """
-    lam = np.linalg.eigvalsh(np.asarray(m, dtype=float))
-    d = lam.size
-    return (2.0 / (d + 2.0)) * float(np.mean(lam ** 2) - np.mean(lam) ** 2)

@@ -41,15 +41,12 @@ class KrylovSpace:
     """Orthonormalized Krylov subspace together with the projected matrix.
 
     ``basis`` holds the orthonormal vectors spanning {g, Ag, ..., A^k g}
-    column-wise; ``raw_iterates`` the unorthogonalized power iterates (each
-    scaled to unit norm as produced, which leaves the span untouched);
-    ``projected`` the dense symmetric restriction of A to the basis.  When
-    the iteration hits an invariant subspace early, the basis has fewer than
-    k+1 columns and ``degenerate`` is set.
+    column-wise; ``projected`` the dense symmetric restriction of A to the
+    basis.  When the iteration hits an invariant subspace early, the basis
+    has fewer than k+1 columns and ``degenerate`` is set.
     """
 
     basis: np.ndarray
-    raw_iterates: np.ndarray
     projected: np.ndarray
     k: int
     degenerate: bool
@@ -112,9 +109,8 @@ def build_krylov(op, k: int, seed: SeedLike) -> KrylovSpace:
     b_mat = np.column_stack(basis)
     proj = b_mat.T @ np.column_stack(basis_images)
     proj = (proj + proj.T) / 2.0
-    return KrylovSpace(basis=b_mat,
-                       raw_iterates=np.column_stack(iterates),
-                       projected=proj, k=k, degenerate=degenerate)
+    return KrylovSpace(basis=b_mat, projected=proj, k=k,
+                       degenerate=degenerate)
 
 
 def krylov_degree(eps: float, p: float, d: int,
@@ -134,27 +130,9 @@ def krylov_degree(eps: float, p: float, d: int,
     return max(1, math.ceil(k))
 
 
-class _PowerOperator:
-    """A^q through repeated matvecs; odd q preserves the sign of lambda_min."""
-
-    def __init__(self, parent, q: int):
-        self._parent = parent
-        self._q = q
-
-    @property
-    def dim(self) -> int:
-        return self._parent.dim
-
-    def mat_vec(self, v: np.ndarray) -> np.ndarray:
-        out = v
-        for _ in range(self._q):
-            out = self._parent.mat_vec(out)
-        return out
-
-
 def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
-                  repeats: Optional[int] = None, power_mode: bool = False,
-                  rng: SeedLike = 0, kappa: Optional[float] = None) -> Verdict:
+                  repeats: Optional[int] = None, rng: SeedLike = 0,
+                  kappa: Optional[float] = None) -> Verdict:
     """One-sided adaptive Schatten-p tester via Krylov subspaces.
 
     Each repetition builds a fresh Krylov space and inspects the smallest
@@ -163,10 +141,6 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
     tolerance scaled by ``norm_estimate`` (an upper bound on the Schatten-p
     norm, typically from a side estimator) and must then survive one direct
     confirming quad-form query, whose vector becomes the witness.
-
-    ``power_mode`` routes p > 1 through the trace-norm tester applied to
-    A^q for the smallest odd q >= p, trading the log d degree factor for a
-    power of eps; worthwhile only at very large dimension.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -178,33 +152,16 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
     gen = rng_from(rng, 0x4B70)
     start = _queries_on(op)
 
-    q_pow = 1
-    if power_mode and p > 1:
-        q_pow = math.ceil(p)
-        if q_pow % 2 == 0:
-            q_pow += 1
-    if q_pow > 1:
-        target = _PowerOperator(op, q_pow)
-        eps_eff = eps ** q_pow
-        p_eff = 1.0
-        tol = defaults.KRYLOV_EIG_TOL * norm_estimate ** q_pow
-    else:
-        target = op
-        eps_eff = eps
-        p_eff = p
-        tol = defaults.KRYLOV_EIG_TOL * norm_estimate
-
-    k = min(krylov_degree(eps_eff, p_eff, op.dim, kappa), op.dim - 1)
+    tol = defaults.KRYLOV_EIG_TOL * norm_estimate
+    k = min(krylov_degree(eps, p, op.dim, kappa), op.dim - 1)
     lam_seen = None
     for _ in range(repeats):
-        space = build_krylov(target, k, gen)
+        space = build_krylov(op, k, gen)
         w, v = sym_eig_small(space.projected)
         lam = float(w[0])
         lam_seen = lam if lam_seen is None else min(lam_seen, lam)
         if lam < -tol:
             cand = space.basis @ v[:, 0]
-            for _ in range((q_pow - 1) // 2):
-                cand = op.mat_vec(cand)
             cand /= float(np.linalg.norm(cand))
             if op.quad_form(cand) < 0.0:
                 return Verdict(is_psd=False, witness=cand,

@@ -184,7 +184,9 @@ class SymmetricOperator(CountedOperator):
                 raise ValueError(f"backing not symmetric (max asym {asym:.3e})")
         super().__init__(a.shape[0])
         # Exact symmetry from here on; generators may hand us tiny float skew.
-        self._a = (a + a.T) / 2.0
+        # Halving before adding keeps entries near the float maximum finite.
+        a *= 0.5
+        self._a = a + a.T
         self.seed = seed
         self._eigs: Optional[np.ndarray] = None
 

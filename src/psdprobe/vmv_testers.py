@@ -6,14 +6,18 @@ Four testers live here:
                             trace norm; a stochastic descent on x^T A x.
   * bilinear_sketch_tester -- non-adaptive two-sided Frobenius-scale tester
                             built on the compressed matrix G^T A G.
-  * adaptive_l2_tester   -- two-sided Frobenius-scale tester that feeds a
-                            shifted, normalized sketch into the Oja tester.
+  * adaptive_l2_tester   -- two-sided Frobenius-scale tester that runs the
+                            Oja descent on a shifted, normalized sketch.
   * nonadaptive_l1_tester -- one-sided trace-norm tester from a single
                             fixed Gaussian compression.
 
 One-sided testers never reject a PSD input: every rejection is triggered by
 an actual negative quadratic form witnessed through the oracle, so the
 guarantee holds under floating point, not just in exact arithmetic.
+
+Both Oja-based testers share one descent, ``_descend``: it runs on a parent
+operator, optionally through a Gaussian map G (the virtual operator
+G^T A G) and optionally under an affine shift of every answer.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ __all__ = [
     "SketchedOperator",
     "SketchState",
     "sketch_reduce",
-    "oja_step",
     "oja_l1_tester",
-    "lp_to_l1_eps",
+    "sketch_dim",
     "build_sketch",
     "bilinear_sketch_tester",
     "adaptive_l2_tester",
@@ -153,14 +156,6 @@ class SketchedOperator(CountedOperator):
         self._charge(0, 1)
         return self._parent.quad_form(self._g @ x)
 
-    def _raw(self, x_img: np.ndarray, y_img: Optional[np.ndarray] = None) -> float:
-        # Counted query on vectors already mapped to the parent space; the
-        # descent loop maintains images incrementally and enters here.
-        self._charge(0, 1)
-        if y_img is None:
-            return self._parent.quad_form(x_img)
-        return self._parent.bilinear(x_img, y_img)
-
     def _bilinear_block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._parent.bilinear_block(self._g @ x, self._g @ y)
 
@@ -174,10 +169,6 @@ class SketchedOperator(CountedOperator):
     def mat_vec(self, v: np.ndarray):
         raise NotImplementedError(
             "the reduction is defined for the vmv model; no matvec access")
-
-    def pull_back(self, w: np.ndarray) -> np.ndarray:
-        """Lift a virtual-space vector to the parent space (w -> G w)."""
-        return self._g @ np.asarray(w, dtype=float)
 
     def realize(self) -> np.ndarray:
         """Dense G^T A G for white-box tests; bypasses query counting."""
@@ -202,38 +193,6 @@ def sketch_reduce(op, m: int, seed: SeedLike, g: Optional[np.ndarray] = None
     return SketchedOperator(op, g)
 
 
-def lp_to_l1_eps(eps: float, p: float, d: int) -> float:
-    """Trace-norm parameter that upgrades the l1 tester to Schatten-p.
-
-    ||A||_p >= d^(1/p - 1) ||A||_1, so testing at eps * d^(1/p - 1) in the
-    trace norm covers the (eps, p) promise.  p = inf gives eps / d.
-    """
-    if p < 1:
-        raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    if math.isinf(p):
-        return eps / d
-    return eps * d ** (1.0 / p - 1.0)
-
-
-def oja_step(op, x: np.ndarray, eta: float, rng: SeedLike,
-             g: Optional[np.ndarray] = None
-             ) -> Tuple[np.ndarray, Tuple[float, float]]:
-    """One stochastic descent step x <- x - eta (g^T A x) g.
-
-    Draws g standard Gaussian unless one is forced.  Returns the next
-    iterate together with (s, t) = (g^T A x, g^T A g); the caller maintains
-    f(x) = x^T A x through f -= eta s^2 (2 - eta t), which is exact algebra,
-    so the pair costs the step's entire query budget of 2 vmv.
-    """
-    if g is None:
-        g = rng_from(rng).standard_normal(op.dim)
-    t = op.quad_form(g)
-    s = op.bilinear(g, x)
-    return x - (eta * s) * g, (s, t)
-
-
 def _queries_on(op) -> int:
     return op.mv_queries + op.vmv_queries
 
@@ -247,203 +206,110 @@ def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
 
 
 _DRAW_BATCH = 64
+_OJA_STREAM = 0x01A1
 
 
-class _RawDescent:
-    """Descent bookkeeping against an operator queried with plain vectors."""
+def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
+             gen: np.random.Generator, up: float,
+             affine: Optional[Tuple[float, float, float]] = None
+             ) -> Optional[Tuple[np.ndarray, float]]:
+    """One Oja descent run x <- x - eta (u^T B x) u on the form x^T B x.
 
-    def __init__(self, target, gen: np.random.Generator):
-        self._t = target
-        self.x = gen.standard_normal(target.dim)
+    B is ``parent`` itself when ``g`` is None and the virtual G^T A G
+    otherwise; ``affine = (alpha, denom, shift)`` further maps every answer
+    q(u, v) to (q - alpha u.v) / denom + shift u.v.  The iterate x lives in
+    B's space and its image xi = G x (x itself without G) is maintained
+    alongside, so every query is asked on ``parent``: t = u^T B u, then
+    s = u^T B x.  Directions u are standard Gaussian, drawn after x in
+    blocks of at most 64 rows, each block mapped through G by one product,
+    and no further block is drawn once the run stops.
 
-    def start(self) -> float:
-        return self._t.quad_form(self.x)
-
-    def draw(self, gen: np.random.Generator, n: int) -> list:
-        return list(gen.standard_normal((n, self._t.dim)))
-
-    def step(self, g: np.ndarray, eta: float) -> Tuple[float, float]:
-        self.x, st = oja_step(self._t, self.x, eta, 0, g=g)
-        return st
-
-    def norm_sq(self) -> float:
-        return float(self.x @ self.x)
-
-    def direct(self) -> float:
-        return self._t.quad_form(self.x)
-
-    def witness(self) -> np.ndarray:
-        return self.x
-
-
-class _SketchDescent:
-    """The same update run through a sketched operator's parent space.
-
-    The iterate's image under G is maintained incrementally and the Gaussian
-    directions are drawn in blocks and mapped with a single matrix product,
-    so an iteration costs two parent queries plus O(d + m) arithmetic
-    instead of two dense G multiplications.  Rejections confirm and return
-    the maintained image itself, which keeps the witness in the parent
-    space and bitwise equal to the vector the confirming query saw.
+    The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
+    is exact algebra; once it falls below -OJA_MARGIN * up * max(1, |x|^2),
+    one direct query confirms it.  Returns (xi, value) for a confirmed
+    negative value, xi being the vector the confirming query saw, and None
+    after ``iters`` steps or when the run blows up (the step size is far
+    too large for the scale ``up``).
     """
+    x = gen.standard_normal(parent.dim if g is None else g.shape[1])
+    xi = x if g is None else g @ x
 
-    def __init__(self, target: SketchedOperator, gen: np.random.Generator):
-        self._t = target
-        self.x = gen.standard_normal(target.dim)
-        self._xi = target.g @ self.x
+    def shifted(raw: float, dot: float) -> float:
+        alpha, denom, shift = affine
+        return (raw - alpha * dot) / denom + shift * dot
 
-    def start(self) -> float:
-        return self._t._raw(self._xi)
+    def direct() -> float:
+        raw = parent.quad_form(xi)
+        return raw if affine is None else shifted(raw, float(x @ x))
 
-    def draw(self, gen: np.random.Generator, n: int) -> list:
-        gs = gen.standard_normal((n, self._t.dim))
-        imgs = gs @ self._t.g.T
-        return [(gs[i], imgs[i]) for i in range(n)]
-
-    def step(self, pair, eta: float) -> Tuple[float, float]:
-        g, gi = pair
-        t = self._t._raw(gi)
-        s = self._t._raw(gi, self._xi)
-        es = eta * s
-        self.x = self.x - es * g
-        self._xi = self._xi - es * gi
-        return s, t
-
-    def norm_sq(self) -> float:
-        return float(self.x @ self.x)
-
-    def direct(self) -> float:
-        return self._t._raw(self._xi)
-
-    def witness(self) -> np.ndarray:
-        return self._xi
-
-
-class _GammaDescent:
-    """Image-space bookkeeping for the shifted normalized sketch.
-
-    Every query carries the affine correction, which needs the virtual-space
-    inner product alongside the parent raw value, so both the iterate and
-    its image are maintained.  The witness stays in the shifted space and
-    certifies nothing about the parent; the caller discards it.
-    """
-
-    def __init__(self, target: "_GammaOperator", gen: np.random.Generator):
-        self._t = target
-        self.x = gen.standard_normal(target.dim)
-        self._xi = target._inner.g @ self.x
-
-    def start(self) -> float:
-        return self._t._affine(self._t._raw(self._xi), float(self.x @ self.x))
-
-    def draw(self, gen: np.random.Generator, n: int) -> list:
-        gs = gen.standard_normal((n, self._t.dim))
-        imgs = gs @ self._t._inner.g.T
-        return [(gs[i], imgs[i]) for i in range(n)]
-
-    def step(self, pair, eta: float) -> Tuple[float, float]:
-        g, gi = pair
-        t = self._t._affine(self._t._raw(gi), float(g @ g))
-        s = self._t._affine(self._t._raw(gi, self._xi), float(g @ self.x))
-        es = eta * s
-        self.x = self.x - es * g
-        self._xi = self._xi - es * gi
-        return s, t
-
-    def norm_sq(self) -> float:
-        return float(self.x @ self.x)
-
-    def direct(self) -> float:
-        return self._t._affine(self._t._raw(self._xi), float(self.x @ self.x))
-
-    def witness(self) -> np.ndarray:
-        return self.x
-
-
-def _descent_for(target, gen: np.random.Generator):
-    if isinstance(target, _GammaOperator):
-        return _GammaDescent(target, gen)
-    if isinstance(target, SketchedOperator):
-        return _SketchDescent(target, gen)
-    return _RawDescent(target, gen)
-
-
-def _gaussian_stream(loop, gen: np.random.Generator, total: int):
-    left = total
+    f = direct()
+    if f < 0.0:
+        return xi, f
+    left = iters
     while left > 0:
-        block = loop.draw(gen, min(_DRAW_BATCH, left))
-        left -= len(block)
-        yield from block
+        us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
+        left -= len(us)
+        for u, ui in zip(us, us if g is None else us @ g.T):
+            t = parent.quad_form(ui)
+            s = parent.bilinear(ui, xi)
+            if affine is not None:  # keep the two dots off the unshifted runs
+                t = shifted(t, float(u @ u))
+                s = shifted(s, float(u @ x))
+            es = eta * s
+            x = x - es * u
+            xi = x if g is None else xi - es * ui
+            f -= eta * s * s * (2.0 - eta * t)
+            norm_sq = float(x @ x)
+            if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
+                return None
+            if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
+                confirmed = direct()
+                if confirmed < 0.0:
+                    return xi, confirmed
+                f = confirmed  # maintained value had drifted; resynchronize
+    return None
 
 
 def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
-                  rng: SeedLike = 0,
-                  norm_interval: Optional[Tuple[float, float]] = None) -> Verdict:
+                  rng: SeedLike = 0) -> Verdict:
     """One-sided adaptive trace-norm tester.
 
     Pipeline, repeated cfg.amplification times with fresh randomness: draw a
     Gaussian reduction to m = ceil(8/eps) dimensions (skipped when m >= d),
     bracket the reduced trace norm with one coordinate-probe estimate, then
-    for each geometric step-size scale in the bracket run the oja_step
-    descent from a Gaussian start.  The maintained f = x^T A x can only go
-    negative when some quadratic form is genuinely negative; before
-    rejecting, the current iterate is re-checked with one direct counted
-    quad-form query, so a PSD operator can never be rejected, whatever the
-    configuration or floating-point behavior.  On rejection the witness is
-    the exact vector that confirming query saw, already in the space of the
-    operator the caller handed in.
-
-    ``norm_interval`` overrides the norm bracket (callers that constructed
-    the operator analytically, like the adaptive l2 tester, know it
-    exactly and skip the probe).
+    for each geometric step-size scale in the bracket run one ``_descend``
+    from a Gaussian start.  The maintained f = x^T A x can only go negative
+    when some quadratic form is genuinely negative; before rejecting, the
+    current iterate is re-checked with one direct counted quad-form query,
+    so a PSD operator can never be rejected, whatever the configuration or
+    floating-point behavior.  On rejection the witness is the exact vector
+    that confirming query saw, already in the space of the operator the
+    caller handed in.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    gen = rng_from(rng, 0x01A1)
+    gen = rng_from(rng, _OJA_STREAM)
     start_queries = _queries_on(op)
     if cfg is None:
         cfg = OjaConfig.from_eps(eps, dim=op.dim)
     m = min(op.dim, math.ceil(defaults.REDUCE_KAPPA / eps))
 
     for _ in range(cfg.amplification):
-        if m < op.dim:
-            target = sketch_reduce(op, m, gen)
-        else:
-            target = op
-        if norm_interval is None:
-            lo, up = schatten1_scale_estimate(target, gen)
-            if up <= 0.0:
-                continue  # probe says A g = 0; nothing to descend on
-        else:
-            lo, up = norm_interval
+        target = sketch_reduce(op, m, gen) if m < op.dim else op
+        lo, up = schatten1_scale_estimate(target, gen)
+        if up <= 0.0:
+            continue  # probe says A g = 0; nothing to descend on
+        g = None if target is op else target.g
         for trial_norm in _scale_grid(lo, up, cfg.eta_scales):
-            eta = cfg.eta / trial_norm
-            loop = _descent_for(target, gen)
-            f = loop.start()
-            if f < 0.0:
-                return _oja_reject(op, loop.witness(), f, start_queries)
-            for payload in _gaussian_stream(loop, gen, cfg.max_iters):
-                s, t = loop.step(payload, eta)
-                f -= eta * s * s * (2.0 - eta * t)
-                norm_sq = loop.norm_sq()
-                if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
-                    break  # step size far too large for this scale; move on
-                if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
-                    direct = loop.direct()
-                    if direct < 0.0:
-                        return _oja_reject(op, loop.witness(), direct,
-                                           start_queries)
-                    f = direct  # maintained value had drifted; resynchronize
+            hit = _descend(op, g, cfg.eta / trial_norm, cfg.max_iters, gen, up)
+            if hit is not None:
+                witness, value = hit
+                return Verdict(is_psd=False, witness=witness,
+                               queries_used=_queries_on(op) - start_queries,
+                               mode=ONE_SIDED, statistic=value)
     return Verdict(is_psd=True, witness=None,
                    queries_used=_queries_on(op) - start_queries,
                    mode=ONE_SIDED, statistic=None)
-
-
-def _oja_reject(op, witness: np.ndarray, value: float,
-                start_queries: int) -> Verdict:
-    return Verdict(is_psd=False, witness=witness,
-                   queries_used=_queries_on(op) - start_queries,
-                   mode=ONE_SIDED, statistic=value)
 
 
 # ---------------------------------------------------------------------------
@@ -541,35 +407,6 @@ def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
 # adaptive l2
 # ---------------------------------------------------------------------------
 
-class _GammaOperator(CountedOperator):
-    """Implicit (G^T A G - alpha I) / (beta sqrt(k) ln k) + (C_far - 1) I.
-
-    The affine part is query-free, so each virtual query costs exactly one
-    parent vmv query.  The whole point of the construction: PSD inputs map
-    to PSD operators (up to the calibrated gamma tail), inputs far from PSD
-    map to operators with an eigenvalue at or below -1, and its trace is
-    known analytically, so the descent that runs on it needs neither a norm
-    probe nor a scale search.  Only the descent queries it, through
-    ``_raw`` on parent-space images, applying ``_affine`` itself.
-    """
-
-    def __init__(self, parent, g: np.ndarray, alpha: float, beta: float,
-                 shift: float):
-        self._inner = SketchedOperator(parent, g)
-        k = g.shape[1]
-        super().__init__(k)
-        self._denom = beta * math.sqrt(k) * math.log(max(k, 2))
-        self._alpha = alpha
-        self._shift = shift
-
-    def _affine(self, raw: float, dot: float) -> float:
-        return (raw - self._alpha * dot) / self._denom + self._shift * dot
-
-    def _raw(self, x_img: np.ndarray, y_img: Optional[np.ndarray] = None) -> float:
-        self._charge(0, 1)
-        return self._inner._raw(x_img, y_img)
-
-
 def c_far_curve(k: int, eps: float) -> float:
     """Calibrated lower envelope of gamma on eps-far inputs at sketch size k."""
     return defaults.C_FAR * (eps * math.sqrt(k) - defaults.C_FAR_GAP) \
@@ -599,12 +436,14 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     First takes a handful of Gaussian quad-form probes (any negative value
     rejects outright, with that probe as witness).  Then picks the smallest
     sketch size k whose calibrated far/PSD gamma envelopes are separated by
-    1, forms the shifted normalized sketch implicitly, and runs the
-    one-sided descent on it: the shifted operator is PSD when A is (up to
-    the calibrated tail), and has an eigenvalue <= -1 when A is far, which
-    the descent finds with constant probability per repetition.  Its trace
-    is (C_far - 1) k by construction, so the descent runs at a single
-    analytic step-size scale.
+    1, and runs the Oja descent GAMMA_AMP times on the shifted normalized
+    sketch, which exists only as an affine shift of the descent's answers:
+    it is PSD when A is (up to the calibrated tail), and has an eigenvalue
+    <= -1 when A is far, which one run finds with constant probability.  Its
+    trace is (C_far - 1) k by construction, so the descent runs at a single
+    analytic step-size scale, with no norm probe.  A negative value found
+    in the shifted space proves nothing about A, so that rejection carries
+    no witness.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -630,16 +469,15 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     k = _gap_sketch_dim(eps, c_psd)
     c_far = c_far_curve(k, eps)
     g = gen.standard_normal((op.dim, k))
-    gamma_op = _GammaOperator(op, g, alpha=alpha, beta=beta, shift=c_far - 1.0)
-
+    # The shifted sketch (G^T A G - alpha I) / (beta sqrt(k) ln k)
+    # + (C_far - 1) I has trace (C_far - 1) k, which sets the one step size.
+    affine = (alpha, beta * math.sqrt(k) * math.log(max(k, 2)), c_far - 1.0)
     trace_gamma = (c_far - 1.0) * k
     eta = defaults.GAMMA_ETA_C / trace_gamma
     n_iters = math.ceil(defaults.GAMMA_GROWTH_LOG / eta)
-    cfg = OjaConfig(eta=defaults.GAMMA_ETA_C, max_iters=n_iters, eta_scales=1,
-                    amplification=defaults.GAMMA_AMP)
-    sub = oja_l1_tester(gamma_op, min(0.5, 1.0 / (3.0 * k)), cfg, rng=gen,
-                        norm_interval=(trace_gamma, trace_gamma))
-    return Verdict(is_psd=sub.is_psd, witness=None,
+    is_psd = all(_descend(op, g, eta, n_iters, gen, trace_gamma, affine) is None
+                 for _ in range(defaults.GAMMA_AMP))
+    return Verdict(is_psd=is_psd, witness=None,
                    queries_used=_queries_on(op) - start,
                    mode=TWO_SIDED, statistic=None)
 

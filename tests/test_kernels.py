@@ -7,10 +7,7 @@ from psdprobe.kernels import (
     chebyshev_threshold_poly,
     frobenius_estimate,
     hutchinson_trace,
-    orthonormalize,
     schatten1_scale_estimate,
-    sphere_moments,
-    sphere_quadform_variance_exact,
     sym_eig_small,
     trace_estimate,
 )
@@ -36,44 +33,6 @@ def test_sym_eig_small_rejects_asymmetry_and_shape():
         sym_eig_small(np.ones((2, 3)))
 
 
-def test_orthonormalize_full_rank_preserves_span():
-    rng = rng_from(2)
-    v = rng.standard_normal((20, 6))
-    b = orthonormalize(v)
-    assert b.shape == (20, 6)
-    np.testing.assert_allclose(b.T @ b, np.eye(6), atol=1e-12)
-    # Original columns are reproduced by projection onto the basis.
-    np.testing.assert_allclose(b @ (b.T @ v), v, atol=1e-9)
-
-
-def test_orthonormalize_drops_dependent_and_zero_columns():
-    rng = rng_from(3)
-    v = rng.standard_normal((15, 3))
-    cols = np.column_stack([v[:, 0], v[:, 1], v[:, 0] + 2 * v[:, 1],
-                            np.zeros(15), v[:, 2],
-                            v[:, 2] * (1 + 1e-14)])
-    b = orthonormalize(cols, tol=1e-10)
-    assert b.shape == (15, 3)
-    np.testing.assert_allclose(b.T @ b, np.eye(3), atol=1e-12)
-
-
-def test_orthonormalize_accepts_single_vector():
-    b = orthonormalize(np.array([3.0, 4.0]))
-    np.testing.assert_allclose(b, np.array([[0.6], [0.8]]))
-
-
-def test_orthonormalize_nearly_dependent_stays_orthonormal():
-    # Second column almost parallel to the first: the reorthogonalization
-    # pass must still deliver machine-precision orthogonality.
-    rng = rng_from(4)
-    u = rng.standard_normal(30)
-    w = rng.standard_normal(30)
-    v = np.column_stack([u, u + 1e-7 * w])
-    b = orthonormalize(v, tol=1e-12)
-    assert b.shape == (30, 2)
-    np.testing.assert_allclose(b.T @ b, np.eye(2), atol=1e-12)
-
-
 # ------------------------------------------------- threshold polynomial
 
 def test_threshold_poly_frozen_degrees():
@@ -95,19 +54,13 @@ def test_threshold_poly_degree_grows_as_ceiling_shrinks():
     assert d1 == 9 and d2 == 16 and d2 > d1
 
 
-def test_threshold_poly_monomial_coefficients_match_recurrence():
-    p = ThresholdPolynomial(1.0, 0.2, 0.05)
-    assert p.degree == 5
-    coef = p.coefficients
-    xs = np.linspace(-0.2, 1.0, 37)
-    np.testing.assert_allclose(np.polynomial.Polynomial(coef)(xs),
-                               p.evaluate(xs), atol=1e-12)
-
-
 def test_threshold_poly_no_monomial_basis_past_degree_30():
+    # Past degree 30 a monomial basis is numerically meaningless; the
+    # recurrence still meets the contract there.
     p = ThresholdPolynomial(1.0, 1e-4, 1e-3)
     assert p.degree > 30
-    assert p.coefficients is None
+    assert p.evaluate(-1e-4) == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(p.evaluate(np.linspace(0.0, 1.0, 25_000))).max() <= 1e-3
 
 
 @pytest.mark.parametrize("r,alpha,delta", [
@@ -182,44 +135,6 @@ def test_schatten1_scale_estimate_brackets_nuclear_norm():
         assert 0 < lo <= 5.0 <= up
         # The bracket width is pinned at 2 d^2 by construction.
         assert up / lo == pytest.approx(2 * 20 ** 2, rel=1e-12)
-
-
-# --------------------------------------------------------- closed forms
-
-def test_sphere_moments_small_dimensions():
-    q, c = sphere_moments(3)
-    assert q == pytest.approx(0.2) and c == pytest.approx(1.0 / 15.0)
-    q, c = sphere_moments(1)
-    assert q == pytest.approx(1.0) and c == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError):
-        sphere_moments(0)
-
-
-def test_sphere_moments_match_monte_carlo():
-    d = 6
-    rng = rng_from(42)
-    g = rng.standard_normal((40_000, d))
-    u = g / np.linalg.norm(g, axis=1, keepdims=True)
-    q, c = sphere_moments(d)
-    assert np.mean(u[:, 0] ** 4) == pytest.approx(q, rel=0.05)
-    assert np.mean(u[:, 0] ** 2 * u[:, 1] ** 2) == pytest.approx(c, rel=0.05)
-
-
-def test_sphere_quadform_variance_exact_values():
-    # u^T diag(1,-1) u = cos(2 theta) on the circle, variance exactly 1/2.
-    assert sphere_quadform_variance_exact(np.diag([1.0, -1.0])) == pytest.approx(0.5)
-    assert sphere_quadform_variance_exact(np.eye(7)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_sphere_quadform_variance_matches_monte_carlo():
-    rng = rng_from(8)
-    m = rng.standard_normal((8, 8))
-    m = m + m.T
-    exact = sphere_quadform_variance_exact(m)
-    g = rng.standard_normal((60_000, 8))
-    u = g / np.linalg.norm(g, axis=1, keepdims=True)
-    sample_var = np.var(np.einsum("ij,jk,ik->i", u, m, u))
-    assert sample_var == pytest.approx(exact, rel=0.05)
 
 
 def test_estimator_result_is_frozen():

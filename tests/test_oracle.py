@@ -109,6 +109,19 @@ def test_operator_rejects_non_finite_backing():
         SymmetricOperator(backing, validate=False)
 
 
+def test_backing_near_the_float_maximum_stays_finite():
+    # Symmetrizing as (a + a^T) / 2 overflowed entries above ~9e307 to inf.
+    op = SymmetricOperator([[1e308, 0.0], [0.0, 1e308]])
+    assert np.isfinite(op.dense()).all()
+    assert op.quad_form(np.array([1.0, 0.0])) == 1e308
+    # Halving first changes no bit of an ordinary symmetrized backing.
+    a = rng_from(14).standard_normal((9, 9))
+    for scale in (1.0, 1e300, 1e-300):
+        b = a * scale
+        np.testing.assert_array_equal(SymmetricOperator(b, validate=False).dense(),
+                                      (b + b.T) / 2.0)
+
+
 def test_block_queries_reject_non_finite_blocks_and_charge_nothing():
     op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
     red = SketchedOperator(op, np.ones((3, 2)))

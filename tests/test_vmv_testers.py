@@ -1,12 +1,14 @@
 """Tests for the vmv-query testers: Oja descent, bilinear sketch, the
 shifted-sketch adaptive tester and the non-adaptive compression tester."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from psdprobe import defaults
+from psdprobe.harness import instance_operator
 from psdprobe.oracle import (
     SpectrumInstance,
     SymmetricOperator,
@@ -22,12 +24,12 @@ from psdprobe.vmv_testers import (
     bilinear_sketch_tester,
     build_sketch,
     c_far_curve,
+    _descend,
     _gap_sketch_dim,
+    _scale_grid,
     gamma_statistic,
-    lp_to_l1_eps,
     nonadaptive_l1_tester,
     oja_l1_tester,
-    oja_step,
     sketch_dim,
     sketch_reduce,
 )
@@ -92,8 +94,61 @@ def test_oja_config_from_eps_frozen_values():
 
 
 # ---------------------------------------------------------------------------
-# oja_step
+# reference descent step
 # ---------------------------------------------------------------------------
+
+def oja_step(op, x, eta, rng, g=None):
+    """Reference step x <- x - eta (g^T A x) g, one scalar query at a time.
+
+    Draws g standard Gaussian unless one is forced.  Returns the next
+    iterate together with (s, t) = (g^T A x, g^T A g); the caller maintains
+    f(x) = x^T A x through f -= eta s^2 (2 - eta t), which is exact algebra,
+    so the pair costs the step's entire query budget of 2 vmv.
+    """
+    if g is None:
+        g = rng_from(rng).standard_normal(op.dim)
+    t = op.quad_form(g)
+    s = op.bilinear(g, x)
+    return x - (eta * s) * g, (s, t)
+
+
+class RecordingOperator(SymmetricOperator):
+    """Symmetric operator that logs every scalar answer in query order."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.answers = []
+
+    def quad_form(self, x):
+        out = super().quad_form(x)
+        self.answers.append(out)
+        return out
+
+    def bilinear(self, x, y):
+        out = super().bilinear(x, y)
+        self.answers.append(out)
+        return out
+
+
+def reference_descent(op, eta, iters, gen, up):
+    """The descent run as a loop of reference steps, one draw per step."""
+    x = gen.standard_normal(op.dim)
+    f = op.quad_form(x)
+    if f < 0.0:
+        return x, f
+    for _ in range(iters):
+        x, (s, t) = oja_step(op, x, eta, rng=gen)
+        f -= eta * s * s * (2.0 - eta * t)
+        norm_sq = float(x @ x)
+        if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
+            return None
+        if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
+            direct = op.quad_form(x)
+            if direct < 0.0:
+                return x, direct
+            f = direct
+    return None
+
 
 def test_oja_step_zero_matrix_keeps_iterate():
     op = SymmetricOperator(np.zeros((8, 8)))
@@ -150,7 +205,6 @@ def test_sketch_reduce_with_identity_sketch_matches_parent():
         y = gen.standard_normal(10)
         assert red.bilinear(x, y) == pytest.approx(op.bilinear(x, y), rel=1e-12)
         assert red.quad_form(x) == pytest.approx(op.quad_form(x), rel=1e-12)
-    np.testing.assert_array_equal(red.pull_back(np.arange(10.0)), np.arange(10.0))
 
 
 def test_sketch_reduce_validates_width():
@@ -198,38 +252,28 @@ def test_sketch_reduce_preserves_negativity_and_trace_norm():
     assert norm_ok >= 45
 
 
-def test_lp_to_l1_eps_values():
-    assert lp_to_l1_eps(0.3, 1, 50) == pytest.approx(0.3)
-    assert lp_to_l1_eps(0.1, 2, 100) == pytest.approx(0.01)
-    assert lp_to_l1_eps(0.1, math.inf, 100) == pytest.approx(0.001)
-    with pytest.raises(ValueError):
-        lp_to_l1_eps(0.1, 0.5, 10)
-    with pytest.raises(ValueError):
-        lp_to_l1_eps(0.1, 2, 0)
-
-
 # ---------------------------------------------------------------------------
 # oja_l1_tester
 # ---------------------------------------------------------------------------
 
 def test_oja_accepts_identity_with_exact_query_count():
-    # No reduction (m >= d), norm interval supplied, no rejection and no
-    # resynchronization on the identity: every query is accounted for as
-    # amplification * scales * (1 + 2 * max_iters).
+    # No reduction (m >= d) and no rejection or resynchronization on the
+    # identity: every query is accounted for as amplification * (d-query
+    # norm probe + scales * (1 + 2 * max_iters)).
     op = identity_op(10, rot_seed=5)
     cfg = OjaConfig(eta=0.01, max_iters=7, eta_scales=3, amplification=2)
-    v = oja_l1_tester(op, 0.5, cfg, rng=0, norm_interval=(5.0, 20.0))
+    v = oja_l1_tester(op, 0.5, cfg, rng=0)
     assert v.is_psd
-    assert v.queries_used == 2 * 3 * (1 + 2 * 7)
+    assert v.queries_used == 2 * (10 + 3 * (1 + 2 * 7))
     assert v.mode == "one_sided"
     assert v.witness is None and v.statistic is None
 
 
 def test_oja_degenerate_norm_interval_collapses_scales():
-    op = identity_op(10, rot_seed=5)
-    cfg = OjaConfig(eta=0.01, max_iters=7, eta_scales=3, amplification=2)
-    v = oja_l1_tester(op, 0.5, cfg, rng=0, norm_interval=(10.0, 10.0))
-    assert v.queries_used == 2 * 1 * (1 + 2 * 7)
+    np.testing.assert_array_equal(_scale_grid(10.0, 10.0, 3), [10.0])
+    assert len(_scale_grid(5.0, 20.0, 3)) == 3
+    with pytest.raises(ValueError):
+        _scale_grid(0.0, 1.0, 3)
 
 
 def test_oja_zero_operator_accepts_after_probes():
@@ -332,6 +376,76 @@ def test_maintained_f_tracks_direct_quad_form():
         direct = op.quad_form(x)
         worst = max(worst, abs(f - direct) / abs(direct))
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("lam,eta,up,n_answers", [
+    # PSD: all 150 steps run across three draw blocks, nothing to confirm.
+    (tuple(np.linspace(0.1, 1.0, 12)), 0.05, 5.5, 1 + 2 * 150),
+    # Indefinite: the run ends on a confirmed negative value after 11 steps.
+    (tuple([-0.1] + [0.9 / 11] * 11), 0.3, 1.0, 1 + 2 * 11 + 1),
+    # Step far too large for the scale: the run ends on blow-up.
+    (tuple([-1.0] + [1.0] * 11), 1e3, 1.0, 1 + 2 * 19),
+])
+def test_descend_matches_reference_step_loop_bitwise(lam, eta, up, n_answers):
+    a = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=3)).dense()
+    op, ref_op = RecordingOperator(a), RecordingOperator(a)
+    got = _descend(op, None, eta, 150, rng_from(21), up)
+    want = reference_descent(ref_op, eta, 150, rng_from(21), up)
+    assert op.answers == ref_op.answers
+    assert len(op.answers) == n_answers
+    assert (got is None) == (want is None) == (lam[0] > 0.0 or eta > 1.0)
+    if got is not None:
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1] < 0.0
+
+
+# (tester, instance kind, dim, eps, p, seed) -> (is_psd, queries_used,
+# statistic.hex(), SHA-1 of the witness bytes), recorded when the plain,
+# sketched and shifted-sketch descents were three separate code paths.  Covers
+# Oja without reduction (far d24), with reduction (far d48, cluster_l1 d128),
+# an Oja accept whose large step sizes blow up and leave draws unused
+# (random_psd d16), and the adaptive l2 descent (far d16, d32).  The hashes
+# pin float bit patterns, so they hold for one numpy/BLAS build.
+BYTE_TABLE = [
+    ("oja_l1", "far", 24, 0.3, 1.0, 5, (False, 36, "-0x1.4b36e01e6807dp+23", "6130573f99cfd372b06d0cf8eea558658e6884af")),
+    ("oja_l1", "far", 24, 0.3, 1.0, 6, (False, 34, "-0x1.39152d136828ep+39", "8dd6d71804a7e069d82300b43ffc69baf7f7b0d8")),
+    ("oja_l1", "far", 24, 0.3, 1.0, 7, (False, 36, "-0x1.9f5163aaf219ep+37", "2741c3dc2f2319c4a549c21601ade88a0171768d")),
+    ("oja_l1", "far", 24, 0.3, 1.0, 8, (False, 36, "-0x1.4f3af6b2ac3e8p+18", "3642437923c1789038f1303213b64339f8ac580d")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 5, (False, 41, "-0x1.daf2165dc735cp+23", "a98d075925b04d4cf0fc39a79bcec57bfe202891")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 6, (False, 59, "-0x1.c7760143bccb0p+86", "f53d36100b5174e8e25e728a1d8199e033986a6b")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 7, (False, 31, "-0x1.188afbfaf9fd6p+12", "5aa5c43640073ff44a3b14b3501090362ca0e458")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 8, (False, 45, "-0x1.48765adedce85p+37", "ff731f04c8ed415d4ff694582d29709da2218978")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 5, (False, 39, "-0x1.7e606dfdc076fp+21", "92391c9c1e0371a11049741d45b29fe3208db7b9")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 6, (False, 28, "-0x1.8d6622c95babep-6", "8393092c1c5a74ed4fbc6137d2d1d57451ac1467")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 7, (False, 28, "-0x1.3c8ecf8527c66p-1", "88edbc886ba8a44c968d2a52b88db509d81de9fe")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 8, (False, 37, "-0x1.ed0c837529380p+17", "dc1f71bca1792e69ecde57f29fd37d7f34d4af27")),
+    ("oja_l1", "random_psd", 16, 0.3, 1.0, 5, (True, 51722, None, None)),
+    ("oja_l1", "random_psd", 16, 0.3, 1.0, 6, (True, 51594, None, None)),
+    ("oja_l1", "random_psd", 16, 0.3, 1.0, 7, (True, 51684, None, None)),
+    ("oja_l1", "random_psd", 16, 0.3, 1.0, 8, (True, 51546, None, None)),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 5, (False, 1548, None, None)),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 6, (False, 1, "-0x1.3ec808a9a6d2cp+1", "cf35e6e3ebb2c5b74e1660893074e4b40a7ae98b")),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 7, (False, 1212, None, None)),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 8, (False, 2, "-0x1.00ae0870ca6dap+4", "5ff01d114a56c0edb49ac5ea3d05ce9317b77174")),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 5, (False, 1180, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 6, (False, 1302, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 7, (False, 1294, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 8, (False, 1460, None, None)),
+]
+
+
+@pytest.mark.parametrize(
+    "tester,kind,dim,eps,p,seed,expected", BYTE_TABLE,
+    ids=[f"{r[0]}-{r[1]}-d{r[2]}-s{r[5]}" for r in BYTE_TABLE])
+def test_descent_outputs_match_byte_table(tester, kind, dim, eps, p, seed,
+                                          expected):
+    op = instance_operator({"kind": kind, "dim": dim}, eps, p, seed)
+    run = oja_l1_tester if tester == "oja_l1" else adaptive_l2_tester
+    v = run(op, eps, rng=seed)
+    stat = None if v.statistic is None else float(v.statistic).hex()
+    sha = (None if v.witness is None
+           else hashlib.sha1(v.witness.tobytes()).hexdigest())
+    assert (v.is_psd, v.queries_used, stat, sha) == expected
 
 
 # ---------------------------------------------------------------------------
