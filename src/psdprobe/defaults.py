@@ -1,9 +1,19 @@
 """Calibrated constants used as defaults across the testers.
 
 The underlying guarantees are asymptotic and leave every absolute constant
-unnamed, so the concrete values here were fixed once by the calibration
-suites (``psdprobe calibrate --suite <name>``) and committed together with
-calibration/report.json.  Change them only by re-running calibration.
+unnamed.  The calibration suites (``psdprobe calibrate --suite <name>``)
+each write one committed report under ``calibration/``:
+
+  * c_psd.json        -- C_PSD and C_FAR (gamma quantiles at kappa 12)
+  * kappa_sketch.json -- SKETCH_KAPPA
+  * kappa_oja.json    -- OJA_ITER_SCALE
+  * kappa_krylov.json -- KRYLOV_KAPPA
+  * embed_rows.json   -- EMBED_KAPPA
+
+EMBED_KAPPA and C_PSD match their reports.  SKETCH_KAPPA (report 4.0),
+KRYLOV_KAPPA (0.5), OJA_ITER_SCALE (0.125) and C_FAR (1.127) differ from
+theirs; reconciling them is an open item in ROADMAP.md.  Change a value
+only by re-running calibration.
 """
 
 # --- dimension reduction ahead of the adaptive l1 tester -----------------

@@ -18,8 +18,17 @@ Each is charged exactly what the loop of scalar queries it replaces costs:
   * quad_forms(X, Y)     -> x_j^T A y_j per column  (X.cols ``vmv``; Y
                             defaults to X)
 
-Block queries reject non-finite blocks; scalar queries pass whatever they
-are given, so a diverging caller sees its own non-finite values.
+A fixed-direction handle answers scalar queries along directions that were
+all fixed before any answer is read, from one product with the block:
+
+  * directions(U)        -> a handle on the columns u_j of U (no charge;
+                            the simulator forms A U once, uncounted)
+  * handle.quad_form(j)  -> u_j^T A u_j                  (one ``vmv``)
+  * handle.bilinear(j, y) -> u_j^T A y, as (A u_j)^T y   (one ``vmv``)
+
+Block queries and ``directions`` reject non-finite blocks; scalar queries
+and handle reads pass whatever they are given, so a diverging caller sees
+its own non-finite values.
 
 Ground-truth helpers (``dense``, ``eigenvalues``) bypass the counters and are
 reserved for tests and for the experiment harness when it labels instances.
@@ -41,6 +50,7 @@ import numpy as np
 __all__ = [
     "MAX_DENSE_DIM",
     "CountedOperator",
+    "DirectionBlock",
     "SymmetricOperator",
     "SpectrumInstance",
     "rng_from",
@@ -153,12 +163,46 @@ class CountedOperator:
         self._charge(0, x.shape[1])
         return out
 
+    def directions(self, u) -> "DirectionBlock":
+        """Handle for vmv queries along the columns of U; charges per read.
+
+        The simulator forms A U once, uncounted: every direction is fixed
+        before any answer is read, so the product reveals nothing a reader
+        could not get from the same reads asked one at a time.
+        """
+        u = self._block(u, "directions")
+        return DirectionBlock(self, u, self._mat_vecs(u))
+
     # Subclass hooks: answer an already checked block, without charging.
     def _unsupported(self, *blocks):
         raise NotImplementedError(
             f"{type(self).__name__} does not answer this block query")
 
     _mat_vecs = _bilinear_block = _sym_block = _quad_forms = _unsupported
+
+
+class DirectionBlock:
+    """Fixed directions u_j with their images A u_j, read one vmv at a time.
+
+    Built by ``CountedOperator.directions``; each read charges the operator
+    that built it one ``vmv`` query and costs at most O(dim) work.  The
+    handle keeps no reference to U, so mutating U later changes no answer.
+    """
+
+    def __init__(self, owner: CountedOperator, u: np.ndarray, au: np.ndarray):
+        self._owner = owner
+        self._au = np.ascontiguousarray(au.T)
+        self._quad = np.einsum("ij,ij->j", u, au)
+
+    def quad_form(self, j: int) -> float:
+        """One vmv query: u_j^T A u_j."""
+        self._owner._charge(0, 1)
+        return float(self._quad[j])
+
+    def bilinear(self, j: int, y: np.ndarray) -> float:
+        """One vmv query: u_j^T A y, answered as (A u_j)^T y."""
+        self._owner._charge(0, 1)
+        return float(self._au[j] @ y)
 
 
 class SymmetricOperator(CountedOperator):

@@ -206,6 +206,10 @@ def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
 
 
 _DRAW_BATCH = 64
+# Column edges of the A.U products inside one drawn block.  Growing chunks
+# let a run that stops early (a confirmed rejection, a blow-up) pay for a
+# few columns instead of the whole block.
+_CHUNK_EDGES = (0, 4, 12, 28, _DRAW_BATCH)
 _OJA_STREAM = 0x01A1
 
 
@@ -223,6 +227,12 @@ def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
     s = u^T B x.  Directions u are standard Gaussian, drawn after x in
     blocks of at most 64 rows, each block mapped through G by one product,
     and no further block is drawn once the run stops.
+
+    A drawn block is fixed before any of its answers is read, so both
+    queries of a step are read from a ``parent.directions`` handle: the
+    simulator forms A U for the block's images in chunks of 4, 8, 16 and
+    36 columns, each when the run first reaches it, and a step then costs
+    O(d) work for the same two charged vmv queries.
 
     The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
     is exact algebra; once it falls below -OJA_MARGIN * up * max(1, |x|^2),
@@ -249,24 +259,29 @@ def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
     while left > 0:
         us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
         left -= len(us)
-        for u, ui in zip(us, us if g is None else us @ g.T):
-            t = parent.quad_form(ui)
-            s = parent.bilinear(ui, xi)
-            if affine is not None:  # keep the two dots off the unshifted runs
-                t = shifted(t, float(u @ u))
-                s = shifted(s, float(u @ x))
-            es = eta * s
-            x = x - es * u
-            xi = x if g is None else xi - es * ui
-            f -= eta * s * s * (2.0 - eta * t)
-            norm_sq = float(x @ x)
-            if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
-                return None
-            if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
-                confirmed = direct()
-                if confirmed < 0.0:
-                    return xi, confirmed
-                f = confirmed  # maintained value had drifted; resynchronize
+        uis = us if g is None else us @ g.T
+        for lo, hi in zip(_CHUNK_EDGES, _CHUNK_EDGES[1:]):
+            if lo >= len(us):
+                break
+            block = parent.directions(uis[lo:hi].T)
+            for j, (u, ui) in enumerate(zip(us[lo:hi], uis[lo:hi])):
+                t = block.quad_form(j)
+                s = block.bilinear(j, xi)
+                if affine is not None:  # keep the two dots off the unshifted runs
+                    t = shifted(t, float(u @ u))
+                    s = shifted(s, float(u @ x))
+                es = eta * s
+                x = x - es * u
+                xi = x if g is None else xi - es * ui
+                f -= eta * s * s * (2.0 - eta * t)
+                norm_sq = float(x @ x)
+                if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
+                    return None
+                if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
+                    confirmed = direct()
+                    if confirmed < 0.0:
+                        return xi, confirmed
+                    f = confirmed  # maintained value had drifted; resynchronize
     return None
 
 

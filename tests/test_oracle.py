@@ -82,6 +82,11 @@ def test_mutating_a_query_vector_never_changes_a_later_answer():
     block[:, 0] = 0.0
     np.testing.assert_allclose(op.quad_forms(block)[1:], got[1:], rtol=1e-12)
     assert op.quad_forms(block)[0] == 0.0
+    block[:, 0] = y
+    handle = op.directions(block)
+    block[:] = 0.0
+    assert handle.quad_form(0) == pytest.approx(got[0], rel=1e-12)
+    assert handle.bilinear(0, y) == pytest.approx(got[0], rel=1e-12)
 
 
 def test_operator_rejects_bad_backing():
@@ -272,6 +277,64 @@ def test_block_queries_over_shapes(d, kx, ky, m, seed):
     ys = rng.standard_normal((m, ky))
     _check_block_queries(red, red.realize(), xs, ys,
                          _block_scale(op.dense(), xs, ys, g))
+
+
+def _check_directions(op, u, y):
+    """Charges and values of every read of a directions handle on U."""
+    dense = op.dense()
+    before = (op.mv_queries, op.vmv_queries)
+    handle = op.directions(u)
+    assert (op.mv_queries, op.vmv_queries) == before
+    nrm = float(np.linalg.norm(dense, 2))
+    reads = 0
+    for j in range(u.shape[1]):
+        uj = u[:, j]
+        for read, want, size in (
+                (lambda: handle.quad_form(j), uj @ dense @ uj, uj @ uj),
+                (lambda: handle.bilinear(j, y), uj @ dense @ y,
+                 np.linalg.norm(uj) * np.linalg.norm(y))):
+            got = read()
+            reads += 1
+            assert op.vmv_queries == before[1] + reads
+            assert isinstance(got, float)
+            assert abs(got - want) <= 1e-12 * max(nrm * size, 1e-300)
+    assert op.mv_queries == before[0]
+
+
+def test_directions_charge_one_vmv_per_read_and_match_dense():
+    rng = rng_from(34)
+    a = rng.standard_normal((12, 12))
+    op = SymmetricOperator(a + a.T)
+    _check_directions(op, rng.standard_normal((12, 5)), rng.standard_normal(12))
+    assert op.vmv_queries == 10
+
+
+def test_directions_reject_bad_blocks_and_charge_nothing():
+    op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
+    bad = np.ones((3, 2))
+    for value in (np.nan, np.inf, -np.inf):
+        bad[1, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            op.directions(bad)
+    for shape in ((3,), (2, 2), (4, 1), (3, 1, 1)):
+        with pytest.raises(ValueError, match="directions expects"):
+            op.directions(np.ones(shape))
+    red = SketchedOperator(op, np.ones((3, 2)))
+    with pytest.raises(NotImplementedError):
+        red.directions(np.ones((2, 1)))
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+    assert red.vmv_queries == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 10), n=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_directions_over_widths(d, n, seed):
+    rng = rng_from(seed)
+    a = rng.standard_normal((d, d))
+    op = SymmetricOperator(a + a.T)
+    _check_directions(op, rng.standard_normal((d, n)), rng.standard_normal(d))
+    assert op.vmv_queries == 2 * n
 
 
 def test_uncounted_access_leaves_counters_alone():

@@ -15,6 +15,13 @@ from psdprobe.harness import ExperimentConfig, run_experiment
 QUERY_TABLE = [
     ("oja_l1", {"kind": "random_psd", "dim": 16}, 0.5, 1.0,
      {"amplification": 1, "iter_scale": 0.05}, [(0, 79)] * 3),
+    # Full-length Oja accepts: 148 steps per run without reduction (d24) and
+    # 1,494 through a 27-column sketch (d64), so runs cross several 64-draw
+    # blocks and every chunk of the A.U product, and some runs blow up.
+    ("oja_l1", {"kind": "random_psd", "dim": 24}, 0.3, 1.0,
+     {"amplification": 1}, [(0, 3121), (0, 3125), (0, 3101)]),
+    ("oja_l1", {"kind": "random_psd", "dim": 64}, 0.3, 1.0,
+     {"amplification": 1}, [(0, 25424), (0, 23628), (0, 25242)]),
     ("oja_l1", {"kind": "far", "dim": 24}, 0.3, 1.0, {},
      [(0, 36), (0, 34), (0, 36)]),
     ("oja_l1", {"kind": "far", "dim": 48}, 0.3, 1.0, {},

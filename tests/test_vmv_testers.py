@@ -113,21 +113,43 @@ def oja_step(op, x, eta, rng, g=None):
 
 
 class RecordingOperator(SymmetricOperator):
-    """Symmetric operator that logs every scalar answer in query order."""
+    """Symmetric operator that logs every scalar answer in query order.
+
+    Reads through a ``directions`` handle are logged too.  Each entry is
+    (answer, scale), the scale being ||A||_2 |x| |y| for the query x^T A y,
+    which bounds the rounding error of any way of computing the answer.
+    """
 
     def __init__(self, matrix):
         super().__init__(matrix)
         self.answers = []
+        self._norm = float(np.linalg.norm(self.dense(), 2))
+
+    def _log(self, out, x, y):
+        self.answers.append((out, self._norm * float(np.linalg.norm(x)
+                                                     * np.linalg.norm(y))))
+        return out
 
     def quad_form(self, x):
-        out = super().quad_form(x)
-        self.answers.append(out)
-        return out
+        return self._log(super().quad_form(x), x, x)
 
     def bilinear(self, x, y):
-        out = super().bilinear(x, y)
-        self.answers.append(out)
-        return out
+        return self._log(super().bilinear(x, y), x, y)
+
+    def directions(self, u):
+        return _RecordingDirections(self, super().directions(u), u)
+
+
+class _RecordingDirections:
+    def __init__(self, op, block, u):
+        self._op, self._block, self._u = op, block, np.array(u)
+
+    def quad_form(self, j):
+        u = self._u[:, j]
+        return self._op._log(self._block.quad_form(j), u, u)
+
+    def bilinear(self, j, y):
+        return self._op._log(self._block.bilinear(j, y), self._u[:, j], y)
 
 
 def reference_descent(op, eta, iters, gen, up):
@@ -379,46 +401,78 @@ def test_maintained_f_tracks_direct_quad_form():
 
 
 @pytest.mark.parametrize("lam,eta,up,n_answers", [
-    # PSD: all 150 steps run across three draw blocks, nothing to confirm.
+    # PSD: all 150 steps run across three draw blocks and every chunk of
+    # the A.U product, nothing to confirm.
     (tuple(np.linspace(0.1, 1.0, 12)), 0.05, 5.5, 1 + 2 * 150),
     # Indefinite: the run ends on a confirmed negative value after 11 steps.
     (tuple([-0.1] + [0.9 / 11] * 11), 0.3, 1.0, 1 + 2 * 11 + 1),
     # Step far too large for the scale: the run ends on blow-up.
     (tuple([-1.0] + [1.0] * 11), 1e3, 1.0, 1 + 2 * 19),
 ])
-def test_descend_matches_reference_step_loop_bitwise(lam, eta, up, n_answers):
+def test_descend_matches_reference_step_loop(lam, eta, up, n_answers):
+    # The descent reads its steps from A.U products, the reference asks one
+    # scalar query at a time: the answers agree to rounding, in one order.
     a = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=3)).dense()
     op, ref_op = RecordingOperator(a), RecordingOperator(a)
     got = _descend(op, None, eta, 150, rng_from(21), up)
     want = reference_descent(ref_op, eta, 150, rng_from(21), up)
-    assert op.answers == ref_op.answers
-    assert len(op.answers) == n_answers
+    assert len(op.answers) == len(ref_op.answers) == n_answers
+    assert op.vmv_queries == ref_op.vmv_queries == n_answers
+    for i, ((val, _), (ref, scale)) in enumerate(zip(op.answers, ref_op.answers)):
+        assert abs(val - ref) <= 1e-12 * scale, (i, val, ref, scale)
     assert (got is None) == (want is None) == (lam[0] > 0.0 or eta > 1.0)
     if got is not None:
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1] == want[1] < 0.0
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+        assert got[1] < 0.0 and want[1] < 0.0
+
+
+class _DriftingOperator(SymmetricOperator):
+    """Answers the first step's t = u^T A u with a large negative bias, so
+    the maintained f plunges below the margin once while the iterate, and
+    so the direct quadratic form, stay untouched."""
+
+    def directions(self, u):
+        block = super().directions(u)
+        if self.vmv_queries == 1:  # only the start query precedes it
+            read = block.quad_form
+            block.quad_form = lambda j: read(j) - (1e9 if j == 0 else 0.0)
+        return block
+
+
+def test_descend_resynchronizes_after_drift_and_keeps_running():
+    # On a PSD matrix the confirming query comes back non-negative, so the
+    # run must take it as its new f and carry on; without the resync every
+    # later step would cross the margin and ask another confirming query.
+    a = gen_rotated_diag(SpectrumInstance(
+        eigenvalues=tuple(np.linspace(0.1, 1.0, 12)), rotation_seed=3)).dense()
+    op = _DriftingOperator(a)
+    assert _descend(op, None, 0.05, 150, rng_from(21), 5.5) is None
+    # start + 150 steps of two reads + exactly one confirming query
+    assert op.vmv_queries == 1 + 2 * 150 + 1
 
 
 # (tester, instance kind, dim, eps, p, seed) -> (is_psd, queries_used,
 # statistic.hex(), SHA-1 of the witness bytes), recorded when the plain,
-# sketched and shifted-sketch descents were three separate code paths.  Covers
+# sketched and shifted-sketch descents were three separate code paths; the
+# hex and SHA-1 columns of the ten Oja rejections were re-recorded when the
+# steps moved to A.U products, which round differently.  Covers
 # Oja without reduction (far d24), with reduction (far d48, cluster_l1 d128),
 # an Oja accept whose large step sizes blow up and leave draws unused
 # (random_psd d16), and the adaptive l2 descent (far d16, d32).  The hashes
 # pin float bit patterns, so they hold for one numpy/BLAS build.
 BYTE_TABLE = [
-    ("oja_l1", "far", 24, 0.3, 1.0, 5, (False, 36, "-0x1.4b36e01e6807dp+23", "6130573f99cfd372b06d0cf8eea558658e6884af")),
-    ("oja_l1", "far", 24, 0.3, 1.0, 6, (False, 34, "-0x1.39152d136828ep+39", "8dd6d71804a7e069d82300b43ffc69baf7f7b0d8")),
-    ("oja_l1", "far", 24, 0.3, 1.0, 7, (False, 36, "-0x1.9f5163aaf219ep+37", "2741c3dc2f2319c4a549c21601ade88a0171768d")),
-    ("oja_l1", "far", 24, 0.3, 1.0, 8, (False, 36, "-0x1.4f3af6b2ac3e8p+18", "3642437923c1789038f1303213b64339f8ac580d")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 5, (False, 41, "-0x1.daf2165dc735cp+23", "a98d075925b04d4cf0fc39a79bcec57bfe202891")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 6, (False, 59, "-0x1.c7760143bccb0p+86", "f53d36100b5174e8e25e728a1d8199e033986a6b")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 7, (False, 31, "-0x1.188afbfaf9fd6p+12", "5aa5c43640073ff44a3b14b3501090362ca0e458")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 8, (False, 45, "-0x1.48765adedce85p+37", "ff731f04c8ed415d4ff694582d29709da2218978")),
-    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 5, (False, 39, "-0x1.7e606dfdc076fp+21", "92391c9c1e0371a11049741d45b29fe3208db7b9")),
+    ("oja_l1", "far", 24, 0.3, 1.0, 5, (False, 36, "-0x1.4b36e01e68071p+23", "e660392b1cbbc21652c117f0960336e2a733aac6")),
+    ("oja_l1", "far", 24, 0.3, 1.0, 6, (False, 34, "-0x1.39152d136828cp+39", "b5619a8fa8f0fcbd881bdc1e56e0a751c3c8e93e")),
+    ("oja_l1", "far", 24, 0.3, 1.0, 7, (False, 36, "-0x1.9f5163aaf2176p+37", "84c1cf87f0816e8e66edfb6d7b2359aa983a8f74")),
+    ("oja_l1", "far", 24, 0.3, 1.0, 8, (False, 36, "-0x1.4f3af6b2ac3cep+18", "b982f2c7845e9b27936ece465d344b4e6ac08e19")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 5, (False, 41, "-0x1.daf2165dc731ap+23", "12b12ad2b2810738563b41b2bf21d0252c92f9f3")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 6, (False, 59, "-0x1.c7760143bccdcp+86", "4812b1bba0503aed460dc826da453d2e0f5978ed")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 7, (False, 31, "-0x1.188afbfaf9fdap+12", "685efec76f9610f2e8c085bc352be2bb977d4925")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 8, (False, 45, "-0x1.48765adedce82p+37", "04ced2062f7f09b7dde50a84d6b1e181aa1d932d")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 5, (False, 39, "-0x1.7e606dfdc0772p+21", "df3bb44e92244362a63c42c40316650238f762ab")),
     ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 6, (False, 28, "-0x1.8d6622c95babep-6", "8393092c1c5a74ed4fbc6137d2d1d57451ac1467")),
     ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 7, (False, 28, "-0x1.3c8ecf8527c66p-1", "88edbc886ba8a44c968d2a52b88db509d81de9fe")),
-    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 8, (False, 37, "-0x1.ed0c837529380p+17", "dc1f71bca1792e69ecde57f29fd37d7f34d4af27")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 8, (False, 37, "-0x1.ed0c83752936ep+17", "2666cc998fa4b5e0337fe5ed6c0ef4456007df6f")),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 5, (True, 51722, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 6, (True, 51594, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 7, (True, 51684, None, None)),
@@ -446,6 +500,29 @@ def test_descent_outputs_match_byte_table(tester, kind, dim, eps, p, seed,
     sha = (None if v.witness is None
            else hashlib.sha1(v.witness.tobytes()).hexdigest())
     assert (v.is_psd, v.queries_used, stat, sha) == expected
+
+
+# statistic.hex() of the re-recorded BYTE_TABLE rows as the scalar-query
+# steps computed it, keyed by (kind, dim, seed).
+SCALAR_STEP_STATISTICS = {
+    ("far", 24, 5): "-0x1.4b36e01e6807dp+23",
+    ("far", 24, 6): "-0x1.39152d136828ep+39",
+    ("far", 24, 7): "-0x1.9f5163aaf219ep+37",
+    ("far", 24, 8): "-0x1.4f3af6b2ac3e8p+18",
+    ("far", 48, 5): "-0x1.daf2165dc735cp+23",
+    ("far", 48, 6): "-0x1.c7760143bccb0p+86",
+    ("far", 48, 7): "-0x1.188afbfaf9fd6p+12",
+    ("far", 48, 8): "-0x1.48765adedce85p+37",
+    ("cluster_l1", 128, 5): "-0x1.7e606dfdc076fp+21",
+    ("cluster_l1", 128, 8): "-0x1.ed0c837529380p+17",
+}
+
+
+def test_byte_table_statistics_within_rounding_of_scalar_steps():
+    rows = {(r[1], r[2], r[5]): r[6][2] for r in BYTE_TABLE}
+    for key, old in SCALAR_STEP_STATISTICS.items():
+        new, old = float.fromhex(rows[key]), float.fromhex(old)
+        assert abs(new - old) <= 1e-12 * abs(old), key
 
 
 # ---------------------------------------------------------------------------
