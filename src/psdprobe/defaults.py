@@ -10,11 +10,30 @@ each write one committed report under ``calibration/``:
   * kappa_krylov.json -- KRYLOV_KAPPA
   * embed_rows.json   -- EMBED_KAPPA
 
-EMBED_KAPPA and C_PSD match their reports.  SKETCH_KAPPA (report 4.0),
-KRYLOV_KAPPA (0.5), OJA_ITER_SCALE (0.125) and C_FAR (1.127) differ from
-theirs; reconciling them is an open item in ROADMAP.md.  Change a value
+EMBED_KAPPA matches its report.  Every other reported constant differs
+from its report, and CALIBRATION_MARGINS below gives its report value and
+the reason for the gap; a tier-1 test holds each report to one or the
+other.  Reconciling the gaps is an open item in ROADMAP.md.  Change a value
 only by re-running calibration.
 """
+
+# --- shipped values that differ from their calibration report ---------------
+# name: (value in calibration/<suite>.json, why the shipped value differs)
+CALIBRATION_MARGINS = {
+    # kappa_sketch refits the PSD threshold at every rung, so 4.0 holds only
+    # with a C_PSD measured at 4.0; the shipped C_PSD was measured at 12.
+    "SKETCH_KAPPA": (4.0, "C_PSD was calibrated at kappa 12 (c_psd.json)"),
+    # Both ladders ran on the flat far family, which any tester solves in
+    # O(1) queries, and stopped at their lowest rung: no rung failed, so
+    # the reports bound nothing on hard inputs.
+    "KRYLOV_KAPPA": (0.5, "lowest rung, on the flat far family only"),
+    "OJA_ITER_SCALE": (0.125, "lowest rung, flat far family, amplification "
+                              "6 where OJA_AMP is 20"),
+    # The report gives the smallest per-cell implied floor of far gammas; a
+    # smaller C_FAR lowers the far envelope and so only grows the sketch.
+    "C_FAR": (1.1266554358155947, "margin below the smallest implied floor"),
+    "C_PSD": (0.278660092754164, "pooled 99th percentile, rounded up"),
+}
 
 # --- dimension reduction ahead of the adaptive l1 tester -----------------
 REDUCE_KAPPA = 8.0        # reduced dimension m = ceil(REDUCE_KAPPA / eps)

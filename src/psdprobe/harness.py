@@ -1,7 +1,8 @@
 """Seeded experiment loops, calibration sweeps, and query-scaling fits.
 
 ``run_experiment`` drives one tester over freshly generated instances (trial i
-uses seed0 + i), labels every instance by exact eigendecomposition, and emits
+uses seed0 + i), labels every instance from its eigenvalues (the spectrum it
+was built from, or ``eigvalsh`` of a Wishart or spiked backing), and emits
 one CSV row per trial plus a JSON summary.  ``calibrate`` resolves the
 absolute constants the testers' guarantees leave unnamed by sweeping seeded
 PSD instances against matched eps-far ones.  ``scaling_report`` bisects each
@@ -13,11 +14,14 @@ serialized through repr, so identical configs reproduce the output files byte
 for byte.  Wall-clock timing is the one exception: the clock is injectable
 (determinism tests pin it to a constant) and defaults to real time.
 
-The generated instance families are stored unrotated (diagonal) where the
-consuming tester's query distribution is rotation invariant -- Gaussian
-sketches, Gaussian descent payloads, Gaussian Krylov starts all are -- which
-keeps instance construction at O(d^2) instead of a d^3 QR per trial.
-Families addressed through ``operator_from_descriptor`` keep their rotations.
+The calibration and scaling sweeps store their instances unrotated
+(diagonal), since the consuming tester's query distribution is rotation
+invariant -- Gaussian sketches, Gaussian descent payloads, Gaussian Krylov
+starts all are -- which keeps instance construction at O(d^2) instead of a
+d^3 QR per trial.  ``run_experiment`` hides its spectrum families under a
+seeded Haar rotation (``gen_rotated_diag``).  Either way the operator
+carries the spectrum it was built from, so none of these instances is
+eigendecomposed to be labelled.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ class TrialRecord:
     ``truth`` is None only for instances inside the promise gap, which are
     generated only on request and excluded from rate denominators.  For the
     spectrum testers ``verdict`` means the per-eigenvalue guarantee held
-    against the exact eigendecomposition, ``statistic`` is the worst
+    against the instance's eigenvalues, ``statistic`` is the worst
     qualifying eigenvalue error over the allowed radius, and
     ``witness_valid`` reports sign correctness on the qualifying indices.
     """
@@ -268,17 +272,22 @@ def instance_operator(desc: dict, eps: float, p: float,
                                              rotation_seed=seed))
 
 
-_PSD_TOL = 1e-10   # relative slack for eigvalsh noise on exactly PSD inputs
-_FAR_TOL = 1e-9    # relative slack for families built exactly on the boundary
+# Relative slack at the two boundaries.  Carried spectra are exact; only
+# Wishart and spiked instances are decomposed, and eigvalsh puts a PSD one at
+# lambda_min ~ -1e-13 ||A||_2 (backward error O(d u ||A||)).
+_PSD_TOL = 1e-10   # slack below zero still labelled PSD
+_FAR_TOL = 1e-9    # slack for families built exactly on the far boundary
 
 
 def truth_label(op: SymmetricOperator, eps: float, p: float) -> Optional[bool]:
     """True for PSD, False for eps-far, None inside the promise gap.
 
-    Exact eigendecomposition with a hair of relative tolerance at both
-    boundaries: genuinely PSD constructions (Wishart products, rotated
-    non-negative spectra) land at lambda_min ~ -1e-13 ||A||_2 in floating
-    point, and the far families sit exactly on the promise boundary.
+    Reads ``op.eigenvalues()``: the spectrum a rotated or diagonal instance
+    was built from, with no decomposition, or ``eigvalsh`` of any other
+    backing.  A hair of relative tolerance sits at both boundaries: a
+    decomposed PSD construction (a Wishart product) lands at
+    lambda_min ~ -1e-13 ||A||_2 in floating point, and the far families sit
+    exactly on the promise boundary.
     """
     eigs = op.eigenvalues()
     lam_min = float(eigs[0])
@@ -381,8 +390,8 @@ def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
                                   repeats=_constant(cons, "repeats", int),
                                   rng=seed, kappa=_constant(cons, "kappa"))
     elif cfg.tester == "krylov":
-        # The harness labels the instance exactly anyway, so the tester gets
-        # the exact Schatten norm rather than a side estimate.
+        # The harness knows the instance's eigenvalues anyway, so the tester
+        # gets the true Schatten norm rather than a side estimate.
         v = krylov_tester(op, cfg.eps, cfg.p, op.schatten_norm(cfg.p),
                           repeats=_constant(cons, "repeats", int),
                           rng=seed, kappa=_constant(cons, "kappa"))
@@ -433,11 +442,12 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1,
                    clock: Optional[Callable[[], float]] = None):
     """Run cfg.trials seeded trials; returns (records, summary).
 
-    Trial i draws a fresh instance from seed0 + i, labels it by exact
-    eigendecomposition, runs the tester, and hard-checks that the reported
-    query count equals the oracle counter movement.  When cfg.output_path is
-    set, the records go there as CSV (parent directories created) and the
-    summary lands next to it with the suffix swapped for .summary.json.
+    Trial i draws a fresh instance from seed0 + i, labels it from its
+    eigenvalues (see ``truth_label``), runs the tester, and hard-checks
+    that the reported query count equals the oracle counter movement.
+    When cfg.output_path is set, the records go there as CSV (parent
+    directories created) and the summary lands next to it with the suffix
+    swapped for .summary.json.
 
     ``workers`` > 1 fans the trials over a process pool; records are merged
     by seed, so the worker count never changes the output files.  ``clock``
@@ -546,7 +556,7 @@ def write_records_csv(path, records: Sequence[TrialRecord]) -> None:
 # is an explicit edit of defaults.py with the report checked in next to it.
 
 def _diag_operator(lam: np.ndarray, seed: int) -> SymmetricOperator:
-    return SymmetricOperator(np.diag(lam), seed=seed)
+    return SymmetricOperator(np.diag(lam), seed=seed, spectrum=lam)
 
 
 def _psd_sweep_operator(kind: str, d: int, seed: int) -> SymmetricOperator:

@@ -30,8 +30,13 @@ Block queries and ``directions`` reject non-finite blocks; scalar queries
 and handle reads pass whatever they are given, so a diverging caller sees
 its own non-finite values.
 
-Ground-truth helpers (``dense``, ``eigenvalues``) bypass the counters and are
-reserved for tests and for the experiment harness when it labels instances.
+Ground-truth helpers (``dense``, ``eigenvalues``, ``schatten_norm``) bypass
+the counters and are reserved for tests and for the experiment harness when
+it labels instances.  An operator built from a known spectrum (rotated
+diagonal instances, the harness's diagonal sweeps) carries that spectrum and
+answers ``eigenvalues`` from it after O(d^2) trace and Frobenius checks;
+any other operator (Wishart, spiked, a raw backing) is decomposed once with
+``eigvalsh``.
 
 Generators produce the instance families used throughout the test suites:
 rotated diagonal spectra, Wishart matrices, and spiked asymmetric embeddings.
@@ -205,14 +210,62 @@ class DirectionBlock:
         return float(self._au[j] @ y)
 
 
+_SPECTRUM_TOL = 1e-9  # relative slack of the trace and Frobenius checks
+
+
+def _checked_spectrum(a: np.ndarray, spectrum,
+                      scratch: np.ndarray) -> np.ndarray:
+    """The claimed eigenvalues of ``a``, after O(d^2) consistency checks.
+
+    Length d, every entry finite, and the two spectral invariants that need
+    no decomposition -- tr(A) = sum(lam) and ||A||_F^2 = sum(lam^2) -- agree
+    to ``_SPECTRUM_TOL`` relative to ||lam||_1 and ||lam||_2^2.  Both sides
+    are divided by max|lam| first, so the sums stay finite from 1e-300 to
+    1e300; ``scratch``, an array of a's shape that the caller no longer
+    needs, holds A / max|lam|.  The checks catch a spectrum paired with the
+    wrong backing; they cannot prove the eigenvalues exact.
+    """
+    lam = np.asarray(spectrum, dtype=float)
+    if lam.shape != (a.shape[0],):
+        raise ValueError(f"spectrum must have shape ({a.shape[0]},), "
+                         f"got {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise ValueError("spectrum holds non-finite entries")
+    top = float(np.abs(lam).max())
+    if top == 0.0:
+        if a.any():
+            raise ValueError("spectrum is zero but the backing is not")
+        return lam
+    unit = lam / top
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.divide(a, top, out=scratch)
+        trace = float(np.trace(b))
+        frob_sq = float(np.vdot(b, b))
+    want_trace = float(unit.sum())
+    want_frob_sq = float(unit @ unit)
+    if not abs(trace - want_trace) <= _SPECTRUM_TOL * float(np.abs(unit).sum()):
+        raise ValueError(f"spectrum inconsistent with backing: trace "
+                         f"{trace * top:.17g} vs sum {want_trace * top:.17g}")
+    if not abs(frob_sq - want_frob_sq) <= _SPECTRUM_TOL * want_frob_sq:
+        raise ValueError(f"spectrum inconsistent with backing: squared "
+                         f"Frobenius norm {frob_sq:.17g} vs sum of squares "
+                         f"{want_frob_sq:.17g} (both over max|lam|^2)")
+    return lam
+
+
 class SymmetricOperator(CountedOperator):
     """A hidden dense symmetric matrix reachable only through counted queries.
 
     A block query costs one BLAS-3 product with the backing matrix.
+    ``spectrum``, when given, holds the eigenvalues the backing was built
+    from (lam, for a backing Q^T diag(lam) Q); ``eigenvalues`` then answers
+    from it instead of decomposing the backing.  It is checked
+    against the backing's trace and Frobenius norm, and a mismatch raises
+    ValueError.
     """
 
     def __init__(self, matrix: np.ndarray, seed: Optional[int] = None,
-                 validate: bool = True):
+                 validate: bool = True, *, spectrum=None):
         a = np.array(matrix, dtype=float, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"operator backing must be square, got {a.shape}")
@@ -233,6 +286,9 @@ class SymmetricOperator(CountedOperator):
         self._a = a + a.T
         self.seed = seed
         self._eigs: Optional[np.ndarray] = None
+        if spectrum is not None:
+            # The halved copy is dead now; the check reuses it as scratch.
+            self._eigs = np.sort(_checked_spectrum(self._a, spectrum, a))
 
     def mat_vec(self, v: np.ndarray) -> np.ndarray:
         """One mv query: the full vector A @ v."""
@@ -275,7 +331,14 @@ class SymmetricOperator(CountedOperator):
         return self._a.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending exact eigenvalues (uncounted; cached)."""
+        """Ascending eigenvalues (uncounted; cached).
+
+        The spectrum the operator was built with, sorted, when one was
+        given; otherwise ``eigvalsh`` of the backing, whose backward error
+        is O(d u ||A||_2) with u the unit roundoff.  A generated backing
+        differs from the exact Q^T diag(lam) Q by rounding of the same
+        order, so the two answers agree to that order.
+        """
         if self._eigs is None:
             self._eigs = np.linalg.eigvalsh(self._a)
         return self._eigs.copy()
@@ -320,7 +383,9 @@ def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
     """Hide a prescribed spectrum inside a Haar-rotated dense matrix.
 
     An isotropic spectrum commutes with any rotation, so that case returns
-    the exact scaled identity rather than a numerically rotated copy.
+    the exact scaled identity rather than a numerically rotated copy.  The
+    operator carries ``lam`` as its spectrum, so labelling it needs no
+    eigendecomposition.
     """
     lam = np.array(instance.eigenvalues, dtype=float)
     d = lam.size
@@ -328,10 +393,11 @@ def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
         raise ValueError(f"spectrum length {d} exceeds dense cap {MAX_DENSE_DIM}")
     if np.ptp(lam) == 0.0:
         a = np.eye(d) * lam[0]
-        return SymmetricOperator(a, seed=instance.rotation_seed, validate=False)
-    s = _haar_orthogonal(d, rng_from(instance.rotation_seed, 0x0ACE))
-    a = (s.T * lam) @ s
-    return SymmetricOperator(a, seed=instance.rotation_seed, validate=False)
+    else:
+        s = _haar_orthogonal(d, rng_from(instance.rotation_seed, 0x0ACE))
+        a = (s.T * lam) @ s
+    return SymmetricOperator(a, seed=instance.rotation_seed, validate=False,
+                             spectrum=lam)
 
 
 def gen_wishart(d: int, seed: int) -> SymmetricOperator:

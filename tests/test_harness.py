@@ -114,6 +114,61 @@ def test_truth_label_tolerates_eigensolver_noise():
     assert truth_label(op, 0.2, 1.0) is True
 
 
+_LABEL_FAMILIES = (
+    {"kind": "identity", "dim": 32},
+    {"kind": "random_psd", "dim": 32},
+    {"kind": "far", "dim": 32},
+    {"kind": "hard_l1", "dim": 32},
+    {"kind": "cluster_l1", "dim": 32},
+    {"kind": "gap", "dim": 32},
+)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_carried_spectrum_labels_match_eigvalsh_of_the_backing(p):
+    # The reference operator gets the same backing and no spectrum, so it
+    # labels through eigvalsh of the dense matrix.
+    eps = 0.2
+    labels = set()
+    for seed in range(5):
+        lam = far_spectrum(32, eps, p, rng_from(seed, 0x7E57))
+        rotated = {"kind": "rotated_diag", "eigenvalues": list(lam)}
+        for desc in _LABEL_FAMILIES + (rotated,):
+            op = instance_operator(desc, eps, p, seed)
+            ref = SymmetricOperator(op.dense())
+            assert truth_label(op, eps, p) == truth_label(ref, eps, p), \
+                (desc["kind"], seed)
+            labels.add(truth_label(op, eps, p))
+            for q in (1.0, 2.0, math.inf):
+                assert op.schatten_norm(q) == pytest.approx(
+                    ref.schatten_norm(q), rel=1e-12, abs=0.0)
+    assert labels == {True, False, None}
+
+
+def test_rotated_and_diagonal_instances_are_never_eigendecomposed(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for kind in ("random_psd", "far"):
+        records, _ = run_experiment(far_config(
+            tester="krylov", instance={"kind": kind, "dim": 24}, eps=0.2,
+            trials=3))
+        assert {r.truth for r in records} == {kind == "random_psd"}
+    records, _ = run_experiment(far_config(
+        tester="spectrum", eps=0.25, trials=2, constants={"k": 1},
+        instance={"kind": "rotated_diag", "eigenvalues": [3.0] + [1.0] * 7}))
+    assert all(r.truth is True for r in records)
+    # Calibration labels its diagonal instances through schatten_norm.
+    assert calibrate("kappa_krylov", seed0=0, trials=1)[1]["separated"]
+    # An instance built without a spectrum still reaches the decomposition.
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        run_experiment(far_config(tester="krylov",
+                                  instance={"kind": "wishart", "dim": 16},
+                                  trials=1))
+
+
 # ---------------------------------------------------------------------------
 # experiment configs
 # ---------------------------------------------------------------------------

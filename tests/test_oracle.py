@@ -372,13 +372,62 @@ def test_haar_factor_is_orthogonal_and_deterministic():
 
 
 def test_rotated_diag_realizes_requested_spectrum():
-    rng = rng_from(21)
-    for trial in range(10):
-        lam = np.sort(rng.uniform(-5, 5, size=12))
-        op = gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(lam),
-                                               rotation_seed=100 + trial))
-        np.testing.assert_allclose(op.eigenvalues(), lam,
-                                   atol=1e-9 * max(1.0, np.abs(lam).max()))
+    # Decompose the backing itself: op.eigenvalues() would hand back the
+    # carried spectrum and check it against itself.
+    for d, trials in ((12, 10), (64, 3), (256, 1)):
+        rng = rng_from(21, d)
+        for trial in range(trials):
+            lam = np.sort(rng.uniform(-5, 5, size=d))
+            op = gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(lam),
+                                                   rotation_seed=100 + trial))
+            np.testing.assert_allclose(np.linalg.eigvalsh(op.dense()), lam,
+                                       atol=1e-9 * max(1.0, np.abs(lam).max()))
+            np.testing.assert_array_equal(op.eigenvalues(), lam)
+
+
+def test_carried_spectrum_answers_sorted_without_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    lam = np.array([3.0, -4.0, 0.0, 1.0])
+    op = SymmetricOperator(np.diag(lam), spectrum=lam)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    np.testing.assert_array_equal(op.eigenvalues(), np.sort(lam))
+    assert op.schatten_norm(1) == 8.0
+    assert op.schatten_norm(np.inf) == 4.0
+    # The answer is a copy, as is the stored spectrum: neither writes back.
+    op.eigenvalues()[0] = 99.0
+    lam[0] = 99.0
+    np.testing.assert_array_equal(op.eigenvalues(), [-4.0, 0.0, 1.0, 3.0])
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
+@pytest.mark.parametrize("spectrum,match", [
+    ([1.0, 2.0], "shape"),
+    ([[1.0, 2.0, 3.0]], "shape"),
+    ([1.0, np.nan, 3.0], "non-finite"),
+    ([1.0, 2.0, np.inf], "non-finite"),
+    ([1.0, 2.0, 4.0], "trace"),           # trace 7 vs 6
+    ([0.0, 3.0, 3.0], "Frobenius"),       # trace 6 matches, 18 vs 14
+    ([0.0, 0.0, 0.0], "zero"),
+])
+def test_spectrum_argument_rejects_bad_or_inconsistent_input(spectrum, match):
+    with pytest.raises(ValueError, match=match):
+        SymmetricOperator(np.diag([1.0, 2.0, 3.0]), spectrum=spectrum)
+
+
+def test_spectrum_check_holds_at_extreme_scales():
+    lam = np.array([2.0, -1.0, 0.5, 0.0])
+    for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+        op = gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(scale * lam),
+                                               rotation_seed=4))
+        np.testing.assert_array_equal(op.eigenvalues(), np.sort(scale * lam))
+        # A spectrum off by one part in 1e6 fails at every scale.
+        off = scale * lam * (1.0 + 1e-6)
+        with pytest.raises(ValueError, match="inconsistent"):
+            SymmetricOperator(op.dense(), spectrum=off)
+    zero = SymmetricOperator(np.zeros((3, 3)), spectrum=np.zeros(3))
+    np.testing.assert_array_equal(zero.eigenvalues(), np.zeros(3))
 
 
 def test_rotated_diag_isotropic_case_is_exact_identity_multiple():
