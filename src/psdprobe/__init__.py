@@ -13,11 +13,9 @@ from .oracle import (
     rng_from,
 )
 from .kernels import (
-    EstimatorResult,
     sym_eig_small,
     ThresholdPolynomial,
     chebyshev_threshold_poly,
-    hutchinson_trace,
     trace_estimate,
     frobenius_estimate,
     schatten1_scale_estimate,

@@ -4,7 +4,7 @@ Contents:
 
   * sym_eig_small                      -- dense symmetric eigensolver
   * chebyshev_threshold_poly           -- suppress [0, r], pinned to 1 at -alpha
-  * hutchinson_trace / trace_estimate  -- quadratic-form trace estimators
+  * trace_estimate                     -- median-of-groups Hutchinson trace
   * frobenius_estimate                 -- factor-2 Frobenius norm from bilinear probes
   * schatten1_scale_estimate           -- coarse nuclear-norm bracket from one probe
 """
@@ -12,7 +12,6 @@ Contents:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -20,23 +19,13 @@ import numpy as np
 from .oracle import MAX_DENSE_DIM, SeedLike, rng_from
 
 __all__ = [
-    "EstimatorResult",
     "sym_eig_small",
     "ThresholdPolynomial",
     "chebyshev_threshold_poly",
-    "hutchinson_trace",
     "trace_estimate",
     "frobenius_estimate",
     "schatten1_scale_estimate",
 ]
-
-
-@dataclass(frozen=True)
-class EstimatorResult:
-    """Value of a randomized estimator plus the queries it spent."""
-
-    value: float
-    n_queries: int
 
 
 def sym_eig_small(m: np.ndarray, sym_tol: float = 1e-8) -> Tuple[np.ndarray, np.ndarray]:
@@ -126,7 +115,7 @@ def chebyshev_threshold_poly(r: float, alpha: float, delta: float) -> ThresholdP
     return ThresholdPolynomial(r, alpha, delta)
 
 
-def hutchinson_trace(op, n: int, rng: SeedLike) -> EstimatorResult:
+def _hutchinson_trace(op, n: int, rng: SeedLike) -> float:
     """Plain Hutchinson trace estimate: mean of n Gaussian quadratic forms.
 
     Unbiased with per-sample variance 2 ||A||_F^2; costs exactly n vmv queries.
@@ -136,26 +125,21 @@ def hutchinson_trace(op, n: int, rng: SeedLike) -> EstimatorResult:
     # Row-wise draws give the same numbers as n draws of one vector each.
     g = rng_from(rng).standard_normal((n, op.dim))
     total = float(op.quad_forms(g.T).sum())
-    return EstimatorResult(value=total / n, n_queries=n)
+    return total / n
 
 
-def trace_estimate(op, rng: SeedLike, samples: int = 32, groups: int = 5) -> EstimatorResult:
+def trace_estimate(op, rng: SeedLike, samples: int = 32, groups: int = 5) -> float:
     """Median-of-groups Hutchinson trace, additive error O(||A||_F) whp.
 
     Defaults (32 samples per group, median of 5) keep the probe cost constant
     while pushing the failure probability well below the testers' budgets.
     """
     gen = rng_from(rng)
-    vals = []
-    queries = 0
-    for _ in range(groups):
-        est = hutchinson_trace(op, samples, gen)
-        vals.append(est.value)
-        queries += est.n_queries
-    return EstimatorResult(value=float(np.median(vals)), n_queries=queries)
+    vals = [_hutchinson_trace(op, samples, gen) for _ in range(groups)]
+    return float(np.median(vals))
 
 
-def frobenius_estimate(op, eps_fail: float, rng: SeedLike, block: int = 4) -> EstimatorResult:
+def frobenius_estimate(op, eps_fail: float, rng: SeedLike, block: int = 4) -> float:
     """Frobenius norm estimate within a factor of 2, failure prob <= eps_fail.
 
     Each repetition draws an independent pair of Gaussian blocks and averages
@@ -174,8 +158,7 @@ def frobenius_estimate(op, eps_fail: float, rng: SeedLike, block: int = 4) -> Es
         g = gen.standard_normal((d, block))
         h = gen.standard_normal((d, block))
         estimates[t] = float(np.mean(op.bilinear_block(g, h) ** 2))
-    return EstimatorResult(value=float(np.sqrt(np.median(estimates))),
-                           n_queries=reps * block * block)
+    return float(np.sqrt(np.median(estimates)))
 
 
 def schatten1_scale_estimate(op, rng: SeedLike) -> Tuple[float, float]:

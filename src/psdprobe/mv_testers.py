@@ -140,14 +140,17 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
     (congruence), so rejection needs an eigenvalue below the floating-point
     tolerance scaled by ``norm_estimate`` (an upper bound on the Schatten-p
     norm, typically from a side estimator) and must then survive one direct
-    confirming quad-form query, whose vector becomes the witness.
+    confirming quad-form query, whose vector becomes the witness.  A bound
+    of 0 means A = 0: the tolerance is 0 and nothing falls below it, so the
+    run accepts.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    if not norm_estimate > 0.0:
-        raise ValueError(f"norm_estimate must be positive, got {norm_estimate}")
+    if not 0.0 <= norm_estimate < math.inf:
+        raise ValueError(
+            f"norm_estimate must be finite and >= 0, got {norm_estimate}")
     repeats = defaults.KRYLOV_REPEATS if repeats is None else repeats
     gen = rng_from(rng, 0x4B70)
     start = _queries_on(op)

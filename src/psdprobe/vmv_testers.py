@@ -378,8 +378,8 @@ def build_sketch(op, k: int, seed: SeedLike) -> SketchState:
     gen = rng_from(seed, 0x5CE7)
     g = gen.standard_normal((op.dim, k))
     s = op.sym_block(g)
-    alpha = trace_estimate(op, gen).value
-    beta = frobenius_estimate(op, defaults.FROB_EPS_FAIL, gen).value
+    alpha = trace_estimate(op, gen)
+    beta = frobenius_estimate(op, defaults.FROB_EPS_FAIL, gen)
     w, v = np.linalg.eigh(s)
     return SketchState(k=k, g=g, s=s, eigvals=w, eigvecs=v, alpha=alpha,
                        beta=beta,
@@ -474,8 +474,8 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
                            queries_used=_queries_on(op) - start,
                            mode=TWO_SIDED, statistic=val)
 
-    alpha = trace_estimate(op, gen).value
-    beta = frobenius_estimate(op, defaults.FROB_EPS_FAIL, gen).value
+    alpha = trace_estimate(op, gen)
+    beta = frobenius_estimate(op, defaults.FROB_EPS_FAIL, gen)
     if beta == 0.0:
         return Verdict(is_psd=True, witness=None,
                        queries_used=_queries_on(op) - start,

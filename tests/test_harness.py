@@ -246,6 +246,17 @@ def test_run_experiment_krylov_rejections_carry_checked_witnesses():
         assert r.queries_vmv >= 1  # the confirming quadratic form
 
 
+def test_run_experiment_krylov_accepts_the_zero_matrix():
+    # The exact norm bound of A = 0 is 0; the run must accept, not raise.
+    cfg = far_config(tester="krylov", trials=2,
+                     instance={"kind": "rotated_diag",
+                               "eigenvalues": [0.0] * 8})
+    records, summary = run_experiment(cfg)
+    assert [r.verdict for r in records] == [True, True]
+    assert all(r.truth is True for r in records)
+    assert summary["accept_given_psd"] == 1.0
+
+
 def test_run_experiment_spectrum_dispatch():
     cfg = far_config(tester="spectrum", instance={"kind": "random_psd",
                                                   "dim": 10},

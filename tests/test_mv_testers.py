@@ -132,8 +132,9 @@ def test_krylov_tester_validates():
         krylov_tester(op, 0.0, 1, 1.0)
     with pytest.raises(ValueError):
         krylov_tester(op, 0.1, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        krylov_tester(op, 0.1, 1, 0.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            krylov_tester(op, 0.1, 1, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ two-round adaptive variant."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,49 @@ def test_fit_cost_never_beats_unconstrained_projection():
                    - np.linalg.norm(u1.T @ target @ u2) ** 2)
         cost, _ = psd_rank_k_fit(m1, m2, q, k)
         assert cost >= outside - 1e-8 * np.linalg.norm(target) ** 2
+
+
+def test_fit_puts_no_mass_where_the_sketch_is_blind():
+    # A rank-2 spectrum leaves [m1; m2] rank 2 of 8 columns; Y must live in
+    # its row space, since nothing in the cost pins it down elsewhere.
+    for seed in range(10):
+        op = rotated_spectrum([2.0, -1.0] + [0.0] * 6, rot_seed=seed)
+        sk = build_spectrum_sketch(op, k=3, eps=0.3, rng=seed)
+        stacked = np.vstack([sk.m1, sk.m2])
+        _, sv, vt = np.linalg.svd(stacked)
+        null = vt[int(np.sum(sv > 1e-9 * sv[0])):].T
+        assert null.shape[1] > 0
+        for sign in (1.0, -1.0):
+            _, y = psd_rank_k_fit(sk.m1, sk.m2, sign * sk.q, 3, rng=seed)
+            assert np.linalg.norm(y) > 0.0
+            assert np.linalg.norm(y @ null) <= 1e-9 * np.linalg.norm(y)
+
+
+def test_fit_raises_no_float_warnings_on_a_rank_one_sketch():
+    op = rotated_spectrum([0.6] + [0.0] * 5, rot_seed=0)
+    sk = build_spectrum_sketch(op, k=3, eps=0.2, rng=0)
+    for sign in (-1.0, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cost, y = psd_rank_k_fit(sk.m1, sk.m2, sign * sk.q, 3)
+        assert np.isfinite(cost) and np.all(np.isfinite(y))
+
+
+@pytest.mark.parametrize("k,spectrum", [
+    (1, [3.0, -2.0, 1.0, 0.5, -0.5, 0.2, 0.1, -0.1]),
+    (3, [3.0, -2.0, 1.0, 0.5, -0.5, 0.2, 0.1, -0.1]),
+    (2, [2.0, -1.0] + [0.0] * 6),
+])
+def test_fit_draws_exactly_one_start_block(k, spectrum):
+    # The fit shares its Generator with the sketches around it, so it must
+    # advance it by the 10 x cols x k start block and nothing else.
+    sk = build_spectrum_sketch(rotated_spectrum(spectrum, rot_seed=4), k=k,
+                               eps=0.3, rng=5)
+    gen, twin = rng_from(21), rng_from(21)
+    psd_rank_k_fit(sk.m1, sk.m2, sk.q, k, rng=gen)
+    twin.standard_normal((10, sk.m1.shape[1], k))
+    np.testing.assert_array_equal(gen.standard_normal(4),
+                                  twin.standard_normal(4))
 
 
 # ---------------------------------------------------------------------------
