@@ -3,7 +3,6 @@ query access, plus the spectrum estimation and experiment tooling around it.
 """
 
 from .oracle import (
-    CountedOperator,
     SymmetricOperator,
     SpectrumInstance,
     gen_rotated_diag,
@@ -13,7 +12,6 @@ from .oracle import (
     rng_from,
 )
 from .kernels import (
-    sym_eig_small,
     ThresholdPolynomial,
     chebyshev_threshold_poly,
     trace_estimate,
@@ -23,9 +21,7 @@ from .kernels import (
 from .vmv_testers import (
     Verdict,
     OjaConfig,
-    SketchedOperator,
     SketchState,
-    sketch_reduce,
     oja_l1_tester,
     sketch_dim,
     build_sketch,

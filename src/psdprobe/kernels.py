@@ -2,7 +2,6 @@
 
 Contents:
 
-  * sym_eig_small                      -- dense symmetric eigensolver
   * chebyshev_threshold_poly           -- suppress [0, r], pinned to 1 at -alpha
   * trace_estimate                     -- median-of-groups Hutchinson trace
   * frobenius_estimate                 -- factor-2 Frobenius norm from bilinear probes
@@ -12,14 +11,13 @@ Contents:
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .oracle import MAX_DENSE_DIM, SeedLike, rng_from
+from .oracle import SeedLike, rng_from
 
 __all__ = [
-    "sym_eig_small",
     "ThresholdPolynomial",
     "chebyshev_threshold_poly",
     "trace_estimate",
@@ -27,27 +25,13 @@ __all__ = [
     "schatten1_scale_estimate",
 ]
 
-
-def sym_eig_small(m: np.ndarray, sym_tol: float = 1e-8) -> Tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a small dense symmetric matrix.
-
-    Returns ``(w, v)`` with eigenvalues ascending and orthonormal eigenvector
-    columns.  Input symmetry is validated against ``sym_tol`` (relative) and
-    then enforced exactly before factorization, so callers can hand in
-    products like G^T (A G) that carry float-level skew.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got {a.shape}")
-    if a.shape[0] > MAX_DENSE_DIM:
-        raise ValueError(f"dense eigensolve capped at {MAX_DENSE_DIM}, got {a.shape[0]}")
-    scale = max(float(np.abs(a).max()), 1e-300)
-    asym = float(np.abs(a - a.T).max())
-    if asym > sym_tol * scale:
-        raise ValueError(f"matrix not symmetric: max asymmetry {asym:.3e} "
-                         f"vs scale {scale:.3e}")
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    return w, v
+# Hutchinson trace: the median of TRACE_GROUPS means of TRACE_SAMPLES
+# quadratic forms each, 160 vmv in all.
+TRACE_SAMPLES = 32
+TRACE_GROUPS = 5
+# Frobenius estimate: each repetition averages a FROB_BLOCK x FROB_BLOCK
+# block of bilinear probes.
+FROB_BLOCK = 4
 
 
 class ThresholdPolynomial:
@@ -128,25 +112,26 @@ def _hutchinson_trace(op, n: int, rng: SeedLike) -> float:
     return total / n
 
 
-def trace_estimate(op, rng: SeedLike, samples: int = 32, groups: int = 5) -> float:
+def trace_estimate(op, rng: SeedLike) -> float:
     """Median-of-groups Hutchinson trace, additive error O(||A||_F) whp.
 
-    Defaults (32 samples per group, median of 5) keep the probe cost constant
-    while pushing the failure probability well below the testers' budgets.
+    TRACE_GROUPS groups of TRACE_SAMPLES samples keep the probe cost
+    constant while pushing the failure probability well below the testers'
+    budgets.
     """
     gen = rng_from(rng)
-    vals = [_hutchinson_trace(op, samples, gen) for _ in range(groups)]
+    vals = [_hutchinson_trace(op, TRACE_SAMPLES, gen) for _ in range(TRACE_GROUPS)]
     return float(np.median(vals))
 
 
-def frobenius_estimate(op, eps_fail: float, rng: SeedLike, block: int = 4) -> float:
+def frobenius_estimate(op, eps_fail: float, rng: SeedLike) -> float:
     """Frobenius norm estimate within a factor of 2, failure prob <= eps_fail.
 
-    Each repetition draws an independent pair of Gaussian blocks and averages
-    the squared bilinear probes g_i^T A h_j, which is unbiased for ||A||_F^2;
-    the median over ceil(8 ln(1/eps_fail)) repetitions gives the tail bound.
-    Returns sqrt of the median, i.e. an estimate of ||A||_F itself.  A zero
-    operator yields exactly 0.
+    Each repetition draws an independent pair of d x FROB_BLOCK Gaussian
+    blocks and averages the squared bilinear probes g_i^T A h_j, which is
+    unbiased for ||A||_F^2; the median over ceil(8 ln(1/eps_fail))
+    repetitions gives the tail bound.  Returns sqrt of the median, i.e. an
+    estimate of ||A||_F itself.  A zero operator yields exactly 0.
     """
     if not 0 < eps_fail < 1:
         raise ValueError(f"eps_fail must be in (0, 1), got {eps_fail}")
@@ -155,21 +140,25 @@ def frobenius_estimate(op, eps_fail: float, rng: SeedLike, block: int = 4) -> fl
     d = op.dim
     estimates = np.empty(reps)
     for t in range(reps):
-        g = gen.standard_normal((d, block))
-        h = gen.standard_normal((d, block))
+        g = gen.standard_normal((d, FROB_BLOCK))
+        h = gen.standard_normal((d, FROB_BLOCK))
         estimates[t] = float(np.mean(op.bilinear_block(g, h) ** 2))
     return float(np.sqrt(np.median(estimates)))
 
 
-def schatten1_scale_estimate(op, rng: SeedLike) -> Tuple[float, float]:
-    """Bracket the nuclear norm from one Gaussian probe: d vmv queries.
+def schatten1_scale_estimate(op, g: Optional[np.ndarray],
+                             rng: SeedLike) -> Tuple[float, float]:
+    """Bracket the nuclear norm of B from one Gaussian probe: m vmv queries.
 
-    Reads off A g coordinate by coordinate and returns
-    ``(||Ag|| / (2 dim), dim * ||Ag||)``, which contains ||A||_1 with
-    constant probability; the bracket is a factor 2 dim^2 wide, so callers
+    B is ``op`` itself (m = dim) when ``g`` is None and G^T A G (m = the
+    width of G) otherwise; every query is asked on ``op``.  Reads off B p
+    coordinate by coordinate, as the m bilinear queries g_i^T A (G p), and
+    returns ``(||Bp|| / (2 m), m * ||Bp||)``, which contains ||B||_1 with
+    constant probability; the bracket is a factor 2 m^2 wide, so callers
     search step sizes geometrically inside it.
     """
-    d = op.dim
-    g = rng_from(rng).standard_normal((d, 1))
-    nrm = float(np.linalg.norm(op.bilinear_block(np.eye(d), g)))
-    return nrm / (2.0 * d), d * nrm
+    m = op.dim if g is None else g.shape[1]
+    p = rng_from(rng).standard_normal((m, 1))
+    rows, image = (np.eye(m), p) if g is None else (g, g @ p)
+    nrm = float(np.linalg.norm(op.bilinear_block(rows, image)))
+    return nrm / (2.0 * m), m * nrm

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import defaults
-from .kernels import ThresholdPolynomial, chebyshev_threshold_poly, sym_eig_small
+from .kernels import ThresholdPolynomial, chebyshev_threshold_poly
 from .oracle import SeedLike, rng_from
 from .vmv_testers import ONE_SIDED, Verdict, _queries_on
 
@@ -160,7 +160,7 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
     lam_seen = None
     for _ in range(repeats):
         space = build_krylov(op, k, gen)
-        w, v = sym_eig_small(space.projected)
+        w, v = np.linalg.eigh(space.projected)
         lam = float(w[0])
         lam_seen = lam if lam_seen is None else min(lam_seen, lam)
         if lam < -tol:

@@ -1,8 +1,9 @@
 """Query-counted access to hidden symmetric matrices, plus instance generators.
 
 The testers in this package never touch matrix entries directly.  They go
-through a counted operator, which hides a symmetric matrix behind two query
-types and counts every access.  Scalar queries:
+through one counted operator class, ``SymmetricOperator``, which hides a
+dense symmetric matrix behind two query types.  Every query is charged
+through its one ``_charge`` method.  Scalar queries:
 
   * mat_vec(v)      -> A @ v          (one ``mv`` query)
   * bilinear(x, y)  -> x^T A y        (one ``vmv`` query)
@@ -26,9 +27,10 @@ all fixed before any answer is read, from one product with the block:
   * handle.quad_form(j)  -> u_j^T A u_j                  (one ``vmv``)
   * handle.bilinear(j, y) -> u_j^T A y, as (A u_j)^T y   (one ``vmv``)
 
-Block queries and ``directions`` reject non-finite blocks; scalar queries
-and handle reads pass whatever they are given, so a diverging caller sees
-its own non-finite values.
+A query with a wrongly shaped vector or block raises ValueError before it
+is charged.  Block queries and ``directions`` also reject non-finite
+blocks; scalar queries and handle reads pass non-finite values through, so
+a diverging caller sees its own non-finite values.
 
 Ground-truth helpers (``dense``, ``eigenvalues``, ``schatten_norm``) bypass
 the counters and are reserved for tests and for the experiment harness when
@@ -54,7 +56,6 @@ import numpy as np
 
 __all__ = [
     "MAX_DENSE_DIM",
-    "CountedOperator",
     "DirectionBlock",
     "SymmetricOperator",
     "SpectrumInstance",
@@ -84,130 +85,6 @@ def rng_from(seed: SeedLike, *stream: int) -> np.random.Generator:
         return seed
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, stream)])
     return np.random.Generator(np.random.Philox(ss))
-
-
-class CountedOperator:
-    """Query counters and the block-query interface shared by all operators.
-
-    Each block query checks its block (two-dimensional, ``dim`` rows, every
-    entry finite), hands it to a subclass hook, and charges the counters
-    what the equivalent scalar loop costs.  Counter increments are
-    lock-guarded so independent trials may run the same process in parallel
-    threads on distinct operator instances; a single operator is not meant
-    to be shared between concurrent testers.
-    """
-
-    def __init__(self, dim: int):
-        self._dim = dim
-        self._mv = 0
-        self._vmv = 0
-        self._lock = threading.Lock()
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def mv_queries(self) -> int:
-        return self._mv
-
-    @property
-    def vmv_queries(self) -> int:
-        return self._vmv
-
-    def _charge(self, mv: int, vmv: int) -> None:
-        with self._lock:
-            self._mv += mv
-            self._vmv += vmv
-
-    def _block(self, b, name: str) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self._dim:
-            raise ValueError(f"{name} expects a ({self._dim}, n) block, "
-                             f"got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError(f"{name} block holds non-finite entries")
-        return b
-
-    def mat_vecs(self, v) -> np.ndarray:
-        """A V, one ``mv`` query per column of V."""
-        v = self._block(v, "mat_vecs")
-        out = self._mat_vecs(v)
-        self._charge(v.shape[1], 0)
-        return out
-
-    def bilinear_block(self, x, y) -> np.ndarray:
-        """X^T A Y, one ``vmv`` query per entry of the result."""
-        x = self._block(x, "bilinear_block")
-        y = self._block(y, "bilinear_block")
-        out = self._bilinear_block(x, y)
-        self._charge(0, x.shape[1] * y.shape[1])
-        return out
-
-    def sym_block(self, g) -> np.ndarray:
-        """G^T A G, one ``vmv`` query per entry on or above the diagonal.
-
-        The lower triangle is a mirror of the upper one, so the result is
-        exactly symmetric.
-        """
-        g = self._block(g, "sym_block")
-        out = self._sym_block(g)
-        k = g.shape[1]
-        self._charge(0, k * (k + 1) // 2)
-        return out
-
-    def quad_forms(self, x, y=None) -> np.ndarray:
-        """Column-wise x_j^T A y_j (y defaults to x), one ``vmv`` per column."""
-        x = self._block(x, "quad_forms")
-        if y is not None:
-            y = self._block(y, "quad_forms")
-            if y.shape != x.shape:
-                raise ValueError(f"quad_forms blocks differ in shape: "
-                                 f"{x.shape} vs {y.shape}")
-        out = self._quad_forms(x, y)
-        self._charge(0, x.shape[1])
-        return out
-
-    def directions(self, u) -> "DirectionBlock":
-        """Handle for vmv queries along the columns of U; charges per read.
-
-        The simulator forms A U once, uncounted: every direction is fixed
-        before any answer is read, so the product reveals nothing a reader
-        could not get from the same reads asked one at a time.
-        """
-        u = self._block(u, "directions")
-        return DirectionBlock(self, u, self._mat_vecs(u))
-
-    # Subclass hooks: answer an already checked block, without charging.
-    def _unsupported(self, *blocks):
-        raise NotImplementedError(
-            f"{type(self).__name__} does not answer this block query")
-
-    _mat_vecs = _bilinear_block = _sym_block = _quad_forms = _unsupported
-
-
-class DirectionBlock:
-    """Fixed directions u_j with their images A u_j, read one vmv at a time.
-
-    Built by ``CountedOperator.directions``; each read charges the operator
-    that built it one ``vmv`` query and costs at most O(dim) work.  The
-    handle keeps no reference to U, so mutating U later changes no answer.
-    """
-
-    def __init__(self, owner: CountedOperator, u: np.ndarray, au: np.ndarray):
-        self._owner = owner
-        self._au = np.ascontiguousarray(au.T)
-        self._quad = np.einsum("ij,ij->j", u, au)
-
-    def quad_form(self, j: int) -> float:
-        """One vmv query: u_j^T A u_j."""
-        self._owner._charge(0, 1)
-        return float(self._quad[j])
-
-    def bilinear(self, j: int, y: np.ndarray) -> float:
-        """One vmv query: u_j^T A y, answered as (A u_j)^T y."""
-        self._owner._charge(0, 1)
-        return float(self._au[j] @ y)
 
 
 _SPECTRUM_TOL = 1e-9  # relative slack of the trace and Frobenius checks
@@ -253,15 +130,22 @@ def _checked_spectrum(a: np.ndarray, spectrum,
     return lam
 
 
-class SymmetricOperator(CountedOperator):
+class SymmetricOperator:
     """A hidden dense symmetric matrix reachable only through counted queries.
 
-    A block query costs one BLAS-3 product with the backing matrix.
+    Every query, scalar or block, and every read of a ``directions`` handle
+    is charged through ``_charge``, the one place the counters are written.
+    Scalar queries check that their vectors have shape (dim,) and block
+    queries that their blocks are (dim, n) and finite, both before any
+    charge.  A block query costs one BLAS-3 product with the backing matrix.
+    Counter increments are lock-guarded so independent trials may run in
+    parallel threads on distinct operators; a single operator is not meant
+    to be shared between concurrent testers.
+
     ``spectrum``, when given, holds the eigenvalues the backing was built
     from (lam, for a backing Q^T diag(lam) Q); ``eigenvalues`` then answers
-    from it instead of decomposing the backing.  It is checked
-    against the backing's trace and Frobenius norm, and a mismatch raises
-    ValueError.
+    from it instead of decomposing the backing.  It is checked against the
+    backing's trace and Frobenius norm, and a mismatch raises ValueError.
     """
 
     def __init__(self, matrix: np.ndarray, seed: Optional[int] = None,
@@ -279,7 +163,10 @@ class SymmetricOperator(CountedOperator):
             asym = float(np.abs(a - a.T).max())
             if asym > 1e-9 * scale:
                 raise ValueError(f"backing not symmetric (max asym {asym:.3e})")
-        super().__init__(a.shape[0])
+        self._dim = a.shape[0]
+        self._mv = 0
+        self._vmv = 0
+        self._lock = threading.Lock()
         # Exact symmetry from here on; generators may hand us tiny float skew.
         # Halving before adding keeps entries near the float maximum finite.
         a *= 0.5
@@ -290,39 +177,104 @@ class SymmetricOperator(CountedOperator):
             # The halved copy is dead now; the check reuses it as scratch.
             self._eigs = np.sort(_checked_spectrum(self._a, spectrum, a))
 
-    def mat_vec(self, v: np.ndarray) -> np.ndarray:
-        """One mv query: the full vector A @ v."""
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def mv_queries(self) -> int:
+        return self._mv
+
+    @property
+    def vmv_queries(self) -> int:
+        return self._vmv
+
+    def _charge(self, mv: int, vmv: int) -> None:
+        with self._lock:
+            self._mv += mv
+            self._vmv += vmv
+
+    def _vector(self, v, name: str) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self._dim,):
-            raise ValueError(f"mat_vec expects shape ({self._dim},), got {v.shape}")
-        with self._lock:
-            self._mv += 1
+            raise ValueError(f"{name} expects shape ({self._dim},), got {v.shape}")
+        return v
+
+    def _block(self, b, name: str) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.ndim != 2 or b.shape[0] != self._dim:
+            raise ValueError(f"{name} expects a ({self._dim}, n) block, "
+                             f"got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError(f"{name} block holds non-finite entries")
+        return b
+
+    def mat_vec(self, v: np.ndarray) -> np.ndarray:
+        """One mv query: the full vector A @ v."""
+        v = self._vector(v, "mat_vec")
+        self._charge(1, 0)
         return self._a @ v
 
     def bilinear(self, x: np.ndarray, y: np.ndarray) -> float:
         """One vmv query: the scalar x^T A y."""
-        with self._lock:
-            self._vmv += 1
+        x = self._vector(x, "bilinear")
+        y = self._vector(y, "bilinear")
+        self._charge(0, 1)
         return float(x @ (self._a @ y))
 
     def quad_form(self, x: np.ndarray) -> float:
         """One vmv query: the scalar x^T A x."""
-        with self._lock:
-            self._vmv += 1
+        x = self._vector(x, "quad_form")
+        self._charge(0, 1)
         return float(x @ (self._a @ x))
 
-    def _mat_vecs(self, v: np.ndarray) -> np.ndarray:
+    def mat_vecs(self, v) -> np.ndarray:
+        """A V, one ``mv`` query per column of V."""
+        v = self._block(v, "mat_vecs")
+        self._charge(v.shape[1], 0)
         return self._a @ v
 
-    def _bilinear_block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def bilinear_block(self, x, y) -> np.ndarray:
+        """X^T A Y, one ``vmv`` query per entry of the result."""
+        x = self._block(x, "bilinear_block")
+        y = self._block(y, "bilinear_block")
+        self._charge(0, x.shape[1] * y.shape[1])
         return x.T @ (self._a @ y)
 
-    def _sym_block(self, g: np.ndarray) -> np.ndarray:
+    def sym_block(self, g) -> np.ndarray:
+        """G^T A G, one ``vmv`` query per entry on or above the diagonal.
+
+        The lower triangle is a mirror of the upper one, so the result is
+        exactly symmetric.
+        """
+        g = self._block(g, "sym_block")
+        k = g.shape[1]
+        self._charge(0, k * (k + 1) // 2)
         upper = np.triu(g.T @ (self._a @ g))
         return upper + np.triu(upper, 1).T
 
-    def _quad_forms(self, x: np.ndarray, y: Optional[np.ndarray]) -> np.ndarray:
-        return np.einsum("ij,ij->j", x, self._a @ (x if y is None else y))
+    def quad_forms(self, x, y=None) -> np.ndarray:
+        """Column-wise x_j^T A y_j (y defaults to x), one ``vmv`` per column."""
+        x = self._block(x, "quad_forms")
+        if y is None:
+            y = x
+        else:
+            y = self._block(y, "quad_forms")
+            if y.shape != x.shape:
+                raise ValueError(f"quad_forms blocks differ in shape: "
+                                 f"{x.shape} vs {y.shape}")
+        self._charge(0, x.shape[1])
+        return np.einsum("ij,ij->j", x, self._a @ y)
+
+    def directions(self, u) -> "DirectionBlock":
+        """Handle for vmv queries along the columns of U; charges per read.
+
+        The simulator forms A U once, uncounted: every direction is fixed
+        before any answer is read, so the product reveals nothing a reader
+        could not get from the same reads asked one at a time.
+        """
+        u = self._block(u, "directions")
+        return DirectionBlock(self, u, self._a @ u)
 
     # -- uncounted ground-truth access -------------------------------------
 
@@ -353,6 +305,31 @@ class SymmetricOperator(CountedOperator):
     def __repr__(self) -> str:
         return (f"SymmetricOperator(dim={self._dim}, seed={self.seed}, "
                 f"mv={self._mv}, vmv={self._vmv})")
+
+
+class DirectionBlock:
+    """Fixed directions u_j with their images A u_j, read one vmv at a time.
+
+    Built by ``SymmetricOperator.directions``; each read charges the
+    operator that built it one ``vmv`` query and costs at most O(dim) work.
+    The handle keeps no reference to U, so mutating U later changes no
+    answer.
+    """
+
+    def __init__(self, owner: SymmetricOperator, u: np.ndarray, au: np.ndarray):
+        self._owner = owner
+        self._au = np.ascontiguousarray(au.T)
+        self._quad = np.einsum("ij,ij->j", u, au)
+
+    def quad_form(self, j: int) -> float:
+        """One vmv query: u_j^T A u_j."""
+        self._owner._charge(0, 1)
+        return float(self._quad[j])
+
+    def bilinear(self, j: int, y: np.ndarray) -> float:
+        """One vmv query: u_j^T A y, answered as (A u_j)^T y."""
+        self._owner._charge(0, 1)
+        return float(self._au[j] @ y)
 
 
 @dataclass(frozen=True)

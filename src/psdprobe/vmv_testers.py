@@ -15,9 +15,10 @@ One-sided testers never reject a PSD input: every rejection is triggered by
 an actual negative quadratic form witnessed through the oracle, so the
 guarantee holds under floating point, not just in exact arithmetic.
 
-Both Oja-based testers share one descent, ``_descend``: it runs on a parent
-operator, optionally through a Gaussian map G (the virtual operator
-G^T A G) and optionally under an affine shift of every answer.
+Both Oja-based testers share one descent, ``_descend``: it runs on the
+operator the caller handed in, optionally through a Gaussian map G (so on
+the form x^T G^T A G x, every query asked on A at the image G x) and
+optionally under an affine shift of every answer.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ import numpy as np
 
 from . import defaults
 from .kernels import frobenius_estimate, schatten1_scale_estimate, trace_estimate
-from .oracle import CountedOperator, SeedLike, rng_from
+from .oracle import SeedLike, rng_from
 
 __all__ = [
     "Verdict",
     "OjaConfig",
-    "SketchedOperator",
     "SketchState",
-    "sketch_reduce",
     "oja_l1_tester",
     "sketch_dim",
     "build_sketch",
@@ -121,76 +120,6 @@ class OjaConfig:
                    eta_scales=max(1, math.ceil(math.log2(2.0 * m * m))),
                    amplification=defaults.OJA_AMP if amplification is None
                    else amplification)
-
-
-class SketchedOperator(CountedOperator):
-    """Virtual view of G^T A G; every query costs one query on the parent.
-
-    G columns are the sketch directions, so the virtual operator is
-    ``g.shape[1]``-dimensional.  Query vectors are mapped through G, and a
-    block query maps its whole block with one product before forwarding it
-    to the matching block query of the parent.
-    """
-
-    def __init__(self, parent, g: np.ndarray):
-        g = np.asarray(g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != parent.dim:
-            raise ValueError(f"sketch must be {parent.dim} x m, got {g.shape}")
-        super().__init__(g.shape[1])
-        self._parent = parent
-        self._g = g
-
-    @property
-    def parent(self):
-        return self._parent
-
-    @property
-    def g(self) -> np.ndarray:
-        return self._g
-
-    def bilinear(self, x: np.ndarray, y: np.ndarray) -> float:
-        self._charge(0, 1)
-        return self._parent.bilinear(self._g @ x, self._g @ y)
-
-    def quad_form(self, x: np.ndarray) -> float:
-        self._charge(0, 1)
-        return self._parent.quad_form(self._g @ x)
-
-    def _bilinear_block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._parent.bilinear_block(self._g @ x, self._g @ y)
-
-    def _sym_block(self, h: np.ndarray) -> np.ndarray:
-        return self._parent.sym_block(self._g @ h)
-
-    def _quad_forms(self, x: np.ndarray, y: Optional[np.ndarray]) -> np.ndarray:
-        return self._parent.quad_forms(self._g @ x,
-                                       None if y is None else self._g @ y)
-
-    def mat_vec(self, v: np.ndarray):
-        raise NotImplementedError(
-            "the reduction is defined for the vmv model; no matvec access")
-
-    def realize(self) -> np.ndarray:
-        """Dense G^T A G for white-box tests; bypasses query counting."""
-        return self._g.T @ self._parent.dense() @ self._g
-
-
-def sketch_reduce(op, m: int, seed: SeedLike, g: Optional[np.ndarray] = None
-                  ) -> SketchedOperator:
-    """Compress op to an m-dimensional virtual operator G^T A G.
-
-    G has i.i.d. N(0, 1/d) entries, which keeps the trace norm within a
-    factor 2 and pushes any eigenvalue below -eps*||A||_1 to below half its
-    (normalized) depth with constant probability once m = O(1/eps).  Pass
-    ``g`` to pin the sketch matrix (tests force G = I to make the virtual
-    operator coincide with its parent).
-    """
-    if not 1 <= m <= op.dim:
-        raise ValueError(f"need 1 <= m <= {op.dim}, got {m}")
-    if g is None:
-        gen = rng_from(seed, 0x5EDC)
-        g = gen.standard_normal((op.dim, m)) / math.sqrt(op.dim)
-    return SketchedOperator(op, g)
 
 
 def _queries_on(op) -> int:
@@ -290,16 +219,21 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     """One-sided adaptive trace-norm tester.
 
     Pipeline, repeated cfg.amplification times with fresh randomness: draw a
-    Gaussian reduction to m = ceil(8/eps) dimensions (skipped when m >= d),
-    bracket the reduced trace norm with one coordinate-probe estimate, then
-    for each geometric step-size scale in the bracket run one ``_descend``
-    from a Gaussian start.  The maintained f = x^T A x can only go negative
-    when some quadratic form is genuinely negative; before rejecting, the
-    current iterate is re-checked with one direct counted quad-form query,
-    so a PSD operator can never be rejected, whatever the configuration or
-    floating-point behavior.  On rejection the witness is the exact vector
-    that confirming query saw, already in the space of the operator the
-    caller handed in.
+    Gaussian reduction G to m = ceil(8/eps) columns (skipped when m >= d),
+    bracket the trace norm of B = G^T A G with one coordinate-probe
+    estimate, then for each geometric step-size scale in the bracket run
+    one ``_descend`` from a Gaussian start.  G has i.i.d. N(0, 1/d)
+    entries, which keeps the trace norm within a factor 2 and pushes any
+    eigenvalue below -eps*||A||_1 to below half its (normalized) depth with
+    constant probability once m = O(1/eps).  B is never formed: every query
+    is asked on ``op`` at images under G.
+
+    The maintained f = x^T B x can only go negative when some quadratic
+    form is genuinely negative; before rejecting, the current iterate is
+    re-checked with one direct counted quad-form query, so a PSD operator
+    can never be rejected, whatever the configuration or floating-point
+    behavior.  On rejection the witness is the exact vector that confirming
+    query saw, already in the space of the operator the caller handed in.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -310,11 +244,11 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     m = min(op.dim, math.ceil(defaults.REDUCE_KAPPA / eps))
 
     for _ in range(cfg.amplification):
-        target = sketch_reduce(op, m, gen) if m < op.dim else op
-        lo, up = schatten1_scale_estimate(target, gen)
+        g = (gen.standard_normal((op.dim, m)) / math.sqrt(op.dim)
+             if m < op.dim else None)
+        lo, up = schatten1_scale_estimate(op, g, gen)
         if up <= 0.0:
-            continue  # probe says A g = 0; nothing to descend on
-        g = None if target is op else target.g
+            continue  # probe says B p = 0; nothing to descend on
         for trial_norm in _scale_grid(lo, up, cfg.eta_scales):
             hit = _descend(op, g, cfg.eta / trial_norm, cfg.max_iters, gen, up)
             if hit is not None:

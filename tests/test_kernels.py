@@ -7,29 +7,9 @@ from psdprobe.kernels import (
     chebyshev_threshold_poly,
     frobenius_estimate,
     schatten1_scale_estimate,
-    sym_eig_small,
     trace_estimate,
 )
 from psdprobe.oracle import SymmetricOperator, rng_from
-
-
-# ---------------------------------------------------------------- dense
-
-def test_sym_eig_small_ascending_orthonormal_and_reconstructs():
-    rng = rng_from(1)
-    a = rng.standard_normal((12, 12))
-    a = a + a.T
-    w, v = sym_eig_small(a)
-    assert np.all(np.diff(w) >= 0)
-    np.testing.assert_allclose(v.T @ v, np.eye(12), atol=1e-12)
-    np.testing.assert_allclose(a @ v, v * w, atol=1e-10)
-
-
-def test_sym_eig_small_rejects_asymmetry_and_shape():
-    with pytest.raises(ValueError):
-        sym_eig_small(np.arange(9.0).reshape(3, 3))
-    with pytest.raises(ValueError):
-        sym_eig_small(np.ones((2, 3)))
 
 
 # ------------------------------------------------- threshold polynomial
@@ -129,8 +109,21 @@ def test_schatten1_scale_estimate_brackets_nuclear_norm():
     a = np.diag([5.0] + [0.0] * 19)
     for s in range(10):
         op = SymmetricOperator(a)
-        lo, up = schatten1_scale_estimate(op, rng_from(2000 + s))
+        lo, up = schatten1_scale_estimate(op, None, rng_from(2000 + s))
         assert op.vmv_queries == 20
         assert 0 < lo <= 5.0 <= up
         # The bracket width is pinned at 2 d^2 by construction.
         assert up / lo == pytest.approx(2 * 20 ** 2, rel=1e-12)
+    # Through a 20 x m map G the probe brackets ||G^T A G||_1: m bilinear
+    # queries on A, and the bracket built from the dense G^T A G p.
+    m = 6
+    for s in range(10):
+        op = SymmetricOperator(a)
+        g = rng_from(2100 + s).standard_normal((20, m)) / np.sqrt(20)
+        lo, up = schatten1_scale_estimate(op, g, rng_from(2000 + s))
+        assert (op.mv_queries, op.vmv_queries) == (0, m)
+        p = rng_from(2000 + s).standard_normal((m, 1))
+        nrm = float(np.linalg.norm(g.T @ a @ g @ p))
+        assert lo == pytest.approx(nrm / (2 * m), rel=1e-12)
+        assert up == pytest.approx(m * nrm, rel=1e-12)
+        assert up / lo == pytest.approx(2 * m ** 2, rel=1e-12)

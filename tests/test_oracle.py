@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from psdprobe.oracle import (
     operator_from_descriptor,
     rng_from,
 )
-from psdprobe.vmv_testers import SketchedOperator
 
 
 def test_query_counters_start_at_zero_and_count_exactly():
@@ -129,25 +130,21 @@ def test_backing_near_the_float_maximum_stays_finite():
 
 def test_block_queries_reject_non_finite_blocks_and_charge_nothing():
     op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
-    red = SketchedOperator(op, np.ones((3, 2)))
-    good = np.ones((3, 2))
-    bad = np.ones((3, 2))
-    bad[1, 1] = np.nan
-    for target, ok, nan_block in ((op, good, bad), (red, good[:2], bad[:2])):
-        calls = [lambda b: target.bilinear_block(b, ok),
-                 lambda b: target.bilinear_block(ok, b),
-                 lambda b: target.sym_block(b),
-                 lambda b: target.quad_forms(b),
-                 lambda b: target.quad_forms(ok, b)]
-        if target is op:
-            calls.append(lambda b: target.mat_vecs(b))
-        for call in calls:
-            with pytest.raises(ValueError, match="non-finite"):
-                call(nan_block)
-            with pytest.raises(ValueError, match="non-finite"):
-                call(np.where(nan_block != nan_block, np.inf, nan_block))
+    ok = np.ones((3, 2))
+    nan_block = np.ones((3, 2))
+    nan_block[1, 1] = np.nan
+    calls = [lambda b: op.bilinear_block(b, ok),
+             lambda b: op.bilinear_block(ok, b),
+             lambda b: op.sym_block(b),
+             lambda b: op.quad_forms(b),
+             lambda b: op.quad_forms(ok, b),
+             lambda b: op.mat_vecs(b)]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call(nan_block)
+        with pytest.raises(ValueError, match="non-finite"):
+            call(np.where(nan_block != nan_block, np.inf, nan_block))
     assert op.mv_queries == 0 and op.vmv_queries == 0
-    assert red.vmv_queries == 0
 
 
 def test_block_queries_reject_bad_shapes():
@@ -158,9 +155,24 @@ def test_block_queries_reject_bad_shapes():
         op.bilinear_block(np.ones((4, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         op.quad_forms(np.ones((3, 2)), np.ones((3, 3)))
-    red = SketchedOperator(op, np.ones((3, 2)))
-    with pytest.raises(NotImplementedError):
-        red.mat_vecs(np.ones((2, 1)))
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
+def test_scalar_queries_reject_wrong_shapes_and_charge_nothing():
+    # The shape is checked before the charge, so a refused query costs
+    # nothing and fails with a message naming the query.
+    op = SymmetricOperator(np.eye(4))
+    ok = np.ones(4)
+    for shape in ((3,), (5,), (4, 1), (1, 4), ()):
+        bad = np.ones(shape)
+        for name, call in (("quad_form", lambda: op.quad_form(bad)),
+                           ("bilinear", lambda: op.bilinear(bad, ok)),
+                           ("bilinear", lambda: op.bilinear(ok, bad)),
+                           ("mat_vec", lambda: op.mat_vec(bad))):
+            with pytest.raises(ValueError,
+                               match=rf"{name} expects shape \(4,\), got "
+                                     rf"{re.escape(str(bad.shape))}"):
+                call()
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
@@ -173,32 +185,27 @@ def test_scalar_queries_pass_non_finite_values_through():
     assert op.vmv_queries == 1
 
 
-def _dense_blocks(target, dense, x, y):
+def _dense_blocks(op, dense, x, y):
     """(query, result, expected, vmv charge, mv charge) for every block query."""
     k = x.shape[1]
-    cases = [
-        ("bilinear_block", lambda: target.bilinear_block(x, y), x.T @ dense @ y,
+    return [
+        ("bilinear_block", lambda: op.bilinear_block(x, y), x.T @ dense @ y,
          x.shape[1] * y.shape[1], 0),
-        ("sym_block", lambda: target.sym_block(x), x.T @ dense @ x,
+        ("sym_block", lambda: op.sym_block(x), x.T @ dense @ x,
          k * (k + 1) // 2, 0),
-        ("quad_forms", lambda: target.quad_forms(x),
+        ("quad_forms", lambda: op.quad_forms(x),
          np.einsum("ij,ij->j", x, dense @ x), k, 0),
-        ("quad_forms_xy", lambda: target.quad_forms(x, x[:, ::-1]),
+        ("quad_forms_xy", lambda: op.quad_forms(x, x[:, ::-1]),
          np.einsum("ij,ij->j", x, dense @ x[:, ::-1]), k, 0),
+        ("mat_vecs", lambda: op.mat_vecs(x), dense @ x, 0, k),
     ]
-    if isinstance(target, SymmetricOperator):
-        cases.append(("mat_vecs", lambda: target.mat_vecs(x), dense @ x, 0, k))
-    return cases
 
 
-def _check_block_queries(target, dense, x, y, scale):
-    counters = [target] + ([target.parent] if isinstance(target, SketchedOperator)
-                           else [])
-    for name, run, expected, vmv, mv in _dense_blocks(target, dense, x, y):
-        before = [(c.mv_queries, c.vmv_queries) for c in counters]
+def _check_block_queries(op, dense, x, y, scale):
+    for name, run, expected, vmv, mv in _dense_blocks(op, dense, x, y):
+        mv0, vmv0 = op.mv_queries, op.vmv_queries
         got = run()
-        for c, (mv0, vmv0) in zip(counters, before):
-            assert (c.mv_queries - mv0, c.vmv_queries - vmv0) == (mv, vmv), name
+        assert (op.mv_queries - mv0, op.vmv_queries - vmv0) == (mv, vmv), name
         assert got.shape == expected.shape, name
         err = float(np.abs(got - expected).max()) if got.size else 0.0
         assert err <= 1e-12 * scale, (name, err, scale)
@@ -206,11 +213,9 @@ def _check_block_queries(target, dense, x, y, scale):
             np.testing.assert_array_equal(got, got.T)
 
 
-def _block_scale(dense, x, y, g=None):
-    """Bound on |x_i^T M y_j|, which sets the size of rounding errors."""
+def _block_scale(dense, x, y):
+    """Bound on |x_i^T A y_j|, which sets the size of rounding errors."""
     nrm = float(np.linalg.norm(dense, 2))
-    if g is not None:
-        nrm *= float(np.linalg.norm(g, 2)) ** 2
     cols = lambda b: float(np.linalg.norm(b, axis=0).max()) if b.size else 0.0
     return max(nrm * max(cols(x), cols(y)) ** 2, 1e-300)
 
@@ -224,36 +229,22 @@ def test_block_queries_match_dense_and_charge_scalar_cost():
     _check_block_queries(op, op.dense(), x, y, _block_scale(op.dense(), x, y))
 
 
-def test_sketched_block_queries_match_dense_and_charge_parent_equally():
-    rng = rng_from(32)
-    a = rng.standard_normal((12, 12))
-    op = SymmetricOperator(a + a.T)
-    g = rng.standard_normal((12, 6))
-    red = SketchedOperator(op, g)
-    x = rng.standard_normal((6, 4))
-    y = rng.standard_normal((6, 2))
-    _check_block_queries(red, red.realize(), x, y,
-                         _block_scale(op.dense(), x, y, g))
-
-
 def test_block_queries_match_the_scalar_loops_they_replace():
     rng = rng_from(33)
     a = rng.standard_normal((9, 9))
     op = SymmetricOperator(a + a.T)
-    red = SketchedOperator(op, rng.standard_normal((9, 5)))
-    for target in (op, red):
-        x = rng.standard_normal((target.dim, 4))
-        y = rng.standard_normal((target.dim, 3))
-        loop = np.array([[target.bilinear(xi, yj) for yj in y.T] for xi in x.T])
-        np.testing.assert_allclose(target.bilinear_block(x, y), loop,
-                                   rtol=1e-12, atol=1e-12 * np.abs(loop).max())
-        loop = np.array([[target.bilinear(xi, xj) for xj in x.T] for xi in x.T])
-        iu = np.triu_indices(4)
-        np.testing.assert_allclose(target.sym_block(x)[iu], loop[iu],
-                                   rtol=1e-12, atol=1e-12 * np.abs(loop).max())
-        loop = np.array([target.quad_form(xi) for xi in x.T])
-        np.testing.assert_allclose(target.quad_forms(x), loop,
-                                   rtol=1e-12, atol=1e-12 * np.abs(loop).max())
+    x = rng.standard_normal((9, 4))
+    y = rng.standard_normal((9, 3))
+    loop = np.array([[op.bilinear(xi, yj) for yj in y.T] for xi in x.T])
+    np.testing.assert_allclose(op.bilinear_block(x, y), loop,
+                               rtol=1e-12, atol=1e-12 * np.abs(loop).max())
+    loop = np.array([[op.bilinear(xi, xj) for xj in x.T] for xi in x.T])
+    iu = np.triu_indices(4)
+    np.testing.assert_allclose(op.sym_block(x)[iu], loop[iu],
+                               rtol=1e-12, atol=1e-12 * np.abs(loop).max())
+    loop = np.array([op.quad_form(xi) for xi in x.T])
+    np.testing.assert_allclose(op.quad_forms(x), loop,
+                               rtol=1e-12, atol=1e-12 * np.abs(loop).max())
     v = rng.standard_normal((9, 3))
     loop = np.column_stack([op.mat_vec(c) for c in v.T])
     np.testing.assert_allclose(op.mat_vecs(v), loop, rtol=1e-12,
@@ -262,21 +253,14 @@ def test_block_queries_match_the_scalar_loops_they_replace():
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 10), kx=st.integers(0, 6), ky=st.integers(0, 6),
-       m=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
-def test_block_queries_over_shapes(d, kx, ky, m, seed):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_queries_over_shapes(d, kx, ky, seed):
     rng = rng_from(seed)
     a = rng.standard_normal((d, d))
     op = SymmetricOperator(a + a.T)
     x = rng.standard_normal((d, kx))
     y = rng.standard_normal((d, ky))
     _check_block_queries(op, op.dense(), x, y, _block_scale(op.dense(), x, y))
-    m = min(m, d)
-    g = rng.standard_normal((d, m))
-    red = SketchedOperator(op, g)
-    xs = rng.standard_normal((m, kx))
-    ys = rng.standard_normal((m, ky))
-    _check_block_queries(red, red.realize(), xs, ys,
-                         _block_scale(op.dense(), xs, ys, g))
 
 
 def _check_directions(op, u, y):
@@ -319,11 +303,7 @@ def test_directions_reject_bad_blocks_and_charge_nothing():
     for shape in ((3,), (2, 2), (4, 1), (3, 1, 1)):
         with pytest.raises(ValueError, match="directions expects"):
             op.directions(np.ones(shape))
-    red = SketchedOperator(op, np.ones((3, 2)))
-    with pytest.raises(NotImplementedError):
-        red.directions(np.ones((2, 1)))
     assert op.mv_queries == 0 and op.vmv_queries == 0
-    assert red.vmv_queries == 0
 
 
 @settings(max_examples=60, deadline=None)

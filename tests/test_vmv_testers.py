@@ -24,6 +24,7 @@ from psdprobe.vmv_testers import (
     bilinear_sketch_tester,
     build_sketch,
     c_far_curve,
+    _OJA_STREAM,
     _descend,
     _gap_sketch_dim,
     _scale_grid,
@@ -31,7 +32,6 @@ from psdprobe.vmv_testers import (
     nonadaptive_l1_tester,
     oja_l1_tester,
     sketch_dim,
-    sketch_reduce,
 )
 
 
@@ -215,57 +215,19 @@ def test_oja_step_incremental_update_is_exact_algebra():
 
 
 # ---------------------------------------------------------------------------
-# sketch_reduce and the virtual operator
+# the Gaussian reduction
 # ---------------------------------------------------------------------------
-
-def test_sketch_reduce_with_identity_sketch_matches_parent():
-    op = identity_op(10, rot_seed=3)
-    red = sketch_reduce(op, 10, seed=0, g=np.eye(10))
-    gen = rng_from(5)
-    for _ in range(4):
-        x = gen.standard_normal(10)
-        y = gen.standard_normal(10)
-        assert red.bilinear(x, y) == pytest.approx(op.bilinear(x, y), rel=1e-12)
-        assert red.quad_form(x) == pytest.approx(op.quad_form(x), rel=1e-12)
-
-
-def test_sketch_reduce_validates_width():
-    op = identity_op(10)
-    with pytest.raises(ValueError):
-        sketch_reduce(op, 0, seed=0)
-    with pytest.raises(ValueError):
-        sketch_reduce(op, 11, seed=0)
-
-
-def test_sketched_operator_matches_realized_matrix():
-    op = far_op_l1(20, 0.3, rot_seed=2)
-    red = sketch_reduce(op, 8, seed=7)
-    dense = red.realize()
-    gen = rng_from(11)
-    x = gen.standard_normal(8)
-    y = gen.standard_normal(8)
-    # Interleave queries so the single-slot map cache is exercised both on
-    # hits (repeated y) and on evictions (alternating vectors).
-    assert red.bilinear(x, y) == pytest.approx(x @ dense @ y, rel=1e-10)
-    assert red.quad_form(y) == pytest.approx(y @ dense @ y, rel=1e-10)
-    assert red.bilinear(y, x) == pytest.approx(x @ dense @ y, rel=1e-10)
-    assert red.quad_form(x) == pytest.approx(x @ dense @ x, rel=1e-10)
-    assert red.vmv_queries == 4
-    assert red.mv_queries == 0
-    with pytest.raises(NotImplementedError):
-        red.mat_vec(x)
-
 
 def test_sketch_reduce_preserves_negativity_and_trace_norm():
     # Compression to m columns keeps a planted negative direction visible
     # and does not inflate the trace norm much; checked white-box on the
-    # realized matrix.
+    # dense G^T A G, with G drawn as the first draw of oja_l1_tester.
     lam = tuple([-0.3] + [0.7 / 39] * 39)
     negative, norm_ok = 0, 0
     for s in range(50):
         op = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=100 + s))
-        red = sketch_reduce(op, 32, seed=s)
-        w = np.linalg.eigvalsh(red.realize())
+        g = rng_from(s, _OJA_STREAM).standard_normal((40, 32)) / math.sqrt(40)
+        w = np.linalg.eigvalsh(g.T @ op.dense() @ g)
         if w[0] < 0.0:
             negative += 1
         if np.abs(w).sum() <= 2.0:
@@ -413,17 +375,50 @@ def test_descend_matches_reference_step_loop(lam, eta, up, n_answers):
     # The descent reads its steps from A.U products, the reference asks one
     # scalar query at a time: the answers agree to rounding, in one order.
     a = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=3)).dense()
-    op, ref_op = RecordingOperator(a), RecordingOperator(a)
-    got = _descend(op, None, eta, 150, rng_from(21), up)
-    want = reference_descent(ref_op, eta, 150, rng_from(21), up)
-    assert len(op.answers) == len(ref_op.answers) == n_answers
-    assert op.vmv_queries == ref_op.vmv_queries == n_answers
-    for i, ((val, _), (ref, scale)) in enumerate(zip(op.answers, ref_op.answers)):
-        assert abs(val - ref) <= 1e-12 * scale, (i, val, ref, scale)
+    got, want = _check_descend_against_reference(a, None, eta, up, n_answers)
     assert (got is None) == (want is None) == (lam[0] > 0.0 or eta > 1.0)
     if got is not None:
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("lam,eta,up,n_answers,rejects", [
+    # PSD: every step runs, nothing to confirm.
+    (tuple(np.linspace(0.1, 1.0, 12)), 0.05, 5.5, 1 + 2 * 150, False),
+    # G^T A G indefinite: the run ends on a confirmed negative value after
+    # 15 steps, across the first three chunks of the A.U product.
+    (tuple([-0.2] + [0.8 / 11] * 11), 0.3, 1.0, 1 + 2 * 15 + 1, True),
+    # Step far too large for the scale: the run ends on blow-up.
+    (tuple([-1.0] + [1.0] * 11), 1e3, 1.0, 1 + 2 * 19, False),
+])
+def test_descend_through_a_sketch_matches_reference_step_loop(lam, eta, up,
+                                                              n_answers, rejects):
+    # Through a 12 x 8 map G the descent asks every query on A at images
+    # G u and G x; the reference runs on the dense G^T A G.  The answers
+    # agree to rounding, in one order, and the witness is G times the
+    # reference's.
+    a = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=3)).dense()
+    g = rng_from(22).standard_normal((12, 8)) / math.sqrt(12)
+    got, want = _check_descend_against_reference(a, g, eta, up, n_answers)
+    assert (got is not None) == (want is not None) == rejects
+    if got is not None:
+        np.testing.assert_allclose(got[0], g @ want[0], rtol=1e-12)
+
+
+def _check_descend_against_reference(a, g, eta, up, n_answers):
+    """Run ``_descend`` on A through g and the reference loop on G^T A G
+    (A itself when g is None) from one seed; check the answers agree."""
+    op = RecordingOperator(a)
+    ref_op = RecordingOperator(a if g is None else g.T @ a @ g)
+    got = _descend(op, g, eta, 150, rng_from(21), up)
+    want = reference_descent(ref_op, eta, 150, rng_from(21), up)
+    assert len(op.answers) == len(ref_op.answers) == n_answers
+    assert op.vmv_queries == ref_op.vmv_queries == n_answers
+    for i, ((val, scale), (ref, ref_scale)) in enumerate(
+            zip(op.answers, ref_op.answers)):
+        assert abs(val - ref) <= 1e-12 * max(scale, ref_scale), (i, val, ref)
+    if got is not None:
         assert got[1] < 0.0 and want[1] < 0.0
+    return got, want
 
 
 class _DriftingOperator(SymmetricOperator):
