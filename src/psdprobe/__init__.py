@@ -12,8 +12,6 @@ from .oracle import (
     rng_from,
 )
 from .kernels import (
-    ThresholdPolynomial,
-    chebyshev_threshold_poly,
     trace_estimate,
     frobenius_estimate,
     schatten1_scale_estimate,
@@ -34,8 +32,6 @@ from .mv_testers import (
     build_krylov,
     krylov_degree,
     krylov_tester,
-    DeflatedThresholdPolynomial,
-    deflation_poly_certificate,
     nonadaptive_mv_tester,
 )
 from .spectrum import (

@@ -14,7 +14,9 @@ EMBED_KAPPA matches its report.  Every other reported constant differs
 from its report, and CALIBRATION_MARGINS below gives its report value and
 the reason for the gap; a tier-1 test holds each report to one or the
 other.  Reconciling the gaps is an open item in ROADMAP.md.  Change a value
-only by re-running calibration.
+only by re-running calibration, with BLAS on one thread
+(OPENBLAS_NUM_THREADS=1): the last digits of c_psd and kappa_sketch move
+with the BLAS thread count.
 """
 
 # --- shipped values that differ from their calibration report ---------------
@@ -31,8 +33,8 @@ CALIBRATION_MARGINS = {
                               "6 where OJA_AMP is 20"),
     # The report gives the smallest per-cell implied floor of far gammas; a
     # smaller C_FAR lowers the far envelope and so only grows the sketch.
-    "C_FAR": (1.1266554358155947, "margin below the smallest implied floor"),
-    "C_PSD": (0.278660092754164, "pooled 99th percentile, rounded up"),
+    "C_FAR": (1.1266554358155936, "margin below the smallest implied floor"),
+    "C_PSD": (0.27866009275416426, "pooled 99th percentile, rounded up"),
 }
 
 # --- dimension reduction ahead of the adaptive l1 tester -----------------

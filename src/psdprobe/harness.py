@@ -59,6 +59,7 @@ __all__ = [
     "far_spectrum",
     "hard_l1_spectrum",
     "cluster_l1_spectrum",
+    "family_spectrum",
     "run_experiment",
     "summarize",
     "write_records_csv",
@@ -238,6 +239,29 @@ def cluster_l1_spectrum(d: int, eps: float,
     return lam
 
 
+def family_spectrum(kind: str, d: int, eps: float, p: float,
+                    seed: int) -> np.ndarray:
+    """Eigenvalues of one seeded draw from a named spectrum family.
+
+    Kinds are "identity", "random_psd" (uniform in [0, 1]), "far",
+    "hard_l1" and "cluster_l1"; every draw comes from the seed's spectrum
+    stream, so the per-trial instances, the calibration sweeps and the
+    scaling sweeps build the same spectrum from the same seed.
+    """
+    gen = rng_from(seed, _SPECTRUM_STREAM)
+    if kind == "identity":
+        return np.ones(d)
+    if kind == "random_psd":
+        return gen.uniform(0.0, 1.0, d)
+    if kind == "far":
+        return far_spectrum(d, eps, p, gen)
+    if kind == "hard_l1":
+        return hard_l1_spectrum(d, eps, gen)
+    if kind == "cluster_l1":
+        return cluster_l1_spectrum(d, eps, gen)
+    raise ConfigError(f"unknown instance kind {kind!r}")
+
+
 def instance_operator(desc: dict, eps: float, p: float,
                       seed: int) -> SymmetricOperator:
     """Fresh operator for one trial; the trial seed overrides any seed field."""
@@ -250,24 +274,13 @@ def instance_operator(desc: dict, eps: float, p: float,
     if not isinstance(d, int) or d < 2:
         raise ConfigError(f"instance kind {kind!r} needs an integer dim >= 2, "
                           f"got {d!r}")
-    gen = rng_from(seed, _SPECTRUM_STREAM)
-    if kind == "identity":
-        lam = np.ones(d)
-    elif kind == "random_psd":
-        lam = gen.uniform(0.0, 1.0, d)
-    elif kind == "far":
-        lam = far_spectrum(d, eps, p, gen)
-    elif kind == "hard_l1":
-        lam = hard_l1_spectrum(d, eps, gen)
-    elif kind == "cluster_l1":
-        lam = cluster_l1_spectrum(d, eps, gen)
-    elif kind == "gap":
+    if kind == "gap":
         depth = float(desc.get("depth", 0.5))
         if not 0.0 < depth < 1.0:
             raise ConfigError(f"gap depth must be in (0, 1), got {depth}")
-        lam = far_spectrum(d, depth * eps, p, gen)
+        lam = family_spectrum("far", d, depth * eps, p, seed)
     else:
-        raise ConfigError(f"unknown instance kind {kind!r}")
+        lam = family_spectrum(kind, d, eps, p, seed)
     return gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(float(v) for v in lam),
                                              rotation_seed=seed))
 
@@ -555,17 +568,11 @@ def write_records_csv(path, records: Sequence[TrialRecord]) -> None:
 # diagnosable, and the suites never mutate defaults -- committing new values
 # is an explicit edit of defaults.py with the report checked in next to it.
 
-def _diag_operator(lam: np.ndarray, seed: int) -> SymmetricOperator:
-    return SymmetricOperator(np.diag(lam), seed=seed, spectrum=lam)
-
-
-def _psd_sweep_operator(kind: str, d: int, seed: int) -> SymmetricOperator:
-    if kind == "wishart":
-        return gen_wishart(d, seed)
-    if kind == "identity":
-        return _diag_operator(np.ones(d), seed)
-    gen = rng_from(seed, _SPECTRUM_STREAM)
-    return _diag_operator(gen.uniform(0.0, 1.0, d), seed)
+def _diag_instance(kind: str, d: int, eps: float, p: float, seed: int
+                   ) -> Tuple[SymmetricOperator, np.ndarray]:
+    """An unrotated operator on ``family_spectrum``, and that spectrum."""
+    lam = family_spectrum(kind, d, eps, p, seed)
+    return SymmetricOperator(np.diag(lam), seed=seed, spectrum=lam), lam
 
 
 _PSD_KINDS = ("wishart", "identity", "random_psd")
@@ -579,12 +586,12 @@ def _gamma_cell(d: int, eps: float, kappa: float, n_per_side: int,
     far_gammas = np.empty(n_per_side)
     for i in range(n_per_side):
         seed = seed0 + 2 * i
-        op = _psd_sweep_operator(_PSD_KINDS[i % len(_PSD_KINDS)], d, seed)
+        kind = _PSD_KINDS[i % len(_PSD_KINDS)]
+        op = (gen_wishart(d, seed) if kind == "wishart"
+              else _diag_instance(kind, d, eps, 2.0, seed)[0])
         psd_gammas[i] = build_sketch(op, k, seed).gamma
-        far_seed = seed + 1
-        gen = rng_from(far_seed, _SPECTRUM_STREAM)
-        far_op = _diag_operator(far_spectrum(d, eps, 2.0, gen), far_seed)
-        far_gammas[i] = build_sketch(far_op, k, far_seed).gamma
+        far_op, _ = _diag_instance("far", d, eps, 2.0, seed + 1)
+        far_gammas[i] = build_sketch(far_op, k, seed + 1).gamma
     return k, psd_gammas, far_gammas
 
 
@@ -677,11 +684,6 @@ def _calibrate_kappa_sketch(seed0: int,
     return constants, report
 
 
-def _far_l1_operator(d: int, eps: float, seed: int) -> SymmetricOperator:
-    gen = rng_from(seed, _SPECTRUM_STREAM)
-    return _diag_operator(far_spectrum(d, eps, 1.0, gen), seed)
-
-
 def _calibrate_kappa_oja(seed0: int,
                          trials: Optional[int]) -> Tuple[dict, dict]:
     n = 20 if trials is None else trials
@@ -700,7 +702,7 @@ def _calibrate_kappa_oja(seed0: int,
             hits = 0
             for i in range(n):
                 seed = seed0 + 100_000 * ci + i
-                op = _far_l1_operator(d, eps, seed)
+                op, _ = _diag_instance("far", d, eps, 1.0, seed)
                 if not oja_l1_tester(op, eps, cfg, rng=seed).is_psd:
                     hits += 1
             rates.append({"d": d, "eps": eps, "reject_rate": hits / n})
@@ -731,7 +733,7 @@ def _calibrate_kappa_krylov(seed0: int,
             hits = 0
             for i in range(n):
                 seed = seed0 + 100_000 * ci + i
-                op = _far_l1_operator(d, eps, seed)
+                op, _ = _diag_instance("far", d, eps, 1.0, seed)
                 v = krylov_tester(op, eps, 1.0, op.schatten_norm(1.0),
                                   repeats=3, rng=seed, kappa=kappa)
                 if not v.is_psd:
@@ -838,25 +840,16 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
 # scaling report
 # ---------------------------------------------------------------------------
 
-_SCALING_TESTERS = ("oja_l1", "nonadaptive_l1", "krylov", "nonadaptive_mv")
-
-def _scaling_instance(tester: str, p: float, d: int, eps: float, seed: int):
-    # Hardness family per tester, each matching the structure its lower
-    # bound exploits.  Krylov needs positive mass spread over every scale
-    # (harmonic decay, so that no low-degree polynomial is small on all of
-    # it); the descent needs the single-scale cluster, where its fast and
-    # slow phases collapse into one; the Gaussian grids need a bulk of
-    # effective rank far above the budget (the flat boundary family), since
-    # a low-rank bulk lets the grid escape through the null space below
-    # the 1/eps law and a cluster's Wishart edge bends the exponent down.
-    gen = rng_from(seed, _SPECTRUM_STREAM)
-    if tester in ("nonadaptive_mv", "nonadaptive_l1"):
-        lam = far_spectrum(d, eps, p, gen)
-    elif tester == "oja_l1":
-        lam = cluster_l1_spectrum(d, eps, gen)
-    else:
-        lam = hard_l1_spectrum(d, eps, gen)
-    return _diag_operator(lam, seed), lam
+# Hardness family per tester, each matching the structure its lower bound
+# exploits.  Krylov needs positive mass spread over every scale (harmonic
+# decay, so that no low-degree polynomial is small on all of it); the
+# descent needs the single-scale cluster, where its fast and slow phases
+# collapse into one; the Gaussian grids need a bulk of effective rank far
+# above the budget (the flat boundary family), since a low-rank bulk lets
+# the grid escape through the null space below the 1/eps law and a
+# cluster's Wishart edge bends the exponent down.
+_SCALING_FAMILY = {"oja_l1": "cluster_l1", "nonadaptive_l1": "far",
+                   "krylov": "hard_l1", "nonadaptive_mv": "far"}
 
 
 def _knob_run(tester: str, op: SymmetricOperator, lam: np.ndarray, eps: float,
@@ -927,7 +920,8 @@ def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
             budgets = []
             for i in range(trials):
                 seed = seed0 + i
-                op, lam = _scaling_instance(tester, p, d, eps, seed)
+                op, lam = _diag_instance(_SCALING_FAMILY[tester], d, eps, p,
+                                         seed)
                 mv0, vmv0 = op.mv_queries, op.vmv_queries
                 accepted = _knob_run(tester, op, lam, eps, p, knob, seed)
                 budgets.append(op.mv_queries - mv0 + op.vmv_queries - vmv0)
@@ -1017,9 +1011,9 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     two agree in the regime where the knob dominates the budget.  Exponent
     checks should read ``size_slopes``, capacity planning ``slopes``.
     """
-    if tester not in _SCALING_TESTERS:
+    if tester not in _SCALING_FAMILY:
         raise ConfigError(f"no size knob wired for tester {tester!r}; "
-                          f"expected one of {', '.join(_SCALING_TESTERS)}")
+                          f"expected one of {', '.join(_SCALING_FAMILY)}")
     if not eps_list or not d_list:
         raise ConfigError("eps_list and d_list must be non-empty")
     for eps in eps_list:

@@ -2,7 +2,6 @@
 
 Contents:
 
-  * chebyshev_threshold_poly           -- suppress [0, r], pinned to 1 at -alpha
   * trace_estimate                     -- median-of-groups Hutchinson trace
   * frobenius_estimate                 -- factor-2 Frobenius norm from bilinear probes
   * schatten1_scale_estimate           -- coarse nuclear-norm bracket from one probe
@@ -18,8 +17,6 @@ import numpy as np
 from .oracle import SeedLike, rng_from
 
 __all__ = [
-    "ThresholdPolynomial",
-    "chebyshev_threshold_poly",
     "trace_estimate",
     "frobenius_estimate",
     "schatten1_scale_estimate",
@@ -32,71 +29,6 @@ TRACE_GROUPS = 5
 # Frobenius estimate: each repetition averages a FROB_BLOCK x FROB_BLOCK
 # block of bilinear probes.
 FROB_BLOCK = 4
-
-
-class ThresholdPolynomial:
-    """Least-degree Chebyshev polynomial that is 1 at ``-alpha`` and at most
-    ``delta`` in magnitude on all of ``[0, r]``.
-
-    Evaluation always runs the three-term recurrence on the affinely mapped
-    argument.
-    """
-
-    GRID_POINTS = 10_000
-
-    def __init__(self, r: float, alpha: float, delta: float):
-        if r <= 0 or alpha <= 0:
-            raise ValueError(f"need r > 0 and alpha > 0, got r={r}, alpha={alpha}")
-        if not 0 < delta < 1:
-            raise ValueError(f"need 0 < delta < 1, got {delta}")
-        self.r = float(r)
-        self.alpha = float(alpha)
-        self.delta = float(delta)
-        gamma = 2.0 * self.alpha / self.r
-        # T_n(1+gamma) = cosh(n acosh(1+gamma)) grows like 2^(n sqrt(gamma)),
-        # so the least degree with T_n(1+gamma) >= 1/delta is the acosh ratio.
-        self.degree = max(1, math.ceil(math.acosh(1.0 / delta)
-                                       / math.acosh(1.0 + gamma)))
-        self._norm = math.cosh(self.degree * math.acosh(1.0 + gamma))
-        self._sign = -1.0 if self.degree % 2 else 1.0
-        self._grid_check()
-
-    def _mapped(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * np.asarray(x, dtype=float) / self.r - 1.0
-
-    def evaluate(self, x) -> np.ndarray:
-        """Value of the polynomial at ``x`` (scalar or array)."""
-        t = self._mapped(x)
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        t = np.atleast_1d(t)
-        tk_prev = np.ones_like(t)
-        tk = t.copy()
-        if self.degree == 0:
-            tk = tk_prev
-        for _ in range(self.degree - 1):
-            tk, tk_prev = 2.0 * t * tk - tk_prev, tk
-        out = tk * (self._sign / self._norm)
-        return float(out[0]) if scalar else out
-
-    def _grid_check(self):
-        at_alpha = self.evaluate(-self.alpha)
-        if abs(at_alpha - 1.0) > 1e-6:
-            raise ArithmeticError(
-                f"normalization drifted: q(-alpha) = {at_alpha!r}")
-        grid = np.linspace(0.0, self.r, self.GRID_POINTS)
-        sup = float(np.abs(self.evaluate(grid)).max())
-        if sup > self.delta * (1.0 + 1e-6):
-            raise ArithmeticError(
-                f"ceiling violated on grid: sup {sup:.3e} > delta {self.delta:.3e}")
-
-    def __repr__(self) -> str:
-        return (f"ThresholdPolynomial(degree={self.degree}, r={self.r:.4g}, "
-                f"alpha={self.alpha:.4g}, delta={self.delta:.4g})")
-
-
-def chebyshev_threshold_poly(r: float, alpha: float, delta: float) -> ThresholdPolynomial:
-    """Construct the least-degree threshold polynomial for ([0, r], -alpha, delta)."""
-    return ThresholdPolynomial(r, alpha, delta)
 
 
 def _hutchinson_trace(op, n: int, rng: SeedLike) -> float:

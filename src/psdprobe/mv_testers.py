@@ -1,27 +1,20 @@
 """PSD testers built on matrix-vector queries.
 
-Two testers, plus the white-box polynomial certificate behind the Krylov
-analysis:
-
   * krylov_tester        -- adaptive one-sided tester; looks for a negative
                             direction inside a Krylov subspace.
   * nonadaptive_mv_tester -- one-sided tester that simulates a bilinear
                             sketch with one matvec per sketch column.
-  * deflation_poly_certificate -- the thresholded, eigenvalue-deflated
-                            polynomial whose existence drives the Krylov
-                            degree bound; evaluated on explicit spectra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import defaults
-from .kernels import ThresholdPolynomial, chebyshev_threshold_poly
 from .oracle import SeedLike, rng_from
 from .vmv_testers import ONE_SIDED, Verdict, _queries_on
 
@@ -30,8 +23,6 @@ __all__ = [
     "build_krylov",
     "krylov_degree",
     "krylov_tester",
-    "DeflatedThresholdPolynomial",
-    "deflation_poly_certificate",
     "nonadaptive_mv_tester",
 ]
 
@@ -173,89 +164,6 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
     return Verdict(is_psd=True, witness=None,
                    queries_used=_queries_on(op) - start,
                    mode=ONE_SIDED, statistic=lam_seen)
-
-
-# ---------------------------------------------------------------------------
-# polynomial certificate
-# ---------------------------------------------------------------------------
-
-class DeflatedThresholdPolynomial:
-    """Threshold polynomial times exact root factors at deflated eigenvalues.
-
-    Normalized so the value at the most negative eigenvalue is 1; each
-    deflated eigenvalue is an exact root.  The root factors are evaluated
-    first so the Chebyshev part is never touched where the product already
-    vanishes (it can be astronomically large far outside its domain).
-    """
-
-    def __init__(self, base: ThresholdPolynomial, roots: Tuple[float, ...],
-                 lam_min: float):
-        self.base = base
-        self.roots = tuple(float(r) for r in roots)
-        self.lam_min = float(lam_min)
-
-    @property
-    def degree(self) -> int:
-        return self.base.degree + len(self.roots)
-
-    def evaluate(self, x):
-        scalar = np.isscalar(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        factor = np.ones_like(xs)
-        for r in self.roots:
-            factor *= (r - xs) / (r - self.lam_min)
-        out = np.zeros_like(xs)
-        live = factor != 0.0
-        if np.any(live):
-            out[live] = factor[live] * self.base.evaluate(xs[live])
-        return float(out[0]) if scalar else out
-
-
-def deflation_poly_certificate(spectrum, eps: float, p: float, T: int
-                               ) -> Tuple[DeflatedThresholdPolynomial, float]:
-    """Construct the deflated threshold polynomial for an explicit spectrum.
-
-    White-box utility (no queries): builds the Chebyshev threshold part on
-    [0, T^(-1/p)] with target value sqrt((eps/10) / d^(1 - 1/p)), multiplies
-    in a root factor for every eigenvalue above the threshold, and returns
-    the polynomial together with the verified positive mass
-    sum_{lambda > 0} p(lambda)^2 lambda, which the degree argument needs to
-    stay below eps/10.  Requires Schatten-p norm at most 1 and an eigenvalue
-    at or below -eps; under that promise at most T eigenvalues can exceed
-    the threshold, and hitting more is reported as a broken contract.
-    """
-    spec = np.asarray(spectrum, dtype=float)
-    if spec.size == 0:
-        raise ValueError("spectrum is empty")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not (p >= 1 and math.isfinite(p)):
-        raise ValueError(f"Schatten exponent must be finite and >= 1, got {p}")
-    if T < 1:
-        raise ValueError(f"T must be a positive integer, got {T}")
-    norm_p = float(np.sum(np.abs(spec) ** p) ** (1.0 / p))
-    if norm_p > 1.0 + 1e-9:
-        raise ValueError(f"spectrum must have Schatten-{p} norm <= 1, got {norm_p}")
-    lam_min = float(spec.min())
-    if lam_min > -eps:
-        raise ValueError(f"spectrum must reach -eps = {-eps}, min is {lam_min}")
-
-    r = float(T) ** (-1.0 / p)
-    roots = tuple(float(v) for v in np.sort(spec[spec > r]))
-    if len(roots) > T:
-        raise ArithmeticError(
-            f"{len(roots)} eigenvalues above {r}; impossible at unit norm")
-    d = spec.size
-    delta = math.sqrt((eps / 10.0) / d ** (1.0 - 1.0 / p))
-    base = chebyshev_threshold_poly(r, -lam_min, delta)
-    poly = DeflatedThresholdPolynomial(base, roots, lam_min)
-
-    positive = spec[spec > 0.0]
-    if positive.size:
-        mass = float(np.sum(poly.evaluate(positive) ** 2 * positive))
-    else:
-        mass = 0.0
-    return poly, mass
 
 
 # ---------------------------------------------------------------------------

@@ -312,22 +312,35 @@ class DirectionBlock:
 
     Built by ``SymmetricOperator.directions``; each read charges the
     operator that built it one ``vmv`` query and costs at most O(dim) work.
-    The handle keeps no reference to U, so mutating U later changes no
-    answer.
+    A read checks that j names a column (0 <= j < n) and that y is an array
+    of shape (dim,) before it charges; it leaves y's finiteness unchecked,
+    since the reads are the descent's inner loop.  The handle keeps no
+    reference to U, so mutating U later changes no answer.
     """
 
     def __init__(self, owner: SymmetricOperator, u: np.ndarray, au: np.ndarray):
         self._owner = owner
-        self._au = np.ascontiguousarray(au.T)
-        self._quad = np.einsum("ij,ij->j", u, au)
+        # Per-column lists: indexing a list costs less than indexing an
+        # array, which pays for the argument checks on this per-step path.
+        self._au = list(np.ascontiguousarray(au.T))
+        self._quad = np.einsum("ij,ij->j", u, au).tolist()
+        self._n = u.shape[1]
+        self._y_shape = (u.shape[0],)
 
     def quad_form(self, j: int) -> float:
         """One vmv query: u_j^T A u_j."""
+        if not 0 <= j < self._n:
+            raise IndexError(f"direction {j} out of range for {self._n} columns")
         self._owner._charge(0, 1)
-        return float(self._quad[j])
+        return self._quad[j]
 
     def bilinear(self, j: int, y: np.ndarray) -> float:
         """One vmv query: u_j^T A y, answered as (A u_j)^T y."""
+        if not 0 <= j < self._n:
+            raise IndexError(f"direction {j} out of range for {self._n} columns")
+        if getattr(y, "shape", None) != self._y_shape:
+            raise ValueError(f"bilinear expects an array of shape "
+                             f"{self._y_shape}, got {np.shape(y)}")
         self._owner._charge(0, 1)
         return float(self._au[j] @ y)
 

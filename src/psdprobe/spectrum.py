@@ -16,11 +16,12 @@ of the regression matrices, and solved in the factored form Y = Z Z^T by
 damped Newton with the exact Hessian from ten starts; tiny instances are
 certified against a brute-force oracle in the test suite.
 
-Two query schedules are provided: ``top_eigs_signed`` issues every sketch
-entry non-adaptively, while ``top_eigs_signed_adaptive`` spends one round of
-adaptivity to probe the cross term only on the realized column spaces of the
-regression matrices, plus a handful of Frobenius probes for the mass the
-projection discards.
+Each repetition draws R and reads a fit and a holdout sketch over it through
+one reader, and the two readers are the two query schedules: ``_full_cross``
+queries every cross-term entry (``top_eigs_signed``, ``estimate_Akplus_sq``),
+while ``_adaptive_sketch`` (``top_eigs_signed_adaptive``) spends one round of
+adaptivity to query it only on the realized column spaces of the regression
+matrices, plus a handful of Frobenius probes for the mass outside them.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class SpectrumSketch:
 
     ``r`` is the d x m right sketch, ``s1``/``s2`` the two affine embeddings,
     and the stored products are m1 = S1 A R, m2 = S2 A R, q = S1 A S2^T.
-    Every stored entry came out of one counted bilinear query;
-    ``queries_used`` is their total.
+    Every stored entry came out of one counted bilinear query.
     """
 
     r: np.ndarray
@@ -75,13 +75,26 @@ class SpectrumSketch:
     m1: np.ndarray
     m2: np.ndarray
     q: np.ndarray
-    queries_used: int
+
+
+def _check_k_eps(k: int, eps: float) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
 
 
 def _sketch_dims(d: int, k: int, eps: float) -> Tuple[int, int]:
     m = min(d, math.ceil(defaults.SKETCH_R_KAPPA * k / eps))
     rows = min(d, math.ceil(defaults.EMBED_KAPPA * m / (eps * eps)))
     return m, rows
+
+
+def _embedded(op: SymmetricOperator, r: np.ndarray, rows: int, gen):
+    """Draw the embeddings S1, S2 and read S1 A R and S2 A R."""
+    s1 = affine_embedding(rows, op.dim, gen)
+    s2 = affine_embedding(rows, op.dim, gen)
+    return s1, s2, op.bilinear_block(s1.T, r), op.bilinear_block(s2.T, r)
 
 
 def build_spectrum_sketch(op: SymmetricOperator, k: int, eps: float,
@@ -92,21 +105,13 @@ def build_spectrum_sketch(op: SymmetricOperator, k: int, eps: float,
     columns and the embeddings ceil(EMBED_KAPPA m / eps^2) rows, both capped
     at d; past the cap extra rows carry no new information about A.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    d = op.dim
-    m, rows = _sketch_dims(d, k, eps)
+    _check_k_eps(k, eps)
+    m, rows = _sketch_dims(op.dim, k, eps)
     gen = rng_from(rng, 0x5BEC)
-    r = gen.standard_normal((d, m))
-    s1 = affine_embedding(rows, d, gen)
-    s2 = affine_embedding(rows, d, gen)
-    m1 = op.bilinear_block(s1.T, r)
-    m2 = op.bilinear_block(s2.T, r)
-    q = op.bilinear_block(s1.T, s2.T)
-    return SpectrumSketch(r=r, s1=s1, s2=s2, m1=m1, m2=m2, q=q,
-                          queries_used=m1.size + m2.size + q.size)
+    r = gen.standard_normal((op.dim, m))
+    s1, s2, m1, m2 = _embedded(op, r, rows, gen)
+    return SpectrumSketch(r=r, s1=s1, s2=s2, m1=m1, m2=m2,
+                          q=op.bilinear_block(s1.T, s2.T))
 
 
 _FIT_STARTS = 10
@@ -293,8 +298,7 @@ def psd_rank_k_fit(m1: np.ndarray, m2: np.ndarray, q: np.ndarray,
     return (cost + c0, (y + y.T) / 2.0)
 
 
-def _frob_sq_estimate(op: SymmetricOperator, eps: float,
-                      rng) -> Tuple[float, int]:
+def _frob_sq_estimate(op: SymmetricOperator, eps: float, rng) -> float:
     """||A||_F^2 to relative accuracy O(eps), from bilinear queries.
 
     The Gaussian estimator needs ceil(FROB_SQ_KAPPA / eps^2) probes; whenever
@@ -306,7 +310,7 @@ def _frob_sq_estimate(op: SymmetricOperator, eps: float,
     exact_cost = d * (d + 1) // 2
     if exact_cost <= budget:
         entries = op.sym_block(np.eye(d))
-        return float(np.sum(entries * entries)), exact_cost
+        return float(np.sum(entries * entries))
     gen = rng_from(rng)
     total = 0.0
     left = budget
@@ -316,155 +320,23 @@ def _frob_sq_estimate(op: SymmetricOperator, eps: float,
         h = gen.standard_normal((block, d))
         total += float(np.sum(op.quad_forms(g.T, h.T) ** 2))
         left -= block
-    return total / budget, budget
+    return total / budget
 
 
 def _median_reps(delta: float) -> int:
     return max(1, math.ceil(defaults.MEDIAN_REPS_C * math.log(1.0 / delta)))
 
 
-def _holdout_sketch(op: SymmetricOperator, r: np.ndarray, rows: int, gen):
-    """A second embedding pair over the same right sketch R.
-
-    The fit's achieved cost is biased low because Y adapts to the drawn
-    embeddings; re-measuring the fitted Y's cost on an independent pair is
-    biased high by exactly the suboptimality that adaptation bought.
-    Averaging the two cancels most of both, which matters at desk scale
-    where the embeddings are far from their asymptotic sizes.
-    """
-    d = op.dim
-    t1 = affine_embedding(rows, d, gen)
-    t2 = affine_embedding(rows, d, gen)
-    n1 = op.bilinear_block(t1.T, r)
-    n2 = op.bilinear_block(t2.T, r)
-    q2 = op.bilinear_block(t1.T, t2.T)
-
-    def holdout_cost(y, q_sign):
-        return float(np.linalg.norm(n1 @ y @ n2.T + q_sign * q2) ** 2)
-
-    return holdout_cost
-
-
-def estimate_Akplus_sq(op: SymmetricOperator, k: int, eps: float,
-                       delta: float, *, rng=0) -> float:
-    """Estimate ||A_{k,+}||_F^2 within eps ||A||_F^2, failure prob <= delta.
-
-    Because A_{k,+} is the nearest PSD rank-<=k matrix to A and acts on
-    eigenspaces orthogonal to the residual, ||A_{k,+}||_F^2 = ||A||_F^2 -
-    ||A - A_{k,+}||_F^2.  The second term comes from the sketched fit,
-    averaged with a holdout re-measurement (see _holdout_sketch); the first
-    from the quadratic Frobenius estimator.  The difference is medianed over
-    ceil(MEDIAN_REPS_C ln(1/delta)) independent sketches.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    gen = rng_from(rng, 0xE571)
-    frob_sq, _ = _frob_sq_estimate(op, eps, gen)
-    _, rows = _sketch_dims(op.dim, k, eps)
-    ests = []
-    for _ in range(_median_reps(delta)):
-        sk = build_spectrum_sketch(op, k, eps, gen)
-        holdout = _holdout_sketch(op, sk.r, rows, gen)
-        cost, y = psd_rank_k_fit(sk.m1, sk.m2, -sk.q, k, rng=gen)
-        ests.append(frob_sq - 0.5 * (cost + holdout(y, -1.0)))
-    return max(0.0, float(np.median(ests)))
-
-
-@dataclass(frozen=True)
-class EigenEstimate:
-    """Signed eigenvalue estimates, sorted by non-increasing magnitude.
-
-    ``error_bound`` is eps times the Frobenius norm estimate used internally:
-    the additive radius the per-eigenvalue guarantee targets.
-    """
-
-    values: Tuple[float, ...]
-    error_bound: float
-
-
-def _mass_profiles(k: int, reps: int, frob_sq: float, gen,
-                   produce) -> Tuple[np.ndarray, np.ndarray]:
-    """Median mass estimates for ranks 1..k, positive and negative side.
-
-    ``produce(gen)`` yields one repetition's (m1, m2, q, extra_cost,
-    holdout_cost); the same sketch serves all 2k fits.  Negating the
-    operator negates all three stored products, which cancels out of
-    m1 Y m2^T and flips the sign of the cross term, so the negative side
-    reuses the sketch with q negated rather than issuing new queries.  Each
-    fit cost is averaged with its holdout re-measurement (see
-    _holdout_sketch for why).
-    """
-    cost_pos = np.empty((reps, k))
-    cost_neg = np.empty((reps, k))
-    for rep in range(reps):
-        m1, m2, q, extra, holdout = produce(gen)
-        for i in range(1, k + 1):
-            for sign, out in ((-1.0, cost_pos), (1.0, cost_neg)):
-                cost, y = psd_rank_k_fit(m1, m2, sign * q, i, rng=gen)
-                out[rep, i - 1] = 0.5 * (cost + extra + holdout(y, sign))
-    est_pos = np.maximum(0.0, frob_sq - np.median(cost_pos, axis=0))
-    est_neg = np.maximum(0.0, frob_sq - np.median(cost_neg, axis=0))
-    return est_pos, est_neg
-
-
-def _signed_from_masses(est_pos: np.ndarray, est_neg: np.ndarray,
-                        k: int, error_bound: float) -> EigenEstimate:
-    """Difference consecutive masses, clip at 0, keep the k largest."""
-    cands = []
-    prev = 0.0
-    for i in range(k):
-        cands.append(math.sqrt(max(0.0, est_pos[i] - prev)))
-        prev = est_pos[i]
-    prev = 0.0
-    for i in range(k):
-        cands.append(-math.sqrt(max(0.0, est_neg[i] - prev)))
-        prev = est_neg[i]
-    cands.sort(key=lambda v: (-abs(v), v < 0))
-    return EigenEstimate(values=tuple(cands[:k]), error_bound=error_bound)
-
-
-def top_eigs_signed(op: SymmetricOperator, k: int, eps: float, *,
-                    rng=0) -> EigenEstimate:
-    """The k largest-magnitude eigenvalues with signs, each within
-    eps ||A||_F with probability >= 0.9.
-
-    Runs the mass estimate for A and for -A at every rank i <= k, with inner
-    accuracy eps^2/2 and per-task failure probability 1/(20k) so the union
-    bound over the 2k tasks leaves 0.9; then
-    lambda_i,+ = sqrt(max(0, est_i - est_{i-1})) and symmetrically for the
-    negative side, and the two lists merge by magnitude (negatives keeping
-    their sign).  Clipping at 0 before the square root absorbs additive error
-    on near-zero masses.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    eps_task = 0.5 * eps * eps
-    reps = _median_reps(1.0 / (20.0 * k))
-    gen = rng_from(rng, 0x7095)
-    frob_sq, _ = _frob_sq_estimate(op, eps_task, gen)
-    _, rows = _sketch_dims(op.dim, k, eps_task)
-
-    def fresh_sketch(g):
-        sk = build_spectrum_sketch(op, k, eps_task, g)
-        holdout = _holdout_sketch(op, sk.r, rows, g)
-        return sk.m1, sk.m2, sk.q, 0.0, holdout
-
-    est_pos, est_neg = _mass_profiles(k, reps, frob_sq, gen, fresh_sketch)
-    return _signed_from_masses(est_pos, est_neg, k,
-                               eps * math.sqrt(max(frob_sq, 0.0)))
+def _full_cross(op: SymmetricOperator, r: np.ndarray, rows: int, gen):
+    """One non-adaptive sketch: m1, m2 and every entry of q = S1 A S2^T."""
+    s1, s2, m1, m2 = _embedded(op, r, rows, gen)
+    return m1, m2, op.bilinear_block(s1.T, s2.T), 0.0
 
 
 _RESIDUAL_PROBES = 24
 
 
-def _adaptive_sketch(op: SymmetricOperator, k: int, eps: float, gen,
-                     r=None):
+def _adaptive_sketch(op: SymmetricOperator, r: np.ndarray, rows: int, gen):
     """Round 1: m1, m2.  Round 2: the cross term restricted to their ranges.
 
     Any feasible m1 Y m2^T lives in range(m1) x range(m2), so the fit only
@@ -474,14 +346,7 @@ def _adaptive_sketch(op: SymmetricOperator, k: int, eps: float, gen,
     into three blocks whose squared norms are estimated with
     _RESIDUAL_PROBES Gaussian probes each.
     """
-    d = op.dim
-    m, rows = _sketch_dims(d, k, eps)
-    if r is None:
-        r = gen.standard_normal((d, m))
-    s1 = affine_embedding(rows, d, gen)
-    s2 = affine_embedding(rows, d, gen)
-    m1 = op.bilinear_block(s1.T, r)
-    m2 = op.bilinear_block(s2.T, r)
+    s1, s2, m1, m2 = _embedded(op, r, rows, gen)
 
     def range_basis(mat):
         u, sv, _ = np.linalg.svd(mat, full_matrices=False)
@@ -505,6 +370,127 @@ def _adaptive_sketch(op: SymmetricOperator, k: int, eps: float, gen,
     return u1.T @ m1, u2.T @ m2, bq, resid
 
 
+def _repetition(op: SymmetricOperator, m: int, rows: int, gen, read):
+    """Draw R, then read a fit sketch and a holdout sketch over it.
+
+    ``read(op, r, rows, gen)`` returns (m1, m2, q, residual), residual being
+    the cross-term mass it left unqueried.  Returns the fit sketch's four
+    plus ``holdout(y, q_sign)``, a fitted Y's cost on the second sketch.
+    The fit's cost is biased low because Y adapts to the drawn embeddings;
+    re-measuring Y on an independent pair is biased high by exactly the
+    suboptimality that adaptation bought.  Averaging the two cancels most
+    of both, which matters at desk scale where the embeddings are far from
+    their asymptotic sizes.
+    """
+    r = gen.standard_normal((op.dim, m))
+    m1, m2, q, extra = read(op, r, rows, gen)
+    n1, n2, q2, extra2 = read(op, r, rows, gen)
+
+    def holdout(y, q_sign):
+        return float(np.linalg.norm(n1 @ y @ n2.T + q_sign * q2) ** 2) + extra2
+
+    return m1, m2, q, extra, holdout
+
+
+def estimate_Akplus_sq(op: SymmetricOperator, k: int, eps: float,
+                       delta: float, *, rng=0) -> float:
+    """Estimate ||A_{k,+}||_F^2 within eps ||A||_F^2, failure prob <= delta.
+
+    Because A_{k,+} is the nearest PSD rank-<=k matrix to A and acts on
+    eigenspaces orthogonal to the residual, ||A_{k,+}||_F^2 = ||A||_F^2 -
+    ||A - A_{k,+}||_F^2.  The second term comes from the sketched fit,
+    averaged with a holdout re-measurement (see _repetition); the first
+    from the quadratic Frobenius estimator.  The difference is medianed over
+    ceil(MEDIAN_REPS_C ln(1/delta)) independent sketches.
+    """
+    _check_k_eps(k, eps)
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    gen = rng_from(rng, 0xE571)
+    frob_sq = _frob_sq_estimate(op, eps, gen)
+    m, rows = _sketch_dims(op.dim, k, eps)
+    ests = []
+    for _ in range(_median_reps(delta)):
+        m1, m2, q, extra, holdout = _repetition(op, m, rows, gen, _full_cross)
+        cost, y = psd_rank_k_fit(m1, m2, -q, k, rng=gen)
+        ests.append(frob_sq - 0.5 * (cost + extra + holdout(y, -1.0)))
+    return max(0.0, float(np.median(ests)))
+
+
+@dataclass(frozen=True)
+class EigenEstimate:
+    """Signed eigenvalue estimates, sorted by non-increasing magnitude.
+
+    ``error_bound`` is eps times the Frobenius norm estimate used internally:
+    the additive radius the per-eigenvalue guarantee targets.
+    """
+
+    values: Tuple[float, ...]
+    error_bound: float
+
+
+def _signed_from_masses(est_pos: np.ndarray, est_neg: np.ndarray,
+                        k: int, error_bound: float) -> EigenEstimate:
+    """Difference consecutive masses, clip at 0, keep the k largest."""
+    cands = []
+    prev = 0.0
+    for i in range(k):
+        cands.append(math.sqrt(max(0.0, est_pos[i] - prev)))
+        prev = est_pos[i]
+    prev = 0.0
+    for i in range(k):
+        cands.append(-math.sqrt(max(0.0, est_neg[i] - prev)))
+        prev = est_neg[i]
+    cands.sort(key=lambda v: (-abs(v), v < 0))
+    return EigenEstimate(values=tuple(cands[:k]), error_bound=error_bound)
+
+
+def _mass_profiles(op: SymmetricOperator, k: int, eps: float, rng, salt: int,
+                   read) -> EigenEstimate:
+    """Median mass estimates for ranks 1..k on both sides, then the signs.
+
+    Each repetition's sketches come from ``read`` (see _repetition) and
+    serve all 2k fits.  Negating the operator negates all three stored
+    products, which cancels out of m1 Y m2^T and flips the sign of the cross
+    term, so the negative side reuses the sketch with q negated rather than
+    issuing new queries.
+    """
+    _check_k_eps(k, eps)
+    eps_task = 0.5 * eps * eps
+    reps = _median_reps(1.0 / (20.0 * k))
+    gen = rng_from(rng, salt)
+    frob_sq = _frob_sq_estimate(op, eps_task, gen)
+    m, rows = _sketch_dims(op.dim, k, eps_task)
+    cost_pos = np.empty((reps, k))
+    cost_neg = np.empty((reps, k))
+    for rep in range(reps):
+        m1, m2, q, extra, holdout = _repetition(op, m, rows, gen, read)
+        for i in range(1, k + 1):
+            for sign, out in ((-1.0, cost_pos), (1.0, cost_neg)):
+                cost, y = psd_rank_k_fit(m1, m2, sign * q, i, rng=gen)
+                out[rep, i - 1] = 0.5 * (cost + extra + holdout(y, sign))
+    est_pos = np.maximum(0.0, frob_sq - np.median(cost_pos, axis=0))
+    est_neg = np.maximum(0.0, frob_sq - np.median(cost_neg, axis=0))
+    return _signed_from_masses(est_pos, est_neg, k,
+                               eps * math.sqrt(max(frob_sq, 0.0)))
+
+
+def top_eigs_signed(op: SymmetricOperator, k: int, eps: float, *,
+                    rng=0) -> EigenEstimate:
+    """The k largest-magnitude eigenvalues with signs, each within
+    eps ||A||_F with probability >= 0.9.
+
+    Runs the mass estimate for A and for -A at every rank i <= k, with inner
+    accuracy eps^2/2 and per-task failure probability 1/(20k) so the union
+    bound over the 2k tasks leaves 0.9; then
+    lambda_i,+ = sqrt(max(0, est_i - est_{i-1})) and symmetrically for the
+    negative side, and the two lists merge by magnitude (negatives keeping
+    their sign).  Clipping at 0 before the square root absorbs additive error
+    on near-zero masses.
+    """
+    return _mass_profiles(op, k, eps, rng, 0x7095, _full_cross)
+
+
 def top_eigs_signed_adaptive(op: SymmetricOperator, k: int, eps: float, *,
                              rng=0) -> EigenEstimate:
     """Same contract as top_eigs_signed, two query rounds instead of one.
@@ -516,27 +502,4 @@ def top_eigs_signed_adaptive(op: SymmetricOperator, k: int, eps: float, *,
     cutting the cross-term queries from rows^2 to rank(m1) rank(m2) plus a
     constant number of probes.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    eps_task = 0.5 * eps * eps
-    reps = _median_reps(1.0 / (20.0 * k))
-    gen = rng_from(rng, 0x70AD)
-    frob_sq, _ = _frob_sq_estimate(op, eps_task, gen)
-    m, _ = _sketch_dims(op.dim, k, eps_task)
-
-    def two_round(g):
-        r = g.standard_normal((op.dim, m))
-        m1, m2, bq, resid = _adaptive_sketch(op, k, eps_task, g, r)
-        n1, n2, bq2, resid2 = _adaptive_sketch(op, k, eps_task, g, r)
-
-        def holdout(y, q_sign):
-            fit = np.linalg.norm(n1 @ y @ n2.T + q_sign * bq2) ** 2
-            return float(fit) + resid2
-
-        return m1, m2, bq, resid, holdout
-
-    est_pos, est_neg = _mass_profiles(k, reps, frob_sq, gen, two_round)
-    return _signed_from_masses(est_pos, est_neg, k,
-                               eps * math.sqrt(max(frob_sq, 0.0)))
+    return _mass_profiles(op, k, eps, rng, 0x70AD, _adaptive_sketch)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from krylov_certificate import ThresholdPolynomial, chebyshev_threshold_poly
 from psdprobe.kernels import (
-    ThresholdPolynomial,
     _hutchinson_trace,
-    chebyshev_threshold_poly,
     frobenius_estimate,
     schatten1_scale_estimate,
     trace_estimate,

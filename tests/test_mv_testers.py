@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from krylov_certificate import deflation_poly_certificate
 from psdprobe.mv_testers import (
     KrylovSpace,
     build_krylov,
-    deflation_poly_certificate,
     krylov_degree,
     krylov_tester,
     nonadaptive_mv_tester,

@@ -306,6 +306,21 @@ def test_directions_reject_bad_blocks_and_charge_nothing():
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
+def test_direction_reads_check_their_arguments_before_charging():
+    op = SymmetricOperator(np.eye(4))
+    handle = op.directions(np.ones((4, 2)))
+    for j in (-1, 2, 5):
+        with pytest.raises(IndexError, match="out of range"):
+            handle.quad_form(j)
+        with pytest.raises(IndexError, match="out of range"):
+            handle.bilinear(j, np.ones(4))
+    for y in (np.ones(3), np.ones(5), np.ones((4, 1)), np.ones((1, 4)),
+              [1.0] * 4):
+        with pytest.raises(ValueError, match="bilinear expects"):
+            handle.bilinear(0, y)
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 10), n=st.integers(0, 6),
        seed=st.integers(0, 2 ** 32 - 1))

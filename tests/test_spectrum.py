@@ -134,8 +134,7 @@ def test_sketch_shapes_and_query_count():
     assert sk.s2.shape == (rows, 16)
     assert sk.m1.shape == (rows, m)
     assert sk.q.shape == (rows, rows)
-    assert sk.queries_used == sk.m1.size + sk.m2.size + sk.q.size
-    assert op.vmv_queries == sk.queries_used
+    assert op.vmv_queries == sk.m1.size + sk.m2.size + sk.q.size
     assert op.mv_queries == 0
 
 
@@ -303,9 +302,8 @@ def test_frob_sq_exact_read_at_small_dimension():
     a = gen.standard_normal((12, 12))
     a = (a + a.T) / 2.0
     op = SymmetricOperator(a)
-    val, n = _frob_sq_estimate(op, 0.05, rng=0)
-    assert n == 12 * 13 // 2
-    assert op.vmv_queries == n
+    val = _frob_sq_estimate(op, 0.05, rng=0)
+    assert op.vmv_queries == 12 * 13 // 2
     assert val == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
 
 
@@ -318,7 +316,7 @@ def test_frob_sq_sampled_path_is_unbiased_enough():
     op = SymmetricOperator(a)
     budget = math.ceil(defaults.FROB_SQ_KAPPA / 0.25)
     assert budget < d * (d + 1) // 2
-    vals = [_frob_sq_estimate(SymmetricOperator(a), 0.5, rng=s)[0]
+    vals = [_frob_sq_estimate(SymmetricOperator(a), 0.5, rng=s)
             for s in range(30)]
     assert np.median(vals) == pytest.approx(np.linalg.norm(a) ** 2, rel=0.35)
     assert op.vmv_queries == 0
@@ -456,7 +454,7 @@ def test_mass_profile_monotone_in_rank():
     vals[:5] = [4.0, 3.0, -2.0, 1.0, -0.5]
     op = SymmetricOperator(np.diag(vals))
     eps = 0.15
-    frob_sq, _ = _frob_sq_estimate(op, eps, rng_from(5, 0xF00D))
+    frob_sq = _frob_sq_estimate(op, eps, rng_from(5, 0xF00D))
     sk = build_spectrum_sketch(op, k=4, eps=eps, rng=6)
     prev = -np.inf
     for i in range(1, 5):
@@ -528,7 +526,9 @@ def test_adaptive_round_two_query_count():
     op = SymmetricOperator((u * vals) @ u.T)
     k, eps = 2, 0.2
     m, rows = _sketch_dims(d, k, eps)
-    m1, m2, bq, resid = _adaptive_sketch(op, k, eps, rng_from(7))
+    gen = rng_from(7)
+    r = gen.standard_normal((d, m))
+    m1, m2, bq, resid = _adaptive_sketch(op, r, rows, gen)
     round_two = op.vmv_queries - 2 * rows * m
     r1, r2 = m1.shape[0], m2.shape[0]
     assert r1 <= rank and r2 <= rank
