@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, repeat
@@ -810,6 +811,12 @@ _SUITE_FNS = {
 }
 
 
+# Suites whose report digits depend on the BLAS thread count (their gamma
+# sweeps run large sketch GEMMs); the other reports read the same at 1, 2
+# and 4 threads.
+_BLAS_BOUND_SUITES = ("c_psd", "kappa_sketch")
+
+
 def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
               out_dir=None) -> Tuple[dict, dict]:
     """Run one calibration suite; returns (constants, report).
@@ -819,13 +826,20 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
     count (tests use small values).  When the sweep fails to separate, the
     report says so (``separated: false``) and carries the measured
     distributions; the constants map is then empty and the CLI exits 3.
-    When ``out_dir`` is set the report is written there as <suite>.json.
+    When ``out_dir`` is set the report is written there as <suite>.json;
+    for c_psd and kappa_sketch that raises ConfigError, before any sweep
+    runs, unless OPENBLAS_NUM_THREADS is "1".
     """
     if suite not in _SUITE_FNS:
         raise ConfigError(f"unknown calibration suite {suite!r}; expected one "
                           f"of {', '.join(CALIBRATION_SUITES)}")
     if trials is not None and trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if (out_dir is not None and suite in _BLAS_BOUND_SUITES
+            and os.environ.get("OPENBLAS_NUM_THREADS") != "1"):
+        raise ConfigError(f"the {suite} report moves with the BLAS thread "
+                          f"count; set OPENBLAS_NUM_THREADS=1 to write it "
+                          f"(see defaults.py)")
     constants, report = _SUITE_FNS[suite](seed0, trials)
     if out_dir is not None:
         target = Path(out_dir)

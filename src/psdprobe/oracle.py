@@ -27,10 +27,21 @@ all fixed before any answer is read, from one product with the block:
   * handle.quad_form(j)  -> u_j^T A u_j                  (one ``vmv``)
   * handle.bilinear(j, y) -> u_j^T A y, as (A u_j)^T y   (one ``vmv``)
 
+A compressed handle answers the same reads on the m x m form B = G^T A G
+of a (dim, m) map G fixed before any answer is read, in m dimensions:
+
+  * compressed(G)         -> a handle on B (no charge; G is checked like
+                             any block)
+  * comp.directions(U)    -> a direction handle on the columns of an (m, n)
+                             U; the first call forms B once, uncounted
+  * its quad_form(j), bilinear(j, y) -> u_j^T B u_j and u_j^T B y, each
+                             charged to A as the one ``vmv`` query
+                             (G u_j)^T A (G y) it stands for
+
 A query with a wrongly shaped vector or block raises ValueError before it
-is charged.  Block queries and ``directions`` also reject non-finite
-blocks; scalar queries and handle reads pass non-finite values through, so
-a diverging caller sees its own non-finite values.
+is charged.  Block queries, ``directions`` and ``compressed`` also reject
+non-finite blocks; scalar queries and handle reads pass non-finite values
+through, so a diverging caller sees its own non-finite values.
 
 Ground-truth helpers (``dense``, ``eigenvalues``, ``schatten_norm``) bypass
 the counters and are reserved for tests and for the experiment harness when
@@ -56,6 +67,7 @@ import numpy as np
 
 __all__ = [
     "MAX_DENSE_DIM",
+    "Compression",
     "DirectionBlock",
     "SymmetricOperator",
     "SpectrumInstance",
@@ -201,13 +213,7 @@ class SymmetricOperator:
         return v
 
     def _block(self, b, name: str) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self._dim:
-            raise ValueError(f"{name} expects a ({self._dim}, n) block, "
-                             f"got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError(f"{name} block holds non-finite entries")
-        return b
+        return _checked_block(b, self._dim, name)
 
     def mat_vec(self, v: np.ndarray) -> np.ndarray:
         """One mv query: the full vector A @ v."""
@@ -276,6 +282,10 @@ class SymmetricOperator:
         u = self._block(u, "directions")
         return DirectionBlock(self, u, self._a @ u)
 
+    def compressed(self, g) -> "Compression":
+        """Handle on B = G^T A G for a (dim, m) map G; see ``Compression``."""
+        return Compression(self, g)
+
     # -- uncounted ground-truth access -------------------------------------
 
     def dense(self) -> np.ndarray:
@@ -307,13 +317,64 @@ class SymmetricOperator:
                 f"mv={self._mv}, vmv={self._vmv})")
 
 
+def _checked_block(b, rows: int, name: str) -> np.ndarray:
+    """b as a float (rows, n) array; ValueError when misshaped or non-finite."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[0] != rows:
+        raise ValueError(f"{name} expects a ({rows}, n) block, "
+                         f"got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} block holds non-finite entries")
+    return b
+
+
+class Compression:
+    """The m x m form B = G^T A G of an operator A, read one vmv at a time.
+
+    Built by ``SymmetricOperator.compressed``, which checks G like any
+    block.  The first ``directions`` call forms B once, uncounted, and
+    symmetrizes it the way the backing is; building the handle and forming
+    B charge nothing.  G is fixed before any answer is read and B depends on
+    nothing else, so forming it reveals nothing a reader could not get from
+    the same reads asked on A at images under G, and every read is charged
+    to A as that query.  The handle keeps its own copy of G.
+    """
+
+    def __init__(self, owner: SymmetricOperator, g):
+        self._owner = owner
+        self._g = np.array(_checked_block(g, owner.dim, "compressed"))
+        self._b: Optional[np.ndarray] = None
+
+    @property
+    def formed(self) -> bool:
+        """Whether B has been formed (by an earlier ``directions`` call)."""
+        return self._b is not None
+
+    def _form(self) -> np.ndarray:
+        b = self._g.T @ (self._owner._a @ self._g)
+        b *= 0.5
+        return b + b.T
+
+    def directions(self, u) -> "DirectionBlock":
+        """Handle for vmv queries u_j^T B y along the columns of an (m, n) U.
+
+        U is checked like any block before B is formed; each read of the
+        returned handle charges the operator behind B one ``vmv``.
+        """
+        u = _checked_block(u, self._g.shape[1], "directions")
+        if self._b is None:
+            self._b = self._form()
+        return DirectionBlock(self._owner, u, self._b @ u)
+
+
 class DirectionBlock:
     """Fixed directions u_j with their images A u_j, read one vmv at a time.
 
-    Built by ``SymmetricOperator.directions``; each read charges the
-    operator that built it one ``vmv`` query and costs at most O(dim) work.
+    Built by ``SymmetricOperator.directions`` (u_j in R^dim, images A u_j)
+    and by ``Compression.directions`` (u_j in R^m, images B u_j); each read
+    charges the operator A one ``vmv`` query and costs O(len(u_j)) work.
     A read checks that j names a column (0 <= j < n) and that y is an array
-    of shape (dim,) before it charges; it leaves y's finiteness unchecked,
+    of u_j's shape before it charges; it leaves y's finiteness unchecked,
     since the reads are the descent's inner loop.  The handle keeps no
     reference to U, so mutating U later changes no answer.
     """

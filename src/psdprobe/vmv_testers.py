@@ -17,8 +17,15 @@ guarantee holds under floating point, not just in exact arithmetic.
 
 Both Oja-based testers share one descent, ``_descend``: it runs on the
 operator the caller handed in, optionally through a Gaussian map G (so on
-the form x^T G^T A G x, every query asked on A at the image G x) and
-optionally under an affine shift of every answer.
+the form x^T B x with B = G^T A G) and optionally under an affine shift of
+every answer.  Its steps read their two vmv queries from direction
+handles, and every query is charged to the operator handed in.  Through G
+a run reads its first drawn block at images G u on A, and later blocks
+from one ``compressed(G)`` handle that forms B once and keeps the iterate
+in m dimensions; runs that stop in their first block, as rejections
+usually do, never form B.  ``oja_l1_tester`` shares the handle across the
+runs of a repetition.  ``adaptive_l2_tester`` passes none, since its k
+exceeds d and B would be larger than A.
 """
 
 from __future__ import annotations
@@ -144,31 +151,45 @@ _OJA_STREAM = 0x01A1
 
 def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
              gen: np.random.Generator, up: float,
-             affine: Optional[Tuple[float, float, float]] = None
-             ) -> Optional[Tuple[np.ndarray, float]]:
+             affine: Optional[Tuple[float, float, float]] = None,
+             comp=None) -> Optional[Tuple[np.ndarray, float]]:
     """One Oja descent run x <- x - eta (u^T B x) u on the form x^T B x.
 
-    B is ``parent`` itself when ``g`` is None and the virtual G^T A G
-    otherwise; ``affine = (alpha, denom, shift)`` further maps every answer
-    q(u, v) to (q - alpha u.v) / denom + shift u.v.  The iterate x lives in
-    B's space and its image xi = G x (x itself without G) is maintained
-    alongside, so every query is asked on ``parent``: t = u^T B u, then
-    s = u^T B x.  Directions u are standard Gaussian, drawn after x in
-    blocks of at most 64 rows, each block mapped through G by one product,
-    and no further block is drawn once the run stops.
+    B is ``parent`` itself when ``g`` is None and G^T A G otherwise;
+    ``affine = (alpha, denom, shift)`` further maps every answer q(u, v) to
+    (q - alpha u.v) / denom + shift u.v.  The iterate x lives in B's space.
+    Each step asks two vmv queries, t = u^T B u, then s = u^T B x, and every
+    query is charged to ``parent``.  Directions u are standard Gaussian,
+    drawn after x in blocks of at most 64 rows, and no further block is
+    drawn once the run stops.
 
     A drawn block is fixed before any of its answers is read, so both
-    queries of a step are read from a ``parent.directions`` handle: the
-    simulator forms A U for the block's images in chunks of 4, 8, 16 and
-    36 columns, each when the run first reaches it, and a step then costs
-    O(d) work for the same two charged vmv queries.
+    queries of a step are read from a direction handle, at O(len(u)) work
+    per read, on one of two paths:
+
+      * images: the block is mapped through G by one product and read from
+        ``parent.directions``, which forms A U for the images in chunks of
+        4, 8, 16 and 36 columns, each when the run first reaches it; the
+        image xi = G x is kept alongside x (xi is x without G).
+      * m-space: ``comp``, a ``parent.compressed(g)`` handle, answers the
+        whole block from B U, and x is kept in m dimensions only.
+
+    Without ``comp`` every block takes the image path.  With it, a run
+    reads its first block on the image path unless the handle already
+    holds B, and every later block in m-space; so B is formed at the first
+    read of some run's second block, once per handle.  The rule exists
+    because rejections stop early: every one seen on the cluster families
+    stops inside its first block, often at the start query, and forming B
+    there (one A G product, dearer than a 4-column chunk) would only add
+    cost.
 
     The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
     is exact algebra; once it falls below -OJA_MARGIN * up * max(1, |x|^2),
-    one direct query confirms it.  Returns (xi, value) for a confirmed
-    negative value, xi being the vector the confirming query saw, and None
-    after ``iters`` steps or when the run blows up (the step size is far
-    too large for the scale ``up``).
+    one direct query on ``parent`` at xi confirms it (in m-space xi = G x is
+    built for it).  Returns (xi, value) for a confirmed negative value, xi
+    being the vector the confirming query saw, and None after ``iters``
+    steps or when the run blows up (the step size is far too large for the
+    scale ``up``).
     """
     x = gen.standard_normal(parent.dim if g is None else g.shape[1])
     xi = x if g is None else g @ x
@@ -187,31 +208,49 @@ def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
     left = iters
     while left > 0:
         us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
+        first = left == iters
         left -= len(us)
-        uis = us if g is None else us @ g.T
-        for lo, hi in zip(_CHUNK_EDGES, _CHUNK_EDGES[1:]):
-            if lo >= len(us):
-                break
-            block = parent.directions(uis[lo:hi].T)
-            for j, (u, ui) in enumerate(zip(us[lo:hi], uis[lo:hi])):
+        for block, rows, images in _read_blocks(parent, g, comp, us, first):
+            for j, u in enumerate(rows):
                 t = block.quad_form(j)
-                s = block.bilinear(j, xi)
+                s = block.bilinear(j, x if images is None else xi)
                 if affine is not None:  # keep the two dots off the unshifted runs
                     t = shifted(t, float(u @ u))
                     s = shifted(s, float(u @ x))
                 es = eta * s
                 x = x - es * u
-                xi = x if g is None else xi - es * ui
+                if images is not None:
+                    xi = x if g is None else xi - es * images[j]
                 f -= eta * s * s * (2.0 - eta * t)
                 norm_sq = float(x @ x)
                 if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
                     return None
                 if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
+                    if images is None:
+                        xi = g @ x
                     confirmed = direct()
                     if confirmed < 0.0:
                         return xi, confirmed
                     f = confirmed  # maintained value had drifted; resynchronize
     return None
+
+
+def _read_blocks(parent, g, comp, us, first):
+    """Direction handles for one drawn block, as (handle, rows, images).
+
+    ``images`` holds the rows' images under G (the rows themselves without
+    G) on the image path, one handle per chunk, each built when the run
+    first reaches it; it is None on the m-space path, one handle for the
+    whole block.  See ``_descend`` for which path a block takes.
+    """
+    if comp is not None and (comp.formed or not first):
+        yield comp.directions(us.T), us, None
+        return
+    uis = us if g is None else us @ g.T
+    for lo, hi in zip(_CHUNK_EDGES, _CHUNK_EDGES[1:]):
+        if lo >= len(us):
+            return
+        yield parent.directions(uis[lo:hi].T), us[lo:hi], uis[lo:hi]
 
 
 def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
@@ -225,8 +264,12 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     one ``_descend`` from a Gaussian start.  G has i.i.d. N(0, 1/d)
     entries, which keeps the trace norm within a factor 2 and pushes any
     eigenvalue below -eps*||A||_1 to below half its (normalized) depth with
-    constant probability once m = O(1/eps).  B is never formed: every query
-    is asked on ``op`` at images under G.
+    constant probability once m = O(1/eps).  The runs of one repetition
+    share one ``op.compressed(g)`` handle: a run's first drawn block is
+    asked on ``op`` at images under G, and once any run reads a second
+    block the simulator forms B, uncounted, and every later step reads from
+    it in m dimensions (see ``_descend``).  Every read is still charged to
+    ``op`` as the query it stands for.
 
     The maintained f = x^T B x can only go negative when some quadratic
     form is genuinely negative; before rejecting, the current iterate is
@@ -246,11 +289,13 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     for _ in range(cfg.amplification):
         g = (gen.standard_normal((op.dim, m)) / math.sqrt(op.dim)
              if m < op.dim else None)
+        comp = None if g is None else op.compressed(g)
         lo, up = schatten1_scale_estimate(op, g, gen)
         if up <= 0.0:
             continue  # probe says B p = 0; nothing to descend on
         for trial_norm in _scale_grid(lo, up, cfg.eta_scales):
-            hit = _descend(op, g, cfg.eta / trial_norm, cfg.max_iters, gen, up)
+            hit = _descend(op, g, cfg.eta / trial_norm, cfg.max_iters, gen, up,
+                           comp=comp)
             if hit is not None:
                 witness, value = hit
                 return Verdict(is_psd=False, witness=witness,

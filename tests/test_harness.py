@@ -334,6 +334,23 @@ def test_calibrate_validates():
         calibrate("embed_rows", trials=0)
 
 
+def test_calibrate_refuses_blas_bound_reports_off_one_thread(tmp_path,
+                                                             monkeypatch):
+    def sweep(seed0, trials):
+        raise AssertionError("the sweep ran before the thread check")
+
+    out = tmp_path / "out"
+    for suite in ("c_psd", "kappa_sketch"):
+        monkeypatch.setitem(harness._SUITE_FNS, suite, sweep)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        with pytest.raises(ConfigError, match=r"OPENBLAS_NUM_THREADS.*defaults\.py"):
+            calibrate(suite, seed0=0, out_dir=out)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        with pytest.raises(ConfigError, match="OPENBLAS_NUM_THREADS"):
+            calibrate(suite, seed0=0, out_dir=out)
+    assert not out.exists()
+
+
 def test_calibrate_embed_rows_writes_a_reproducible_report(tmp_path):
     constants, report = calibrate("embed_rows", seed0=0, trials=2,
                                   out_dir=tmp_path)

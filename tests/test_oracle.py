@@ -263,13 +263,19 @@ def test_block_queries_over_shapes(d, kx, ky, seed):
     _check_block_queries(op, op.dense(), x, y, _block_scale(op.dense(), x, y))
 
 
-def _check_directions(op, u, y):
-    """Charges and values of every read of a directions handle on U."""
+def _check_directions(op, u, y, comp=None, g=None):
+    """Charges and values of every read of a directions handle on U: on A,
+    or on B = G^T A G through ``comp``, a compressed handle on g."""
     dense = op.dense()
     before = (op.mv_queries, op.vmv_queries)
-    handle = op.directions(u)
+    if comp is None:
+        handle = op.directions(u)
+        nrm = float(np.linalg.norm(dense, 2))
+    else:
+        handle = comp.directions(u)
+        nrm = float(np.linalg.norm(dense, 2) * np.linalg.norm(g, 2) ** 2)
+        dense = g.T @ dense @ g
     assert (op.mv_queries, op.vmv_queries) == before
-    nrm = float(np.linalg.norm(dense, 2))
     reads = 0
     for j in range(u.shape[1]):
         uj = u[:, j]
@@ -318,6 +324,55 @@ def test_direction_reads_check_their_arguments_before_charging():
               [1.0] * 4):
         with pytest.raises(ValueError, match="bilinear expects"):
             handle.bilinear(0, y)
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
+def test_compressed_reads_charge_one_vmv_each_and_match_dense():
+    rng = rng_from(35)
+    a = rng.standard_normal((12, 12))
+    op = SymmetricOperator(a + a.T)
+    g = rng.standard_normal((12, 4))
+    comp = op.compressed(g)
+    assert not comp.formed and op.vmv_queries == 0
+    g_copy = g.copy()
+    g[:] = 0.0  # the handle keeps its own G
+    for n in (3, 5):  # the second block is read from the same B
+        _check_directions(op, rng.standard_normal((4, n)),
+                          rng.standard_normal(4), comp, g_copy)
+        assert comp.formed
+    # B is exactly symmetric, as the backing is: read entrywise through
+    # unit directions, b_ij and b_ji are the same float.
+    eye = np.eye(4)
+    entries = comp.directions(eye)
+    for i in range(4):
+        for j in range(4):
+            assert entries.bilinear(i, eye[j]) == entries.bilinear(j, eye[i])
+    assert op.mv_queries == 0 and op.vmv_queries == 16 + 32
+
+
+def test_compressed_rejects_bad_maps_and_blocks_and_charges_nothing():
+    op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
+    bad = np.ones((3, 2))
+    for value in (np.nan, np.inf, -np.inf):
+        bad[1, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            op.compressed(bad)
+    for shape in ((3,), (2, 2), (4, 1), (3, 1, 1)):
+        with pytest.raises(ValueError, match="compressed expects"):
+            op.compressed(np.ones(shape))
+    comp = op.compressed(np.ones((3, 2)))
+    bad = np.ones((2, 2))
+    for value in (np.nan, np.inf, -np.inf):
+        bad[0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            comp.directions(bad)
+    for shape in ((2,), (3, 2), (1, 1), (2, 1, 1)):
+        with pytest.raises(ValueError, match="directions expects"):
+            comp.directions(np.ones(shape))
+    assert not comp.formed
+    handle = comp.directions(np.ones((2, 1)))
+    with pytest.raises(ValueError, match="bilinear expects"):
+        handle.bilinear(0, np.ones(3))
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 

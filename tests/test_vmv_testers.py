@@ -10,6 +10,7 @@ import pytest
 from psdprobe import defaults
 from psdprobe.harness import instance_operator
 from psdprobe.oracle import (
+    Compression,
     SpectrumInstance,
     SymmetricOperator,
     gen_rotated_diag,
@@ -115,9 +116,11 @@ def oja_step(op, x, eta, rng, g=None):
 class RecordingOperator(SymmetricOperator):
     """Symmetric operator that logs every scalar answer in query order.
 
-    Reads through a ``directions`` handle are logged too.  Each entry is
-    (answer, scale), the scale being ||A||_2 |x| |y| for the query x^T A y,
-    which bounds the rounding error of any way of computing the answer.
+    Reads through a ``directions`` handle, and through the direction
+    handles of a ``compressed`` one, are logged too.  Each entry is
+    (answer, scale), the scale being ||M||_2 |x| |y| for the query x^T M y
+    (M is A, or B = G^T A G for a compressed read), which bounds the
+    rounding error of any way of computing the answer.
     """
 
     def __init__(self, matrix):
@@ -125,9 +128,10 @@ class RecordingOperator(SymmetricOperator):
         self.answers = []
         self._norm = float(np.linalg.norm(self.dense(), 2))
 
-    def _log(self, out, x, y):
-        self.answers.append((out, self._norm * float(np.linalg.norm(x)
-                                                     * np.linalg.norm(y))))
+    def _log(self, out, x, y, norm=None):
+        norm = self._norm if norm is None else norm
+        self.answers.append((out, norm * float(np.linalg.norm(x)
+                                               * np.linalg.norm(y))))
         return out
 
     def quad_form(self, x):
@@ -137,19 +141,38 @@ class RecordingOperator(SymmetricOperator):
         return self._log(super().bilinear(x, y), x, y)
 
     def directions(self, u):
-        return _RecordingDirections(self, super().directions(u), u)
+        return _RecordingDirections(self, super().directions(u), u, self._norm)
+
+    def compressed(self, g):
+        return _RecordingCompression(self, super().compressed(g), g)
 
 
 class _RecordingDirections:
-    def __init__(self, op, block, u):
+    def __init__(self, op, block, u, norm):
         self._op, self._block, self._u = op, block, np.array(u)
+        self._norm = norm
 
     def quad_form(self, j):
         u = self._u[:, j]
-        return self._op._log(self._block.quad_form(j), u, u)
+        return self._op._log(self._block.quad_form(j), u, u, self._norm)
 
     def bilinear(self, j, y):
-        return self._op._log(self._block.bilinear(j, y), self._u[:, j], y)
+        return self._op._log(self._block.bilinear(j, y), self._u[:, j], y,
+                             self._norm)
+
+
+class _RecordingCompression:
+    def __init__(self, op, comp, g):
+        self._op, self._comp = op, comp
+        self._norm = float(np.linalg.norm(g.T @ op.dense() @ g, 2))
+
+    @property
+    def formed(self):
+        return self._comp.formed
+
+    def directions(self, u):
+        return _RecordingDirections(self._op, self._comp.directions(u), u,
+                                    self._norm)
 
 
 def reference_descent(op, eta, iters, gen, up):
@@ -404,12 +427,41 @@ def test_descend_through_a_sketch_matches_reference_step_loop(lam, eta, up,
         np.testing.assert_allclose(got[0], g @ want[0], rtol=1e-12)
 
 
-def _check_descend_against_reference(a, g, eta, up, n_answers):
+@pytest.mark.parametrize("lam,eta,n_answers,rejects", [
+    # PSD: blocks two and three are read from B U.
+    (tuple(np.linspace(0.1, 1.0, 12)), 0.05, 1 + 2 * 150, False),
+    # G^T A G indefinite: the confirmed hit comes at step 80, in the second
+    # block, so the confirming query is asked at G x built from m-space x.
+    (tuple([-0.2] + [0.8 / 11] * 11), 0.05, 1 + 2 * 80 + 1, True),
+    # Step too large for the scale: the run blows up at step 86, in m-space.
+    (tuple([-1.0] + [1.0] * 11), 3.0, 1 + 2 * 86, False),
+])
+def test_descend_in_m_space_matches_reference_step_loop(lam, eta, n_answers,
+                                                        rejects):
+    # With a compressed handle the first block is read at images G u on A
+    # and every later block from B U in 8 dimensions; the reference runs
+    # on the dense G^T A G.  The answers agree to rounding, in one order,
+    # and the witness is G times the reference's.
+    a = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=3)).dense()
+    g = rng_from(22).standard_normal((12, 8)) / math.sqrt(12)
+    got, want = _check_descend_against_reference(a, g, eta, 1.0, n_answers,
+                                                 in_m_space=True)
+    assert (got is not None) == (want is not None) == rejects
+    if got is not None:
+        np.testing.assert_allclose(got[0], g @ want[0], rtol=1e-12)
+
+
+def _check_descend_against_reference(a, g, eta, up, n_answers,
+                                     in_m_space=False):
     """Run ``_descend`` on A through g and the reference loop on G^T A G
-    (A itself when g is None) from one seed; check the answers agree."""
+    (A itself when g is None) from one seed; check the answers agree.
+    ``in_m_space`` hands the descent a compressed handle on g, and checks
+    the run formed B."""
     op = RecordingOperator(a)
     ref_op = RecordingOperator(a if g is None else g.T @ a @ g)
-    got = _descend(op, g, eta, 150, rng_from(21), up)
+    comp = op.compressed(g) if in_m_space else None
+    got = _descend(op, g, eta, 150, rng_from(21), up, comp=comp)
+    assert comp is None or comp.formed
     want = reference_descent(ref_op, eta, 150, rng_from(21), up)
     assert len(op.answers) == len(ref_op.answers) == n_answers
     assert op.vmv_queries == ref_op.vmv_queries == n_answers
@@ -444,6 +496,48 @@ def test_descend_resynchronizes_after_drift_and_keeps_running():
     assert _descend(op, None, 0.05, 150, rng_from(21), 5.5) is None
     # start + 150 steps of two reads + exactly one confirming query
     assert op.vmv_queries == 1 + 2 * 150 + 1
+
+
+class _FormCountingOperator(SymmetricOperator):
+    """Counts how often its compressed handles form B = G^T A G."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.forms = 0
+
+    def compressed(self, g):
+        return _FormCountingCompression(self, g)
+
+
+class _FormCountingCompression(Compression):
+    def _form(self):
+        self._owner.forms += 1
+        return super()._form()
+
+
+@pytest.mark.parametrize("seed,queries", [(6, 28), (5, 39)])
+def test_oja_rejection_in_the_first_block_never_forms_b(seed, queries):
+    # cluster_l1 d128 (m = 27): seed 6 rejects on the start query, seed 5
+    # on a confirmed value a few steps in (BYTE_TABLE rows).
+    op = _FormCountingOperator(
+        instance_operator({"kind": "cluster_l1", "dim": 128}, 0.3, 1.0, seed).dense())
+    v = oja_l1_tester(op, 0.3, rng=seed)
+    assert (v.is_psd, v.queries_used) == (False, queries)
+    assert op.forms == 0
+
+
+def test_oja_forms_b_once_per_repetition_and_adaptive_l2_never():
+    # random_psd d64 through 27 columns: every repetition runs 11 step-size
+    # scales, most of them for many draw blocks, on one handle.
+    dense = instance_operator({"kind": "random_psd", "dim": 64}, 0.3, 1.0, 5).dense()
+    for amplification in (1, 2):
+        op = _FormCountingOperator(dense)
+        cfg = OjaConfig.from_eps(0.3, dim=64, amplification=amplification)
+        assert oja_l1_tester(op, 0.3, cfg, rng=5).is_psd
+        assert op.forms == amplification
+    op = _FormCountingOperator(dense)
+    adaptive_l2_tester(op, 0.5, rng=5)
+    assert op.forms == 0
 
 
 # (tester, instance kind, dim, eps, p, seed) -> (is_psd, queries_used,
