@@ -68,8 +68,20 @@ __all__ = [
     "scaling_report",
 ]
 
-TESTERS = ("oja_l1", "bilinear_sketch", "adaptive_l2", "nonadaptive_l1",
-           "krylov", "nonadaptive_mv", "spectrum", "spectrum_adaptive")
+# The constants each tester reads from ExperimentConfig.constants, with the
+# type each is passed as.
+_TESTER_CONSTANTS = {
+    "oja_l1": {"amplification": int, "iter_scale": float},
+    "bilinear_sketch": {"c_psd": float, "kappa": float},
+    "adaptive_l2": {"c_psd": float},
+    "nonadaptive_l1": {"repeats": int, "kappa": float},
+    "krylov": {"repeats": int, "kappa": float},
+    "nonadaptive_mv": {"repeats": int, "kappa": float},
+    "spectrum": {"k": int},
+    "spectrum_adaptive": {"k": int},
+}
+
+TESTERS = tuple(_TESTER_CONSTANTS)
 
 CALIBRATION_SUITES = ("c_psd", "kappa_sketch", "kappa_oja", "kappa_krylov",
                       "embed_rows")
@@ -103,9 +115,11 @@ class ExperimentConfig:
     spikes) and "gap" (strictly inside the promise gap; excluded from rate
     denominators).  All of these need a "dim" entry.
 
-    ``constants`` overrides named calibration constants; recognized keys are
-    kappa, c_psd, repeats, amplification, iter_scale (testers) and k (rank
-    for the spectrum testers).  Every value must be positive.
+    ``constants`` overrides named calibration constants.  Each tester reads
+    its own set (``_TESTER_CONSTANTS``): kappa, c_psd, repeats,
+    amplification or iter_scale, and k (the rank of the spectrum testers);
+    any other name is an error.  Every value must be a finite positive
+    number, and a whole number where the tester reads an integer.
     """
 
     tester: str
@@ -135,13 +149,20 @@ class ExperimentConfig:
             raise ConfigError(f"p must be >= 1, got {self.p}")
         if not isinstance(self.constants, dict):
             raise ConfigError("constants must be a dict")
+        reads = _TESTER_CONSTANTS[self.tester]
         for name, value in self.constants.items():
+            if name not in reads:
+                raise ConfigError(f"tester {self.tester} reads no constant "
+                                  f"{name!r}; it reads {', '.join(reads)}")
             try:
-                positive = float(value) > 0.0
+                number = float(value)
             except (TypeError, ValueError):
-                positive = False
-            if not positive:
-                raise ConfigError(f"constant {name!r} must be a positive "
+                number = math.nan
+            if not 0.0 < number < math.inf:
+                raise ConfigError(f"constant {name!r} must be a finite "
+                                  f"positive number, got {value!r}")
+            if reads[name] is int and not number.is_integer():
+                raise ConfigError(f"constant {name!r} must be a whole "
                                   f"number, got {value!r}")
 
 
@@ -326,11 +347,6 @@ class _TesterOutput:
     witness_valid: Optional[bool]
 
 
-def _constant(cons: dict, name: str, cast=float):
-    value = cons.get(name)
-    return None if value is None else cast(value)
-
-
 def _sign_match(a: float, b: float) -> bool:
     if a > 0.0:
         return b > 0.0
@@ -369,9 +385,8 @@ def _spectrum_guarantee(values: Sequence[float], eigs: np.ndarray, k: int,
     return held, float(normalized), (signs_ok if held else None)
 
 
-def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator,
-                    seed: int) -> _TesterOutput:
-    k = int(cfg.constants.get("k", 1))
+def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator, seed: int,
+                    k: int = 1) -> _TesterOutput:
     estimator = (top_eigs_signed_adaptive if cfg.tester == "spectrum_adaptive"
                  else top_eigs_signed)
     est = estimator(op, k, cfg.eps, rng=seed)
@@ -384,37 +399,27 @@ def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator,
 
 def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
               seed: int) -> _TesterOutput:
-    cons = cfg.constants
+    kw = {name: cast(cfg.constants[name])
+          for name, cast in _TESTER_CONSTANTS[cfg.tester].items()
+          if name in cfg.constants}
     if cfg.tester == "oja_l1":
-        oja_cfg = None
-        if "amplification" in cons or "iter_scale" in cons:
-            oja_cfg = OjaConfig.from_eps(
-                cfg.eps, dim=op.dim,
-                amplification=_constant(cons, "amplification", int),
-                iter_scale=_constant(cons, "iter_scale"))
+        oja_cfg = OjaConfig.from_eps(cfg.eps, dim=op.dim, **kw) if kw else None
         v = oja_l1_tester(op, cfg.eps, oja_cfg, rng=seed)
     elif cfg.tester == "bilinear_sketch":
-        v = bilinear_sketch_tester(op, cfg.eps, _constant(cons, "c_psd"),
-                                   rng=seed, kappa=_constant(cons, "kappa"))
+        v = bilinear_sketch_tester(op, cfg.eps, rng=seed, **kw)
     elif cfg.tester == "adaptive_l2":
-        v = adaptive_l2_tester(op, cfg.eps, rng=seed,
-                               c_psd=_constant(cons, "c_psd"))
+        v = adaptive_l2_tester(op, cfg.eps, rng=seed, **kw)
     elif cfg.tester == "nonadaptive_l1":
-        v = nonadaptive_l1_tester(op, cfg.eps,
-                                  repeats=_constant(cons, "repeats", int),
-                                  rng=seed, kappa=_constant(cons, "kappa"))
+        v = nonadaptive_l1_tester(op, cfg.eps, rng=seed, **kw)
     elif cfg.tester == "krylov":
         # The harness knows the instance's eigenvalues anyway, so the tester
         # gets the true Schatten norm rather than a side estimate.
         v = krylov_tester(op, cfg.eps, cfg.p, op.schatten_norm(cfg.p),
-                          repeats=_constant(cons, "repeats", int),
-                          rng=seed, kappa=_constant(cons, "kappa"))
+                          rng=seed, **kw)
     elif cfg.tester == "nonadaptive_mv":
-        v = nonadaptive_mv_tester(op, cfg.eps, cfg.p,
-                                  repeats=_constant(cons, "repeats", int),
-                                  rng=seed, kappa=_constant(cons, "kappa"))
+        v = nonadaptive_mv_tester(op, cfg.eps, cfg.p, rng=seed, **kw)
     else:
-        return _spectrum_trial(cfg, op, seed)
+        return _spectrum_trial(cfg, op, seed, **kw)
     return _TesterOutput(verdict=v.is_psd, statistic=v.statistic,
                          witness=v.witness, declared=v.queries_used,
                          witness_valid=None)
@@ -749,8 +754,7 @@ def _calibrate_kappa_krylov(seed0: int,
     exponent = None
     if chosen is not None:
         fit_rows = _scaling_rows("krylov", 1.0, (0.2, 0.1, 0.05, 0.02), (256,),
-                                 trials=max(10, n // 2), seed0=seed0,
-                                 target=0.9)
+                                 trials=max(10, n // 2), seed0=seed0)
         exponent = _loglog_slopes(fit_rows, "knob")["vs_inv_eps"]
     constants = {} if chosen is None else {"KRYLOV_KAPPA": chosen}
     report = {"suite": "kappa_krylov", "seed0": seed0, "trials_per_cell": n,
@@ -916,9 +920,13 @@ def _knob_cap(tester: str, d: int, eps: float) -> int:
     return d
 
 
+# The reject rate a scaling cell's knob must reach.
+_SCALING_TARGET = 0.9
+
+
 def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
-                  seed0: int, target: float) -> dict:
-    """Minimal integer knob whose reject rate reaches the target.
+                  seed0: int) -> dict:
+    """Minimal integer knob whose reject rate reaches ``_SCALING_TARGET``.
 
     Doubling finds an upper bracket, bisection closes it (to a ~12% window
     for the Oja iteration knob, exactly elsewhere).  Instances are rebuilt
@@ -945,7 +953,7 @@ def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
         return evals[knob]
 
     hi = 1
-    while evaluate(hi)[0] < target:
+    while evaluate(hi)[0] < _SCALING_TARGET:
         if hi >= cap:
             rate, q_mean, q_max = evals[hi]
             return {"tester": tester, "p": p, "eps": eps, "d": d,
@@ -957,7 +965,7 @@ def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
     slack = (lambda: max(1, lo // 8)) if tester == "oja_l1" else (lambda: 1)
     while hi - lo > slack():
         mid = (lo + hi) // 2
-        if evaluate(mid)[0] >= target:
+        if evaluate(mid)[0] >= _SCALING_TARGET:
             hi = mid
         else:
             lo = mid
@@ -968,8 +976,8 @@ def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
 
 
 def _scaling_rows(tester: str, p: float, eps_list, d_list, *, trials: int,
-                  seed0: int, target: float) -> List[dict]:
-    return [_scaling_cell(tester, p, eps, d, trials, seed0, target)
+                  seed0: int) -> List[dict]:
+    return [_scaling_cell(tester, p, eps, d, trials, seed0)
             for eps in eps_list for d in d_list]
 
 
@@ -1006,13 +1014,12 @@ def _loglog_slopes(rows: Sequence[dict],
 
 def scaling_report(tester: str, p: float, eps_list: Sequence[float],
                    d_list: Sequence[int], *, trials: int = 20,
-                   seed0: int = 0, target: float = 0.9,
-                   out_path=None) -> dict:
+                   seed0: int = 0, out_path=None) -> dict:
     """Minimal query budgets over an (eps, d) grid plus log-log slope fits.
 
     Per cell, the tester's size knob (Oja iterations, sketch columns, Krylov
     degree, matvec columns) is bisected for the smallest value whose reject
-    rate on freshly drawn far instances reaches the target; the reported
+    rate on freshly drawn far instances reaches 0.9; the reported
     budget is the measured oracle query count at that knob.  The instances
     are the hard trace-norm family for the l1 testers and the Frobenius
     boundary family for nonadaptive_mv (see the spectrum builders above).
@@ -1038,10 +1045,12 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
             raise ConfigError(f"dims must be integers >= 8, got {d!r}")
     if not p >= 1.0:
         raise ConfigError(f"p must be >= 1, got {p}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
     rows = _scaling_rows(tester, p, tuple(eps_list), tuple(d_list),
-                         trials=trials, seed0=seed0, target=target)
+                         trials=trials, seed0=seed0)
     report = {"tester": tester, "p": p, "trials": trials, "seed0": seed0,
-              "target": target, "rows": rows,
+              "target": _SCALING_TARGET, "rows": rows,
               "slopes": _loglog_slopes(rows),
               "size_slopes": _loglog_slopes(rows, "knob")}
     if out_path is not None:

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import defaults
 from .oracle import SeedLike, rng_from
 
 __all__ = [
@@ -56,19 +57,17 @@ def trace_estimate(op, rng: SeedLike) -> float:
     return float(np.median(vals))
 
 
-def frobenius_estimate(op, eps_fail: float, rng: SeedLike) -> float:
-    """Frobenius norm estimate within a factor of 2, failure prob <= eps_fail.
+def frobenius_estimate(op, rng: SeedLike) -> float:
+    """Frobenius norm estimate within a factor of 2, failure prob FROB_EPS_FAIL.
 
     Each repetition draws an independent pair of d x FROB_BLOCK Gaussian
     blocks and averages the squared bilinear probes g_i^T A h_j, which is
-    unbiased for ||A||_F^2; the median over ceil(8 ln(1/eps_fail))
+    unbiased for ||A||_F^2; the median over ceil(8 ln(1/FROB_EPS_FAIL))
     repetitions gives the tail bound.  Returns sqrt of the median, i.e. an
     estimate of ||A||_F itself.  A zero operator yields exactly 0.
     """
-    if not 0 < eps_fail < 1:
-        raise ValueError(f"eps_fail must be in (0, 1), got {eps_fail}")
     gen = rng_from(rng)
-    reps = max(1, math.ceil(8.0 * math.log(1.0 / eps_fail)))
+    reps = max(1, math.ceil(8.0 * math.log(1.0 / defaults.FROB_EPS_FAIL)))
     d = op.dim
     estimates = np.empty(reps)
     for t in range(reps):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .oracle import SeedLike, rng_from
-from .vmv_testers import ONE_SIDED, Verdict, _queries_on
+from .vmv_testers import ONE_SIDED, Verdict, _fixed_sketch_tester, _queries_on
 
 __all__ = [
     "KrylovSpace",
@@ -33,8 +33,9 @@ class KrylovSpace:
 
     ``basis`` holds the orthonormal vectors spanning {g, Ag, ..., A^k g}
     column-wise; ``projected`` the dense symmetric restriction of A to the
-    basis.  When the iteration hits an invariant subspace early, the basis
-    has fewer than k+1 columns and ``degenerate`` is set.
+    basis.  Building it costs at most k+1 mv; fewer only on an invariant
+    subspace, where the basis has fewer than k+1 columns and ``degenerate``
+    is set.
     """
 
     basis: np.ndarray
@@ -49,59 +50,37 @@ _DROP_TOL = 1e-10
 def build_krylov(op, k: int, seed: SeedLike) -> KrylovSpace:
     """Build the degree-k Krylov space of op from a Gaussian start.
 
-    Uses exactly k+1 matvec queries: the power iterates give the images
-    A b of the raw vectors for free, except for the last one, which needs
-    its own product.  Orthonormalization is modified Gram-Schmidt with a
-    reorthogonalization pass, and the images are carried through with the
-    same coefficients, so the projected matrix costs no further queries.
+    One Lanczos loop with full reorthogonalization: step i asks one mv at
+    the orthonormal vector q_i, projects the answer off q_0..q_i twice, and
+    normalizes the rest into q_{i+1}.  At most k+1 mv; fewer only on an
+    invariant subspace, where the rest falls to ``_DROP_TOL`` times
+    |A q_i| (A q_i = 0 included) and ``degenerate`` is set.  The projected
+    matrix is the symmetrized Q^T [A q_0 ... A q_r], read straight from the
+    answers.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
     if k + 1 > op.dim:
         raise ValueError(f"need k + 1 <= dim, got k={k} at dim {op.dim}")
-    gen = rng_from(seed, 0x4B17)
-    cur = gen.standard_normal(op.dim)
-    cur /= float(np.linalg.norm(cur))
-    iterates = []
-    images = []
+    q = np.empty((op.dim, k + 1), order="F")
+    images = np.empty((op.dim, k + 1), order="F")
+    start = rng_from(seed, 0x4B17).standard_normal(op.dim)
+    q[:, 0] = start / float(np.linalg.norm(start))
     for i in range(k + 1):
-        iterates.append(cur)
-        img = op.mat_vec(cur)
-        images.append(img)
-        if i < k:
-            nrm = float(np.linalg.norm(img))
-            if nrm == 0.0:
-                break  # A annihilated the iterate; the space is complete
-            cur = img / nrm
-
-    basis = []
-    basis_images = []
-    degenerate = len(iterates) < k + 1
-    for vec, img in zip(iterates, images):
-        b = vec.copy()
-        w = img.copy()
-        orig = float(np.linalg.norm(b))
-        for passes in range(2):
-            for bq, wq in zip(basis, basis_images):
-                r = float(bq @ b)
-                b -= r * bq
-                w -= r * wq
-            # Krylov iterates are nearly collinear, so the residual almost
-            # always shrinks; rerun the projections unless nothing was lost.
-            if float(np.linalg.norm(b)) >= (1.0 - 1e-8) * orig:
-                break
-        nb = float(np.linalg.norm(b))
-        if nb <= _DROP_TOL * orig:
-            degenerate = True
+        images[:, i] = op.mat_vec(q[:, i])
+        if i == k:
             break
-        basis.append(b / nb)
-        basis_images.append(w / nb)
-
-    b_mat = np.column_stack(basis)
-    proj = b_mat.T @ np.column_stack(basis_images)
-    proj = (proj + proj.T) / 2.0
-    return KrylovSpace(basis=b_mat, projected=proj, k=k,
-                       degenerate=degenerate)
+        w = images[:, i].copy()
+        for _ in range(2):
+            w -= q[:, :i + 1] @ (q[:, :i + 1].T @ w)
+        norm = float(np.linalg.norm(w))
+        if norm <= _DROP_TOL * float(np.linalg.norm(images[:, i])):
+            break
+        q[:, i + 1] = w / norm
+    r = i + 1
+    proj = q[:, :r].T @ images[:, :r]
+    return KrylovSpace(basis=q[:, :r], projected=(proj + proj.T) / 2.0, k=k,
+                       degenerate=r < k + 1)
 
 
 def krylov_degree(eps: float, p: float, d: int,
@@ -185,25 +164,10 @@ def nonadaptive_mv_tester(op, eps: float, p: float, *,
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    repeats = defaults.NONADAPT_REPEATS if repeats is None else repeats
-    kappa = defaults.NONADAPT_KAPPA if kappa is None else kappa
-    gen = rng_from(rng, 0x0AD2)
-    start = _queries_on(op)
-    d = op.dim
-    m = min(d, math.ceil(kappa * d ** (1.0 - 1.0 / p) / eps))
-    lam_last = None
-    for _ in range(repeats):
-        g = gen.standard_normal((d, m)) / math.sqrt(d)
+
+    def read(g: np.ndarray) -> np.ndarray:
         s = g.T @ op.mat_vecs(g)
-        s = (s + s.T) / 2.0
-        w, v = np.linalg.eigh(s)
-        lam_last = float(w[0])
-        noise_floor = 1e-9 * float(np.linalg.norm(s, "fro"))
-        if w[0] < -noise_floor:
-            witness = g @ v[:, 0]
-            return Verdict(is_psd=False, witness=witness,
-                           queries_used=_queries_on(op) - start,
-                           mode=ONE_SIDED, statistic=lam_last)
-    return Verdict(is_psd=True, witness=None,
-                   queries_used=_queries_on(op) - start,
-                   mode=ONE_SIDED, statistic=lam_last)
+        return (s + s.T) / 2.0
+
+    return _fixed_sketch_tester(op, eps, p, read, repeats, kappa,
+                                rng_from(rng, 0x0AD2))

@@ -51,7 +51,8 @@ answers ``eigenvalues`` from it after O(d^2) trace and Frobenius checks;
 any other operator (Wishart, spiked, a raw backing) is decomposed once with
 ``eigvalsh``.
 
-Generators produce the instance families used throughout the test suites:
+Generators produce the instance families an experiment config can name
+("rotated_diag", "wishart", "spiked", through ``operator_from_descriptor``):
 rotated diagonal spectra, Wishart matrices, and spiked asymmetric embeddings.
 All randomness comes from explicitly seeded counter-based Philox streams; there
 is no module-level RNG state anywhere in this package.

@@ -358,7 +358,7 @@ def build_sketch(op, k: int, seed: SeedLike) -> SketchState:
     g = gen.standard_normal((op.dim, k))
     s = op.sym_block(g)
     alpha = trace_estimate(op, gen)
-    beta = frobenius_estimate(op, defaults.FROB_EPS_FAIL, gen)
+    beta = frobenius_estimate(op, gen)
     w, v = np.linalg.eigh(s)
     return SketchState(k=k, g=g, s=s, eigvals=w, eigvecs=v, alpha=alpha,
                        beta=beta,
@@ -454,7 +454,7 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
                            mode=TWO_SIDED, statistic=val)
 
     alpha = trace_estimate(op, gen)
-    beta = frobenius_estimate(op, defaults.FROB_EPS_FAIL, gen)
+    beta = frobenius_estimate(op, gen)
     if beta == 0.0:
         return Verdict(is_psd=True, witness=None,
                        queries_used=_queries_on(op) - start,
@@ -495,21 +495,33 @@ def nonadaptive_l1_tester(op, eps: float, *, repeats: Optional[int] = None,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    return _fixed_sketch_tester(op, eps, 1.0, op.sym_block, repeats, kappa,
+                                rng_from(rng, 0x0AD1))
+
+
+def _fixed_sketch_tester(op, eps: float, p: float, read, repeats, kappa,
+                         gen: np.random.Generator) -> Verdict:
+    """The repetition loop of both non-adaptive one-sided testers.
+
+    Each repetition draws G with N(0, 1/d) entries and
+    m = min(d, ceil(kappa d^(1 - 1/p) / eps)) columns (ceil(kappa/eps) at
+    p = 1), reads the symmetric S = G^T A G through ``read(G)`` and rejects,
+    with witness G v, when lambda_min(S) = v^T S v sits below the noise
+    floor 1e-9 ||S||_F.
+    """
     repeats = defaults.NONADAPT_REPEATS if repeats is None else repeats
     kappa = defaults.NONADAPT_KAPPA if kappa is None else kappa
-    gen = rng_from(rng, 0x0AD1)
     start = _queries_on(op)
-    m = min(op.dim, math.ceil(kappa / eps))
+    d = op.dim
+    m = min(d, math.ceil(kappa * d ** (1.0 - 1.0 / p) / eps))
     lam_last = None
     for _ in range(repeats):
-        g = gen.standard_normal((op.dim, m)) / math.sqrt(op.dim)
-        s = op.sym_block(g)
+        g = gen.standard_normal((d, m)) / math.sqrt(d)
+        s = read(g)
         w, v = np.linalg.eigh(s)
         lam_last = float(w[0])
-        noise_floor = 1e-9 * float(np.linalg.norm(s, "fro"))
-        if w[0] < -noise_floor:
-            witness = g @ v[:, 0]
-            return Verdict(is_psd=False, witness=witness,
+        if w[0] < -1e-9 * float(np.linalg.norm(s, "fro")):
+            return Verdict(is_psd=False, witness=g @ v[:, 0],
                            queries_used=_queries_on(op) - start,
                            mode=ONE_SIDED, statistic=lam_last)
     return Verdict(is_psd=True, witness=None,

@@ -194,6 +194,23 @@ def test_config_validation():
         far_config(constants={"kappa": "big"})
 
 
+def test_config_rejects_constants_the_tester_does_not_read():
+    with pytest.raises(ConfigError, match="amplification, iter_scale"):
+        far_config(tester="oja_l1", constants={"kapa": 2.0})
+    with pytest.raises(ConfigError, match="amplification, iter_scale"):
+        far_config(tester="oja_l1", constants={"repeats": 3})
+    with pytest.raises(ConfigError, match="whole number"):
+        far_config(constants={"repeats": 2.7})
+    with pytest.raises(ConfigError, match="whole number"):
+        far_config(tester="spectrum", constants={"k": 1.5})
+    with pytest.raises(ConfigError, match="finite"):
+        far_config(constants={"kappa": math.inf})
+    # A whole number given as a float is passed on as an int.
+    records, _ = run_experiment(far_config(tester="krylov", trials=1,
+                                           constants={"repeats": 2.0}))
+    assert records[0].verdict is False
+
+
 def test_run_experiment_rejects_non_config():
     with pytest.raises(ConfigError):
         run_experiment({"tester": "krylov"})
@@ -255,6 +272,26 @@ def test_run_experiment_krylov_accepts_the_zero_matrix():
     assert [r.verdict for r in records] == [True, True]
     assert all(r.truth is True for r in records)
     assert summary["accept_given_psd"] == 1.0
+
+
+def test_spiked_family_pairs_around_the_shift_and_is_labelled():
+    d, shift = 16, 10.0
+    for spike in (0.0, 3.0):
+        desc = {"kind": "spiked", "dim": d, "s": spike, "shift": shift}
+        op = instance_operator(desc, 0.2, 2.0, seed=3)
+        assert op.dim == 2 * d
+        a = op.dense()
+        sigma = np.linalg.svd(a[:d, d:], compute_uv=False)
+        expected = np.sort(np.concatenate([shift - sigma, shift + sigma]))
+        np.testing.assert_allclose(op.eigenvalues(), expected,
+                                   atol=1e-12 * float(np.abs(expected).max()))
+        records, summary = run_experiment(far_config(
+            tester="krylov", instance=desc, eps=0.2, p=2.0, trials=4))
+        # Above the bulk edge without a spike; a spike of 3 pushes
+        # shift - sigma_1 past -eps ||A||_2.
+        assert [r.truth for r in records] == [spike == 0.0] * 4
+        assert summary["counts"]["gap"] == 0
+        assert all(r.witness_valid for r in records if not r.verdict)
 
 
 def test_run_experiment_spectrum_dispatch():
@@ -384,6 +421,10 @@ def test_scaling_report_validates():
         scaling_report("krylov", 1.0, (1.2,), (32,))
     with pytest.raises(ConfigError):
         scaling_report("krylov", 0.5, (0.2,), (32,))
+    with pytest.raises(ConfigError):
+        scaling_report("krylov", 1.0, (0.2,), (32,), trials=0)
+    with pytest.raises(ConfigError):
+        scaling_report("krylov", 1.0, (0.2,), (32,), trials=2.5)
 
 
 def test_scaling_report_small_grid_resolves_budgets():
@@ -464,6 +505,15 @@ def test_cli_scaling_rejects_bad_grids(tmp_path, capsys):
     assert main(["scaling", "--tester", "spectrum", "--eps", "0.2",
                  "--dims", "32", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_scaling_rejects_trials_below_one(tmp_path, capsys, trials):
+    assert main(["scaling", "--tester", "krylov", "--eps", "0.2",
+                 "--dims", "32", "--trials", trials,
+                 "--out", str(tmp_path)]) == 2
+    assert f"trials must be an integer >= 1, got {trials}" in \
+        capsys.readouterr().err
 
 
 def test_cli_calibrate_exit_codes(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from krylov_certificate import deflation_poly_certificate
+from psdprobe.harness import instance_operator
 from psdprobe.mv_testers import (
     KrylovSpace,
     build_krylov,
@@ -39,7 +40,7 @@ def test_build_krylov_identity_collapses_to_one_dimension():
     space = build_krylov(op, 5, seed=1)
     assert space.basis.shape == (20, 1)
     assert space.degenerate
-    assert op.mv_queries == 6  # queries are spent before the collapse shows
+    assert op.mv_queries == 1  # A g = g: the first answer closes the space
 
 
 def test_build_krylov_two_point_spectrum_is_similar_to_a():
@@ -77,6 +78,26 @@ def test_build_krylov_zero_matrix_stops_after_one_query():
     assert op.mv_queries == 1
     assert space.degenerate
     np.testing.assert_array_equal(space.projected, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("d", [256, 1024])
+def test_build_krylov_keeps_the_full_degree_on_random_psd(d):
+    # eps 0.05 gives k = 33.  A uniform spectrum has no invariant subspace a
+    # Gaussian start can reach, so all k+1 vectors stay, and the projected
+    # matrix read from the answers is Q^T A Q to rounding.
+    k = krylov_degree(0.05, 1, d)
+    assert k == 33
+    for s in range(10):
+        op = instance_operator({"kind": "random_psd", "dim": d}, 0.05, 1.0, s)
+        a = op.dense()
+        space = build_krylov(op, k, seed=s)
+        q = space.basis
+        assert q.shape == (d, k + 1)
+        assert not space.degenerate
+        assert op.mv_queries == k + 1
+        scale = float(np.abs(op.eigenvalues()).max())
+        assert np.abs(space.projected - q.T @ a @ q).max() <= 1e-12 * scale
+        assert np.abs(q.T @ q - np.eye(k + 1)).max() <= 1e-12
 
 
 def test_build_krylov_validates_degree():
