@@ -35,10 +35,8 @@ from .mv_testers import (
     nonadaptive_mv_tester,
 )
 from .spectrum import (
-    SpectrumSketch,
     EigenEstimate,
     affine_embedding,
-    build_spectrum_sketch,
     psd_rank_k_fit,
     estimate_Akplus_sq,
     top_eigs_signed,

@@ -10,14 +10,17 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import List, Optional
 
 from .harness import (CALIBRATION_SUITES, ConfigError, ExperimentConfig,
                       calibrate, run_experiment, scaling_report)
 
-_CONFIG_FIELDS = ("tester", "instance", "eps", "p", "trials", "seed0",
-                  "constants", "output_path")
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+_REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
+                         if f.default is MISSING
+                         and f.default_factory is MISSING)
 
 
 def _float_list(text: str) -> List[float]:
@@ -52,6 +55,9 @@ def _load_config(path: str) -> dict:
     unknown = sorted(set(data) - set(_CONFIG_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+    absent = [name for name in _REQUIRED_FIELDS if name not in data]
+    if absent:
+        raise ConfigError(f"missing config fields: {', '.join(absent)}")
     return data
 
 

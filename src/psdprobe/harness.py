@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -83,9 +84,6 @@ _TESTER_CONSTANTS = {
 
 TESTERS = tuple(_TESTER_CONSTANTS)
 
-CALIBRATION_SUITES = ("c_psd", "kappa_sketch", "kappa_oja", "kappa_krylov",
-                      "embed_rows")
-
 # The one fixed schema downstream plotting relies on.
 CSV_FIELDS = ("seed", "truth", "verdict", "queries_mv", "queries_vmv",
               "statistic", "witness_valid", "wall_time_ms")
@@ -95,6 +93,11 @@ _SPECTRUM_STREAM = 0x1A57  # per-trial instance spectra
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the CLI maps this to exit code 2."""
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true would read as 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,8 @@ class ExperimentConfig:
     its own set (``_TESTER_CONSTANTS``): kappa, c_psd, repeats,
     amplification or iter_scale, and k (the rank of the spectrum testers);
     any other name is an error.  Every value must be a finite positive
-    number, and a whole number where the tester reads an integer.
+    number, and a whole number where the tester reads an integer.  eps, p
+    and the constants must be numbers, not strings or bools.
     """
 
     tester: str
@@ -143,10 +147,11 @@ class ExperimentConfig:
                               f"got {self.trials!r}")
         if not isinstance(self.seed0, int) or isinstance(self.seed0, bool):
             raise ConfigError(f"seed0 must be an integer, got {self.seed0!r}")
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigError(f"eps must be in (0, 1), got {self.eps}")
-        if not self.p >= 1.0:
-            raise ConfigError(f"p must be >= 1, got {self.p}")
+        if not (_is_number(self.eps) and 0.0 < self.eps < 1.0):
+            raise ConfigError(f"eps must be a number in (0, 1), "
+                              f"got {self.eps!r}")
+        if not (_is_number(self.p) and self.p >= 1.0):
+            raise ConfigError(f"p must be a number >= 1, got {self.p!r}")
         if not isinstance(self.constants, dict):
             raise ConfigError("constants must be a dict")
         reads = _TESTER_CONSTANTS[self.tester]
@@ -154,10 +159,7 @@ class ExperimentConfig:
             if name not in reads:
                 raise ConfigError(f"tester {self.tester} reads no constant "
                                   f"{name!r}; it reads {', '.join(reads)}")
-            try:
-                number = float(value)
-            except (TypeError, ValueError):
-                number = math.nan
+            number = float(value) if _is_number(value) else math.nan
             if not 0.0 < number < math.inf:
                 raise ConfigError(f"constant {name!r} must be a finite "
                                   f"positive number, got {value!r}")
@@ -813,6 +815,8 @@ _SUITE_FNS = {
     "kappa_krylov": _calibrate_kappa_krylov,
     "embed_rows": _calibrate_embed_rows,
 }
+
+CALIBRATION_SUITES = tuple(_SUITE_FNS)
 
 
 # Suites whose report digits depend on the BLAS thread count (their gamma

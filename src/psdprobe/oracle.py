@@ -60,7 +60,6 @@ is no module-level RNG state anywhere in this package.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -151,9 +150,8 @@ class SymmetricOperator:
     Scalar queries check that their vectors have shape (dim,) and block
     queries that their blocks are (dim, n) and finite, both before any
     charge.  A block query costs one BLAS-3 product with the backing matrix.
-    Counter increments are lock-guarded so independent trials may run in
-    parallel threads on distinct operators; a single operator is not meant
-    to be shared between concurrent testers.
+    Operators are not thread-safe: the counters are plain integers, so use
+    one operator per tester and never share one between concurrent testers.
 
     ``spectrum``, when given, holds the eigenvalues the backing was built
     from (lam, for a backing Q^T diag(lam) Q); ``eigenvalues`` then answers
@@ -179,7 +177,6 @@ class SymmetricOperator:
         self._dim = a.shape[0]
         self._mv = 0
         self._vmv = 0
-        self._lock = threading.Lock()
         # Exact symmetry from here on; generators may hand us tiny float skew.
         # Halving before adding keeps entries near the float maximum finite.
         a *= 0.5
@@ -203,9 +200,8 @@ class SymmetricOperator:
         return self._vmv
 
     def _charge(self, mv: int, vmv: int) -> None:
-        with self._lock:
-            self._mv += mv
-            self._vmv += vmv
+        self._mv += mv
+        self._vmv += vmv
 
     def _vector(self, v, name: str) -> np.ndarray:
         v = np.asarray(v, dtype=float)

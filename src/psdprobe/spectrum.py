@@ -16,10 +16,12 @@ of the regression matrices, and solved in the factored form Y = Z Z^T by
 damped Newton with the exact Hessian from ten starts; tiny instances are
 certified against a brute-force oracle in the test suite.
 
-Each repetition draws R and reads a fit and a holdout sketch over it through
-one reader, and the two readers are the two query schedules: ``_full_cross``
-queries every cross-term entry (``top_eigs_signed``, ``estimate_Akplus_sq``),
-while ``_adaptive_sketch`` (``top_eigs_signed_adaptive``) spends one round of
+Every estimate runs one fit-cost loop, ``_fit_costs``: ||A||_F^2, then per
+repetition R, a fit and a holdout sketch read through one reader, and a fit
+for each (rank, sign) task: one task for ``estimate_Akplus_sq``, ranks 1..k
+on both sides for the top-k estimators.  The two readers are the two query
+schedules: ``_full_cross`` queries every cross-term entry, while
+``_adaptive_sketch`` (``top_eigs_signed_adaptive``) spends one round of
 adaptivity to query it only on the realized column spaces of the regression
 matrices, plus a handful of Frobenius probes for the mass outside them.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +38,8 @@ from . import defaults
 from .oracle import SymmetricOperator, rng_from
 
 __all__ = [
-    "SpectrumSketch",
     "EigenEstimate",
     "affine_embedding",
-    "build_spectrum_sketch",
     "psd_rank_k_fit",
     "estimate_Akplus_sq",
     "top_eigs_signed",
@@ -60,23 +60,6 @@ def affine_embedding(rows: int, d: int, seed) -> np.ndarray:
     return gen.standard_normal((rows, d)) / math.sqrt(rows)
 
 
-@dataclass(frozen=True)
-class SpectrumSketch:
-    """The three compressed views of A that the rank-k fit consumes.
-
-    ``r`` is the d x m right sketch, ``s1``/``s2`` the two affine embeddings,
-    and the stored products are m1 = S1 A R, m2 = S2 A R, q = S1 A S2^T.
-    Every stored entry came out of one counted bilinear query.
-    """
-
-    r: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    q: np.ndarray
-
-
 def _check_k_eps(k: int, eps: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -85,6 +68,8 @@ def _check_k_eps(k: int, eps: float) -> None:
 
 
 def _sketch_dims(d: int, k: int, eps: float) -> Tuple[int, int]:
+    """m = ceil(SKETCH_R_KAPPA k / eps) columns of R and ceil(EMBED_KAPPA m
+    / eps^2) embedding rows, both capped at d, past which rows add nothing."""
     m = min(d, math.ceil(defaults.SKETCH_R_KAPPA * k / eps))
     rows = min(d, math.ceil(defaults.EMBED_KAPPA * m / (eps * eps)))
     return m, rows
@@ -95,23 +80,6 @@ def _embedded(op: SymmetricOperator, r: np.ndarray, rows: int, gen):
     s1 = affine_embedding(rows, op.dim, gen)
     s2 = affine_embedding(rows, op.dim, gen)
     return s1, s2, op.bilinear_block(s1.T, r), op.bilinear_block(s2.T, r)
-
-
-def build_spectrum_sketch(op: SymmetricOperator, k: int, eps: float,
-                          rng=0) -> SpectrumSketch:
-    """Draw (R, S1, S2) and fill the three products with counted queries.
-
-    The right sketch has m = ceil(SKETCH_R_KAPPA k / eps) standard Gaussian
-    columns and the embeddings ceil(EMBED_KAPPA m / eps^2) rows, both capped
-    at d; past the cap extra rows carry no new information about A.
-    """
-    _check_k_eps(k, eps)
-    m, rows = _sketch_dims(op.dim, k, eps)
-    gen = rng_from(rng, 0x5BEC)
-    r = gen.standard_normal((op.dim, m))
-    s1, s2, m1, m2 = _embedded(op, r, rows, gen)
-    return SpectrumSketch(r=r, s1=s1, s2=s2, m1=m1, m2=m2,
-                          q=op.bilinear_block(s1.T, s2.T))
 
 
 _FIT_STARTS = 10
@@ -370,26 +338,33 @@ def _adaptive_sketch(op: SymmetricOperator, r: np.ndarray, rows: int, gen):
     return u1.T @ m1, u2.T @ m2, bq, resid
 
 
-def _repetition(op: SymmetricOperator, m: int, rows: int, gen, read):
-    """Draw R, then read a fit sketch and a holdout sketch over it.
+def _fit_costs(op: SymmetricOperator, k: int, eps: float, reps: int, gen,
+               read, tasks: Sequence[Tuple[int, float]]):
+    """Returns (||A||_F^2 estimate, costs[rep, task]), one row per repetition.
 
-    ``read(op, r, rows, gen)`` returns (m1, m2, q, residual), residual being
-    the cross-term mass it left unqueried.  Returns the fit sketch's four
-    plus ``holdout(y, q_sign)``, a fitted Y's cost on the second sketch.
-    The fit's cost is biased low because Y adapts to the drawn embeddings;
-    re-measuring Y on an independent pair is biased high by exactly the
-    suboptimality that adaptation bought.  Averaging the two cancels most
-    of both, which matters at desk scale where the embeddings are far from
-    their asymptotic sizes.
+    Each repetition draws R, then a fit and a holdout sketch over it through
+    ``read(op, r, rows, gen)`` -> (m1, m2, q, residual), residual being the
+    cross-term mass left unqueried.  Task (rank, sign) fits Y to cross term
+    sign * q: sign -1 gives ||A - A_{rank,+}||_F^2, sign +1 the same for -A
+    (negating A negates all three products, which cancels out of m1 Y m2^T),
+    so all tasks share the sketches.  The fit's cost is biased low because Y
+    adapts to the drawn embeddings; re-measuring Y on the holdout sketch is
+    biased high by exactly the suboptimality that adaptation bought, and
+    the average of the two cancels most of both, which matters at desk
+    scale where the embeddings are far from their asymptotic sizes.
     """
-    r = gen.standard_normal((op.dim, m))
-    m1, m2, q, extra = read(op, r, rows, gen)
-    n1, n2, q2, extra2 = read(op, r, rows, gen)
-
-    def holdout(y, q_sign):
-        return float(np.linalg.norm(n1 @ y @ n2.T + q_sign * q2) ** 2) + extra2
-
-    return m1, m2, q, extra, holdout
+    frob_sq = _frob_sq_estimate(op, eps, gen)
+    m, rows = _sketch_dims(op.dim, k, eps)
+    costs = np.empty((reps, len(tasks)))
+    for rep in range(reps):
+        r = gen.standard_normal((op.dim, m))
+        m1, m2, q, extra = read(op, r, rows, gen)
+        n1, n2, q2, extra2 = read(op, r, rows, gen)
+        for t, (rank, sign) in enumerate(tasks):
+            cost, y = psd_rank_k_fit(m1, m2, sign * q, rank, rng=gen)
+            holdout = float(np.linalg.norm(n1 @ y @ n2.T + sign * q2) ** 2)
+            costs[rep, t] = 0.5 * (cost + extra + (holdout + extra2))
+    return frob_sq, costs
 
 
 def estimate_Akplus_sq(op: SymmetricOperator, k: int, eps: float,
@@ -398,23 +373,17 @@ def estimate_Akplus_sq(op: SymmetricOperator, k: int, eps: float,
 
     Because A_{k,+} is the nearest PSD rank-<=k matrix to A and acts on
     eigenspaces orthogonal to the residual, ||A_{k,+}||_F^2 = ||A||_F^2 -
-    ||A - A_{k,+}||_F^2.  The second term comes from the sketched fit,
-    averaged with a holdout re-measurement (see _repetition); the first
-    from the quadratic Frobenius estimator.  The difference is medianed over
+    ||A - A_{k,+}||_F^2.  Both terms come from _fit_costs, the second as
+    the one task (k, -1); the difference is medianed over
     ceil(MEDIAN_REPS_C ln(1/delta)) independent sketches.
     """
     _check_k_eps(k, eps)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    gen = rng_from(rng, 0xE571)
-    frob_sq = _frob_sq_estimate(op, eps, gen)
-    m, rows = _sketch_dims(op.dim, k, eps)
-    ests = []
-    for _ in range(_median_reps(delta)):
-        m1, m2, q, extra, holdout = _repetition(op, m, rows, gen, _full_cross)
-        cost, y = psd_rank_k_fit(m1, m2, -q, k, rng=gen)
-        ests.append(frob_sq - 0.5 * (cost + extra + holdout(y, -1.0)))
-    return max(0.0, float(np.median(ests)))
+    frob_sq, costs = _fit_costs(op, k, eps, _median_reps(delta),
+                                rng_from(rng, 0xE571), _full_cross,
+                                [(k, -1.0)])
+    return max(0.0, float(np.median(frob_sq - costs[:, 0])))
 
 
 @dataclass(frozen=True)
@@ -449,29 +418,16 @@ def _mass_profiles(op: SymmetricOperator, k: int, eps: float, rng, salt: int,
                    read) -> EigenEstimate:
     """Median mass estimates for ranks 1..k on both sides, then the signs.
 
-    Each repetition's sketches come from ``read`` (see _repetition) and
-    serve all 2k fits.  Negating the operator negates all three stored
-    products, which cancels out of m1 Y m2^T and flips the sign of the cross
-    term, so the negative side reuses the sketch with q negated rather than
-    issuing new queries.
+    One _fit_costs run at accuracy eps^2/2 fits the 2k tasks rank-major,
+    the positive side (sign -1) before the negative one at each rank.
     """
     _check_k_eps(k, eps)
-    eps_task = 0.5 * eps * eps
-    reps = _median_reps(1.0 / (20.0 * k))
-    gen = rng_from(rng, salt)
-    frob_sq = _frob_sq_estimate(op, eps_task, gen)
-    m, rows = _sketch_dims(op.dim, k, eps_task)
-    cost_pos = np.empty((reps, k))
-    cost_neg = np.empty((reps, k))
-    for rep in range(reps):
-        m1, m2, q, extra, holdout = _repetition(op, m, rows, gen, read)
-        for i in range(1, k + 1):
-            for sign, out in ((-1.0, cost_pos), (1.0, cost_neg)):
-                cost, y = psd_rank_k_fit(m1, m2, sign * q, i, rng=gen)
-                out[rep, i - 1] = 0.5 * (cost + extra + holdout(y, sign))
-    est_pos = np.maximum(0.0, frob_sq - np.median(cost_pos, axis=0))
-    est_neg = np.maximum(0.0, frob_sq - np.median(cost_neg, axis=0))
-    return _signed_from_masses(est_pos, est_neg, k,
+    tasks = [(i, sign) for i in range(1, k + 1) for sign in (-1.0, 1.0)]
+    frob_sq, costs = _fit_costs(op, k, 0.5 * eps * eps,
+                                _median_reps(1.0 / (20.0 * k)),
+                                rng_from(rng, salt), read, tasks)
+    est = np.maximum(0.0, frob_sq - np.median(costs, axis=0))
+    return _signed_from_masses(est[0::2], est[1::2], k,
                                eps * math.sqrt(max(frob_sq, 0.0)))
 
 

@@ -6,11 +6,13 @@ with non-negative weights and searches that space directly, so it shares no
 machinery with the production solver it is used to certify.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.optimize import minimize
 
 from psdprobe.oracle import SymmetricOperator, rng_from
-from psdprobe.spectrum import build_spectrum_sketch
+from psdprobe.spectrum import _embedded, _sketch_dims
 
 
 def _best_weights(g, h, bb):
@@ -93,6 +95,22 @@ def brute_force_psd_fit(m1, m2, q, k, starts=10_000, seed=0):
     return best_cost
 
 
+def spectrum_sketch(op, k, eps, rng=0):
+    """One fit sketch of op, drawn the way the estimators draw theirs.
+
+    From the 0x5BEC stream of ``rng``: R (d x m), then the embeddings S1,
+    S2 and their products m1 = S1 A R, m2 = S2 A R through ``_embedded``,
+    then every entry of q = S1 A S2^T.  Returns the six as attributes
+    r, s1, s2, m1, m2, q; every product entry cost one counted query.
+    """
+    m, rows = _sketch_dims(op.dim, k, eps)
+    gen = rng_from(rng, 0x5BEC)
+    r = gen.standard_normal((op.dim, m))
+    s1, s2, m1, m2 = _embedded(op, r, rows, gen)
+    return SimpleNamespace(r=r, s1=s1, s2=s2, m1=m1, m2=m2,
+                           q=op.bilinear_block(s1.T, s2.T))
+
+
 def pipeline_fit_instance(idx, with_op=False):
     """A compressed-fit problem shaped like the production pipeline.
 
@@ -106,7 +124,7 @@ def pipeline_fit_instance(idx, with_op=False):
     op = SymmetricOperator(a)
     k = int(gen.integers(1, 3))
     eps = float(gen.uniform(0.2, 0.4))
-    sk = build_spectrum_sketch(op, k=k, eps=eps, rng=int(gen.integers(2 ** 31)))
+    sk = spectrum_sketch(op, k=k, eps=eps, rng=int(gen.integers(2 ** 31)))
     sign = 1.0 if gen.integers(2) else -1.0
     if with_op:
         return sk.m1, sk.m2, sign * sk.q, k, op

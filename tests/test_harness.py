@@ -192,6 +192,12 @@ def test_config_validation():
         far_config(constants={"kappa": -1.0})
     with pytest.raises(ConfigError):
         far_config(constants={"kappa": "big"})
+    for eps in ("0.1", None, True):
+        with pytest.raises(ConfigError, match="eps must be a number"):
+            far_config(eps=eps)
+    for p in ("2", None, True):
+        with pytest.raises(ConfigError, match="p must be a number"):
+            far_config(p=p)
 
 
 def test_config_rejects_constants_the_tester_does_not_read():
@@ -205,6 +211,12 @@ def test_config_rejects_constants_the_tester_does_not_read():
         far_config(tester="spectrum", constants={"k": 1.5})
     with pytest.raises(ConfigError, match="finite"):
         far_config(constants={"kappa": math.inf})
+    # Strings and bools are not numbers, though float() would read them.
+    for value in ("2.0", True):
+        with pytest.raises(ConfigError, match="finite positive number"):
+            far_config(constants={"kappa": value})
+        with pytest.raises(ConfigError, match="finite positive number"):
+            far_config(tester="spectrum", constants={"k": value})
     # A whole number given as a float is passed on as an int.
     records, _ = run_experiment(far_config(tester="krylov", trials=1,
                                            constants={"repeats": 2.0}))
@@ -480,8 +492,17 @@ def test_cli_run_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, tester="nope")]) == 2
     assert main(["run", "--config",
                  write_config(tmp_path, budget=9)]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
+    assert "error:" in capsys.readouterr().err
+    for bad in ({"eps": "0.1"}, {"p": None}, {"p": True},
+                {"constants": {"kappa": True}}):
+        assert main(["run", "--config", write_config(tmp_path, **bad)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"tester": "krylov",
+                                "instance": {"kind": "far", "dim": 8}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: missing config fields: eps\n"
 
 
 def test_cli_scaling_writes_rows_and_slopes(tmp_path, capsys):

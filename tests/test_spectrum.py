@@ -9,8 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import brute_force_psd_fit, pipeline_fit_instance
+from conftest import (brute_force_psd_fit, pipeline_fit_instance,
+                      spectrum_sketch)
 from psdprobe import defaults
+from psdprobe.harness import instance_operator
 from psdprobe.oracle import (
     SpectrumInstance,
     SymmetricOperator,
@@ -20,13 +22,12 @@ from psdprobe.oracle import (
 )
 from psdprobe.spectrum import (
     EigenEstimate,
-    SpectrumSketch,
     _adaptive_sketch,
+    _embedded,
     _frob_sq_estimate,
     _median_reps,
     _sketch_dims,
     affine_embedding,
-    build_spectrum_sketch,
     estimate_Akplus_sq,
     psd_rank_k_fit,
     top_eigs_signed,
@@ -114,7 +115,7 @@ def test_affine_embedding_rank_r_distortion():
 
 
 # ---------------------------------------------------------------------------
-# SpectrumSketch
+# sketch dimensions and _embedded
 # ---------------------------------------------------------------------------
 
 def test_sketch_dims_cap_at_dimension():
@@ -127,7 +128,7 @@ def test_sketch_dims_cap_at_dimension():
 
 def test_sketch_shapes_and_query_count():
     op = gen_wishart(16, seed=2)
-    sk = build_spectrum_sketch(op, k=2, eps=0.3, rng=5)
+    sk = spectrum_sketch(op, k=2, eps=0.3, rng=5)
     m, rows = _sketch_dims(16, 2, 0.3)
     assert sk.r.shape == (16, m)
     assert sk.s1.shape == (rows, 16)
@@ -143,7 +144,7 @@ def test_sketch_products_recomputable_from_dense():
     a = gen.standard_normal((14, 14))
     a = (a + a.T) / 2.0
     op = SymmetricOperator(a)
-    sk = build_spectrum_sketch(op, k=1, eps=0.4, rng=7)
+    sk = spectrum_sketch(op, k=1, eps=0.4, rng=7)
     m1 = sk.s1 @ a @ sk.r
     m2 = sk.s2 @ a @ sk.r
     q = sk.s1 @ a @ sk.s2.T
@@ -158,14 +159,19 @@ def test_sketch_products_recomputable_from_dense():
 
 def test_sketch_validates_and_is_deterministic():
     op = gen_wishart(8, seed=0)
+    for run in (top_eigs_signed, top_eigs_signed_adaptive):
+        with pytest.raises(ValueError):
+            run(op, k=0, eps=0.3)
+        with pytest.raises(ValueError):
+            run(op, k=1, eps=1.0)
     with pytest.raises(ValueError):
-        build_spectrum_sketch(op, k=0, eps=0.3)
-    with pytest.raises(ValueError):
-        build_spectrum_sketch(op, k=1, eps=1.0)
-    a = build_spectrum_sketch(op, k=1, eps=0.3, rng=9)
-    b = build_spectrum_sketch(op, k=1, eps=0.3, rng=9)
+        _embedded(op, np.ones((8, 2)), 9, rng_from(0))   # rows > d
+    assert op.vmv_queries == 0
+    a = spectrum_sketch(op, k=1, eps=0.3, rng=9)
+    b = spectrum_sketch(op, k=1, eps=0.3, rng=9)
     np.testing.assert_array_equal(a.q, b.q)
     np.testing.assert_array_equal(a.m1, b.m1)
+    np.testing.assert_array_equal(a.m2, b.m2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,7 @@ def test_fit_puts_no_mass_where_the_sketch_is_blind():
     # its row space, since nothing in the cost pins it down elsewhere.
     for seed in range(10):
         op = rotated_spectrum([2.0, -1.0] + [0.0] * 6, rot_seed=seed)
-        sk = build_spectrum_sketch(op, k=3, eps=0.3, rng=seed)
+        sk = spectrum_sketch(op, k=3, eps=0.3, rng=seed)
         stacked = np.vstack([sk.m1, sk.m2])
         _, sv, vt = np.linalg.svd(stacked)
         null = vt[int(np.sum(sv > 1e-9 * sv[0])):].T
@@ -268,7 +274,7 @@ def test_fit_puts_no_mass_where_the_sketch_is_blind():
 
 def test_fit_raises_no_float_warnings_on_a_rank_one_sketch():
     op = rotated_spectrum([0.6] + [0.0] * 5, rot_seed=0)
-    sk = build_spectrum_sketch(op, k=3, eps=0.2, rng=0)
+    sk = spectrum_sketch(op, k=3, eps=0.2, rng=0)
     for sign in (-1.0, 1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -284,7 +290,7 @@ def test_fit_raises_no_float_warnings_on_a_rank_one_sketch():
 def test_fit_draws_exactly_one_start_block(k, spectrum):
     # The fit shares its Generator with the sketches around it, so it must
     # advance it by the 10 x cols x k start block and nothing else.
-    sk = build_spectrum_sketch(rotated_spectrum(spectrum, rot_seed=4), k=k,
+    sk = spectrum_sketch(rotated_spectrum(spectrum, rot_seed=4), k=k,
                                eps=0.3, rng=5)
     gen, twin = rng_from(21), rng_from(21)
     psd_rank_k_fit(sk.m1, sk.m2, sk.q, k, rng=gen)
@@ -455,7 +461,7 @@ def test_mass_profile_monotone_in_rank():
     op = SymmetricOperator(np.diag(vals))
     eps = 0.15
     frob_sq = _frob_sq_estimate(op, eps, rng_from(5, 0xF00D))
-    sk = build_spectrum_sketch(op, k=4, eps=eps, rng=6)
+    sk = spectrum_sketch(op, k=4, eps=eps, rng=6)
     prev = -np.inf
     for i in range(1, 5):
         cost, _ = psd_rank_k_fit(sk.m1, sk.m2, -sk.q, i, rng=7)
@@ -565,3 +571,61 @@ def test_adaptive_zero_operator():
     op = SymmetricOperator(np.zeros((10, 10)))
     r = top_eigs_signed_adaptive(op, k=2, eps=0.3, rng=1)
     assert r.values == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# pinned estimator outputs
+# ---------------------------------------------------------------------------
+
+_SPIKE = {"kind": "rotated_diag", "eigenvalues": [5.0] + [1.0] * 15}
+_NEG_SPIKE = {"kind": "rotated_diag", "eigenvalues": [-5.0] + [1.0] * 15}
+_WISHART = {"kind": "wishart", "dim": 16}
+
+# (estimator, instance, k, eps, seed) -> (vmv queries, float.hex of the
+# result): the eigenvalues then the error bound for the top-k estimators,
+# the mass for estimate_Akplus_sq (delta 0.1).  The spike rows are the
+# benchmark's spectrum_fit cells (d=16, eps 0.2, k=1, p=2); the instance
+# and the estimator take the same seed, as in the harness.  The hex strings
+# pin float bit patterns, so they hold for one numpy/BLAS build.
+SPECTRUM_BYTE_TABLE = [
+    ("top_eigs_signed", _SPIKE, 1, 0.2, 5,
+     (13960, ("0x1.374f14d748829p+2",), "0x1.43d136248490ep+0")),
+    ("top_eigs_signed", _SPIKE, 1, 0.2, 6,
+     (13960, ("0x1.3ceb8d31848c0p+2",), "0x1.43d136248490ep+0")),
+    ("top_eigs_signed", _NEG_SPIKE, 1, 0.2, 5,
+     (13960, ("-0x1.2d2d66b5a10d1p+2",), "0x1.43d136248490ep+0")),
+    ("top_eigs_signed_adaptive", _SPIKE, 1, 0.2, 5,
+     (15256, ("0x1.3c14ba81a978cp+2",), "0x1.43d136248490ep+0")),
+    ("top_eigs_signed_adaptive", _NEG_SPIKE, 1, 0.2, 5,
+     (15256, ("-0x1.3666fd98f99e8p+2",), "0x1.43d136248490ep+0")),
+    ("estimate_Akplus_sq", _SPIKE, 1, 0.2, 5,
+     (10888, "0x1.752a8779f231cp+4")),
+    ("estimate_Akplus_sq", _SPIKE, 1, 0.2, 6,
+     (10888, "0x1.99a68e9b5ec16p+4")),
+    ("top_eigs_signed", _WISHART, 3, 0.5, 5,
+     (20104, ("0x1.ee03176638877p+1", "0x1.624a3941d3e01p+1",
+              "0x1.12a3aa616b1f5p+1"), "0x1.91ab3d41f4c1dp+1")),
+    ("top_eigs_signed_adaptive", _WISHART, 3, 0.5, 5,
+     (21976, ("0x1.0b252f00b4f1ap+2", "0x1.496a3f6b70105p+1",
+              "0x1.ea5c73271a27bp+0"), "0x1.91ab3d41f4c1dp+1")),
+    ("estimate_Akplus_sq", _WISHART, 3, 0.5, 5,
+     (10888, "0x1.d5a0b2350fb88p+4")),
+]
+
+
+@pytest.mark.parametrize(
+    "name,instance,k,eps,seed,expected", SPECTRUM_BYTE_TABLE,
+    ids=[f"{r[0]}-{r[1]['kind']}{'-neg' if r[1] is _NEG_SPIKE else ''}"
+         f"-k{r[2]}-s{r[4]}" for r in SPECTRUM_BYTE_TABLE])
+def test_spectrum_outputs_match_byte_table(name, instance, k, eps, seed,
+                                           expected):
+    op = instance_operator(instance, eps, 2.0, seed)
+    if name == "estimate_Akplus_sq":
+        got = float(estimate_Akplus_sq(op, k, eps, 0.1, rng=seed)).hex()
+        assert (op.vmv_queries, got) == expected
+        return
+    run = {"top_eigs_signed": top_eigs_signed,
+           "top_eigs_signed_adaptive": top_eigs_signed_adaptive}[name]
+    est = run(op, k, eps, rng=seed)
+    assert (op.vmv_queries, tuple(float(v).hex() for v in est.values),
+            float(est.error_bound).hex()) == expected
