@@ -7,7 +7,9 @@ one CSV row per trial plus a JSON summary.  ``calibrate`` resolves the
 absolute constants the testers' guarantees leave unnamed by sweeping seeded
 PSD instances against matched eps-far ones.  ``scaling_report`` bisects each
 tester's size knob for the minimal query budget reaching a target success
-rate and fits log-log slopes against 1/eps and d.
+rate and fits log-log slopes against 1/eps and d.  Both sweeps reach the
+testers only through their public entry points; every Oja scaling trial runs
+``oja_l1_tester`` with one repetition at its norm probe's single scale.
 
 Records are merged in seed order whatever the worker count, and floats are
 serialized through repr, so identical configs reproduce the output files byte
@@ -40,14 +42,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import defaults
-from .mv_testers import krylov_tester, nonadaptive_mv_tester
+from .mv_testers import (krylov_tester, nonadaptive_mv_tester,
+                         unrounded_krylov_degree)
 from .oracle import (SpectrumInstance, SymmetricOperator, gen_rotated_diag,
                      gen_wishart, operator_from_descriptor, rng_from)
 from .spectrum import top_eigs_signed, top_eigs_signed_adaptive
-from .vmv_testers import (_OJA_STREAM, OjaConfig, _descend,
-                          adaptive_l2_tester, bilinear_sketch_tester,
-                          build_sketch, nonadaptive_l1_tester, oja_l1_tester,
-                          sketch_dim)
+from .vmv_testers import (OjaConfig, adaptive_l2_tester,
+                          bilinear_sketch_tester, build_sketch,
+                          nonadaptive_l1_tester, oja_l1_tester, sketch_dim)
 
 __all__ = [
     "ConfigError",
@@ -84,6 +86,10 @@ _TESTER_CONSTANTS = {
 
 TESTERS = tuple(_TESTER_CONSTANTS)
 
+# The one Schatten p each of these testers tests; the others take any p >= 1.
+_TESTER_P = {"oja_l1": 1, "nonadaptive_l1": 1, "bilinear_sketch": 2,
+             "adaptive_l2": 2}
+
 # The one fixed schema downstream plotting relies on.
 CSV_FIELDS = ("seed", "truth", "verdict", "queries_mv", "queries_vmv",
               "statistic", "witness_valid", "wall_time_ms")
@@ -98,6 +104,20 @@ class ConfigError(ValueError):
 def _is_number(value) -> bool:
     """A real number that is not a bool (JSON true would read as 1)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_p(tester: str, p) -> None:
+    if not (_is_number(p) and p >= 1.0):
+        raise ConfigError(f"p must be a number >= 1, got {p!r}")
+    if _TESTER_P.get(tester, p) != p:
+        raise ConfigError(f"tester {tester} tests p = {_TESTER_P[tester]} "
+                          f"only, got p={p!r}")
+
+
+def _check_trials(trials) -> None:
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) \
+            or trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +143,8 @@ class ExperimentConfig:
     amplification or iter_scale, and k (the rank of the spectrum testers);
     any other name is an error.  Every value must be a finite positive
     number, and a whole number where the tester reads an integer.  eps, p
-    and the constants must be numbers, not strings or bools.
+    and the constants must be numbers, not strings or bools, and p must be
+    the one p a tester tests when it tests only one (``_TESTER_P``).
     """
 
     tester: str
@@ -141,17 +162,13 @@ class ExperimentConfig:
                               f"of {', '.join(TESTERS)}")
         if not isinstance(self.instance, dict) or "kind" not in self.instance:
             raise ConfigError("instance must be a dict with a 'kind' field")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) \
-                or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, "
-                              f"got {self.trials!r}")
+        _check_trials(self.trials)
         if not isinstance(self.seed0, int) or isinstance(self.seed0, bool):
             raise ConfigError(f"seed0 must be an integer, got {self.seed0!r}")
         if not (_is_number(self.eps) and 0.0 < self.eps < 1.0):
             raise ConfigError(f"eps must be a number in (0, 1), "
                               f"got {self.eps!r}")
-        if not (_is_number(self.p) and self.p >= 1.0):
-            raise ConfigError(f"p must be a number >= 1, got {self.p!r}")
+        _check_p(self.tester, self.p)
         if not isinstance(self.constants, dict):
             raise ConfigError("constants must be a dict")
         reads = _TESTER_CONSTANTS[self.tester]
@@ -492,10 +509,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1,
     summary = summarize(records, cfg)
     if cfg.output_path:
         write_records_csv(cfg.output_path, records)
-        summary_path = Path(cfg.output_path).with_suffix(".summary.json")
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(Path(cfg.output_path).with_suffix(".summary.json"),
+                    summary)
     return records, summary
 
 
@@ -545,6 +560,15 @@ def summarize(records: Sequence[TrialRecord],
     return summary
 
 
+def _write_json(path, obj) -> None:
+    """Sorted, indented JSON with a final newline; parents created."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with open(target, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -576,11 +600,25 @@ def write_records_csv(path, records: Sequence[TrialRecord]) -> None:
 # diagnosable, and the suites never mutate defaults -- committing new values
 # is an explicit edit of defaults.py with the report checked in next to it.
 
-def _diag_instance(kind: str, d: int, eps: float, p: float, seed: int
-                   ) -> Tuple[SymmetricOperator, np.ndarray]:
-    """An unrotated operator on ``family_spectrum``, and that spectrum."""
+def _diag_instance(kind: str, d: int, eps: float, p: float,
+                   seed: int) -> SymmetricOperator:
+    """An unrotated operator on ``family_spectrum``, carrying that spectrum."""
     lam = family_spectrum(kind, d, eps, p, seed)
-    return SymmetricOperator(np.diag(lam), seed=seed, spectrum=lam), lam
+    return SymmetricOperator(np.diag(lam), seed=seed, spectrum=lam)
+
+
+def _sweep(kind: str, d: int, eps: float, p: float, seeds: Sequence[int],
+           run: Callable[[SymmetricOperator, int], bool]
+           ) -> Tuple[float, float, int]:
+    """(reject rate, mean queries, max queries) of ``run(op, seed)``, which
+    returns True on accept, over one fresh ``kind`` instance per seed."""
+    rejects = 0
+    budgets = []
+    for seed in seeds:
+        op = _diag_instance(kind, d, eps, p, seed)
+        rejects += not run(op, seed)
+        budgets.append(op.mv_queries + op.vmv_queries)
+    return rejects / len(seeds), float(np.mean(budgets)), int(max(budgets))
 
 
 _PSD_KINDS = ("wishart", "identity", "random_psd")
@@ -596,9 +634,9 @@ def _gamma_cell(d: int, eps: float, kappa: float, n_per_side: int,
         seed = seed0 + 2 * i
         kind = _PSD_KINDS[i % len(_PSD_KINDS)]
         op = (gen_wishart(d, seed) if kind == "wishart"
-              else _diag_instance(kind, d, eps, 2.0, seed)[0])
+              else _diag_instance(kind, d, eps, 2.0, seed))
         psd_gammas[i] = build_sketch(op, k, seed).gamma
-        far_op, _ = _diag_instance("far", d, eps, 2.0, seed + 1)
+        far_op = _diag_instance("far", d, eps, 2.0, seed + 1)
         far_gammas[i] = build_sketch(far_op, k, seed + 1).gamma
     return k, psd_gammas, far_gammas
 
@@ -608,27 +646,24 @@ def _calibrate_c_psd(seed0: int, trials: Optional[int]) -> Tuple[dict, dict]:
     # The sketch tester's working range; k grows like eps^-2 ln^2(1/eps), so
     # pushing the grid to smaller eps buys minutes of sketch filling per cell
     # without moving the pooled quantiles.
-    dims = (256, 512)
-    eps_grid = (0.3, 0.2)
+    grid = [(d, eps) for d in (256, 512) for eps in (0.3, 0.2)]
     cells = []
     psd_all: List[np.ndarray] = []
     far_all: List[np.ndarray] = []
-    for di, d in enumerate(dims):
-        for ei, eps in enumerate(eps_grid):
-            cell_seed = seed0 + 100_000 * (len(eps_grid) * di + ei)
-            k, psd_g, far_g = _gamma_cell(d, eps, defaults.SKETCH_KAPPA,
-                                          n, cell_seed)
-            psd_all.append(psd_g)
-            far_all.append(far_g)
-            ln_k = math.log(max(k, 2))
-            denom = eps * math.sqrt(k) - defaults.C_FAR_GAP
-            cells.append({
-                "d": d, "eps": eps, "k": k, "n_per_side": n,
-                "psd_q99": float(np.percentile(psd_g, 99.0)),
-                "far_q05": float(np.percentile(far_g, 5.0)),
-                "far_implied_c_far": (float(np.percentile(far_g, 5.0) * ln_k
-                                            / denom) if denom > 0 else None),
-            })
+    for ci, (d, eps) in enumerate(grid):
+        k, psd_g, far_g = _gamma_cell(d, eps, defaults.SKETCH_KAPPA, n,
+                                      seed0 + 100_000 * ci)
+        psd_all.append(psd_g)
+        far_all.append(far_g)
+        ln_k = math.log(max(k, 2))
+        denom = eps * math.sqrt(k) - defaults.C_FAR_GAP
+        cells.append({
+            "d": d, "eps": eps, "k": k, "n_per_side": n,
+            "psd_q99": float(np.percentile(psd_g, 99.0)),
+            "far_q05": float(np.percentile(far_g, 5.0)),
+            "far_implied_c_far": (float(np.percentile(far_g, 5.0) * ln_k
+                                        / denom) if denom > 0 else None),
+        })
     psd_pool = np.concatenate(psd_all)
     far_pool = np.concatenate(far_all)
     c_psd = float(np.percentile(psd_pool, 99.0))
@@ -707,13 +742,11 @@ def _calibrate_kappa_oja(seed0: int,
         for ci, (d, eps) in enumerate(grid):
             cfg = OjaConfig.from_eps(eps, dim=d, amplification=amp,
                                      iter_scale=scale)
-            hits = 0
-            for i in range(n):
-                seed = seed0 + 100_000 * ci + i
-                op, _ = _diag_instance("far", d, eps, 1.0, seed)
-                if not oja_l1_tester(op, eps, cfg, rng=seed).is_psd:
-                    hits += 1
-            rates.append({"d": d, "eps": eps, "reject_rate": hits / n})
+            base = seed0 + 100_000 * ci
+            rate, _, _ = _sweep(
+                "far", d, eps, 1.0, range(base, base + n),
+                lambda op, seed: oja_l1_tester(op, eps, cfg, rng=seed).is_psd)
+            rates.append({"d": d, "eps": eps, "reject_rate": rate})
         worst = min(r["reject_rate"] for r in rates)
         rows.append({"iter_scale": scale, "amplification": amp,
                      "worst_cell_reject": worst, "cells": rates})
@@ -738,15 +771,13 @@ def _calibrate_kappa_krylov(seed0: int,
     for kappa in ladder:
         rates = []
         for ci, (d, eps) in enumerate(grid):
-            hits = 0
-            for i in range(n):
-                seed = seed0 + 100_000 * ci + i
-                op, _ = _diag_instance("far", d, eps, 1.0, seed)
-                v = krylov_tester(op, eps, 1.0, op.schatten_norm(1.0),
-                                  repeats=3, rng=seed, kappa=kappa)
-                if not v.is_psd:
-                    hits += 1
-            rates.append({"d": d, "eps": eps, "reject_rate": hits / n})
+            base = seed0 + 100_000 * ci
+            rate, _, _ = _sweep(
+                "far", d, eps, 1.0, range(base, base + n),
+                lambda op, seed: krylov_tester(
+                    op, eps, 1.0, op.schatten_norm(1.0), repeats=3, rng=seed,
+                    kappa=kappa).is_psd)
+            rates.append({"d": d, "eps": eps, "reject_rate": rate})
         worst = min(r["reject_rate"] for r in rates)
         rows.append({"kappa": kappa, "worst_cell_reject": worst,
                      "cells": rates})
@@ -755,8 +786,8 @@ def _calibrate_kappa_krylov(seed0: int,
             break
     exponent = None
     if chosen is not None:
-        fit_rows = _scaling_rows("krylov", 1.0, (0.2, 0.1, 0.05, 0.02), (256,),
-                                 trials=max(10, n // 2), seed0=seed0)
+        fit_rows = [_scaling_cell("krylov", 1.0, eps, 256, max(10, n // 2),
+                                  seed0) for eps in (0.2, 0.1, 0.05, 0.02)]
         exponent = _loglog_slopes(fit_rows, "knob")["vs_inv_eps"]
     constants = {} if chosen is None else {"KRYLOV_KAPPA": chosen}
     report = {"suite": "kappa_krylov", "seed0": seed0, "trials_per_cell": n,
@@ -841,8 +872,8 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
     if suite not in _SUITE_FNS:
         raise ConfigError(f"unknown calibration suite {suite!r}; expected one "
                           f"of {', '.join(CALIBRATION_SUITES)}")
-    if trials is not None and trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials is not None:
+        _check_trials(trials)
     if (out_dir is not None and suite in _BLAS_BOUND_SUITES
             and os.environ.get("OPENBLAS_NUM_THREADS") != "1"):
         raise ConfigError(f"the {suite} report moves with the BLAS thread "
@@ -850,11 +881,7 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
                           f"(see defaults.py)")
     constants, report = _SUITE_FNS[suite](seed0, trials)
     if out_dir is not None:
-        target = Path(out_dir)
-        target.mkdir(parents=True, exist_ok=True)
-        with open(target / f"{suite}.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(Path(out_dir) / f"{suite}.json", report)
     return constants, report
 
 
@@ -874,25 +901,19 @@ _SCALING_FAMILY = {"oja_l1": "cluster_l1", "nonadaptive_l1": "far",
                    "krylov": "hard_l1", "nonadaptive_mv": "far"}
 
 
-def _knob_run(tester: str, op: SymmetricOperator, lam: np.ndarray, eps: float,
-              p: float, knob: int, seed: int) -> bool:
+def _knob_run(tester: str, op: SymmetricOperator, eps: float, p: float,
+              knob: int, seed: int) -> bool:
     """Run one trial at the given knob; True when the tester accepts."""
     if tester == "oja_l1":
-        # One descent run, one step-size scale, step pinned at the cap.
-        # Amplified runs would make the resolved knob the distribution's low
-        # detection-time quantile, and a step tied to eps through the
-        # from_eps log term would drift across the sweep; both inflate the
-        # fitted exponent with desk-scale log factors that have nothing to
-        # do with the iteration count law.
+        # The tester with one repetition and one step-size scale (its norm
+        # probe's single scale), step pinned at the cap, in every cell,
+        # reduced or not.  Amplified runs would make the resolved knob the
+        # distribution's low detection-time quantile, and a step tied to eps
+        # through the from_eps log term would drift across the sweep; both
+        # inflate the fitted exponent with desk-scale log factors that have
+        # nothing to do with the iteration count law.
         cfg = OjaConfig(eta=defaults.OJA_ETA_MAX, max_iters=knob,
                         eta_scales=1, amplification=1)
-        if math.ceil(defaults.REDUCE_KAPPA / eps) >= op.dim:
-            # No dimension reduction: the descent sees the instance itself,
-            # whose trace norm is known exactly, so it runs at that scale
-            # without the tester's norm probe, on the tester's own stream.
-            norm = float(np.abs(lam).sum())
-            return _descend(op, None, cfg.eta / norm, knob,
-                            rng_from(seed, _OJA_STREAM), norm) is None
         return oja_l1_tester(op, eps, cfg, rng=seed).is_psd
     if tester == "nonadaptive_l1":
         # Shipped repeat count.  With a single repetition the 0.9 target sits
@@ -902,12 +923,9 @@ def _knob_run(tester: str, op: SymmetricOperator, lam: np.ndarray, eps: float,
         return nonadaptive_l1_tester(op, eps, rng=seed,
                                      kappa=(knob - 0.5) * eps).is_psd
     if tester == "krylov":
-        factor = eps ** (-p / (2.0 * p + 1.0)) * math.log(1.0 / eps)
-        if p > 1:
-            factor *= math.log2(op.dim)
-        norm = float((np.abs(lam) ** p).sum() ** (1.0 / p))
-        return krylov_tester(op, eps, p, norm, repeats=1, rng=seed,
-                             kappa=(knob - 0.5) / factor).is_psd
+        factor = unrounded_krylov_degree(eps, p, op.dim, 1.0)
+        return krylov_tester(op, eps, p, op.schatten_norm(p), repeats=1,
+                             rng=seed, kappa=(knob - 0.5) / factor).is_psd
     factor = op.dim ** (1.0 - 1.0 / p) / eps
     return nonadaptive_mv_tester(op, eps, p, repeats=1, rng=seed,
                                  kappa=(knob - 0.5) / factor).is_psd
@@ -942,47 +960,29 @@ def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
 
     def evaluate(knob: int) -> Tuple[float, float, int]:
         if knob not in evals:
-            hits = 0
-            budgets = []
-            for i in range(trials):
-                seed = seed0 + i
-                op, lam = _diag_instance(_SCALING_FAMILY[tester], d, eps, p,
-                                         seed)
-                mv0, vmv0 = op.mv_queries, op.vmv_queries
-                accepted = _knob_run(tester, op, lam, eps, p, knob, seed)
-                budgets.append(op.mv_queries - mv0 + op.vmv_queries - vmv0)
-                hits += not accepted
-            evals[knob] = (hits / trials, float(np.mean(budgets)),
-                           int(max(budgets)))
+            evals[knob] = _sweep(
+                _SCALING_FAMILY[tester], d, eps, p,
+                range(seed0, seed0 + trials),
+                lambda op, seed: _knob_run(tester, op, eps, p, knob, seed))
         return evals[knob]
 
     hi = 1
-    while evaluate(hi)[0] < _SCALING_TARGET:
-        if hi >= cap:
-            rate, q_mean, q_max = evals[hi]
-            return {"tester": tester, "p": p, "eps": eps, "d": d,
-                    "knob": None, "success_rate": rate,
-                    "queries_mean": q_mean, "queries_max": q_max,
-                    "resolved": False}
+    while evaluate(hi)[0] < _SCALING_TARGET and hi < cap:
         hi = min(cap, hi * 2)
+    resolved = evals[hi][0] >= _SCALING_TARGET
     lo = hi // 2
     slack = (lambda: max(1, lo // 8)) if tester == "oja_l1" else (lambda: 1)
-    while hi - lo > slack():
+    while resolved and hi - lo > slack():
         mid = (lo + hi) // 2
         if evaluate(mid)[0] >= _SCALING_TARGET:
             hi = mid
         else:
             lo = mid
     rate, q_mean, q_max = evals[hi]
-    return {"tester": tester, "p": p, "eps": eps, "d": d, "knob": hi,
-            "success_rate": rate, "queries_mean": q_mean,
-            "queries_max": q_max, "resolved": True}
-
-
-def _scaling_rows(tester: str, p: float, eps_list, d_list, *, trials: int,
-                  seed0: int) -> List[dict]:
-    return [_scaling_cell(tester, p, eps, d, trials, seed0)
-            for eps in eps_list for d in d_list]
+    return {"tester": tester, "p": p, "eps": eps, "d": d,
+            "knob": hi if resolved else None, "success_rate": rate,
+            "queries_mean": q_mean, "queries_max": q_max,
+            "resolved": resolved}
 
 
 def _loglog_slopes(rows: Sequence[dict],
@@ -1031,7 +1031,8 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     Two slope fits come back: ``slopes`` on the measured query counts and
     ``size_slopes`` on the resolved knob itself.  Each trial carries a small
     query overhead that is constant in the knob (the confirming quad form,
-    the matvec that closes a Krylov projection), so when the resolved knobs
+    the matvec that closes a Krylov projection, the m-vmv norm probe of
+    Oja), so when the resolved knobs
     are single digits the queries fit sits visibly below the knob fit; the
     two agree in the regime where the knob dominates the budget.  Exponent
     checks should read ``size_slopes``, capacity planning ``slopes``.
@@ -1047,20 +1048,14 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     for d in d_list:
         if not isinstance(d, (int, np.integer)) or d < 8:
             raise ConfigError(f"dims must be integers >= 8, got {d!r}")
-    if not p >= 1.0:
-        raise ConfigError(f"p must be >= 1, got {p}")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    rows = _scaling_rows(tester, p, tuple(eps_list), tuple(d_list),
-                         trials=trials, seed0=seed0)
+    _check_p(tester, p)
+    _check_trials(trials)
+    rows = [_scaling_cell(tester, p, eps, d, trials, seed0)
+            for eps in eps_list for d in d_list]
     report = {"tester": tester, "p": p, "trials": trials, "seed0": seed0,
               "target": _SCALING_TARGET, "rows": rows,
               "slopes": _loglog_slopes(rows),
               "size_slopes": _loglog_slopes(rows, "knob")}
     if out_path is not None:
-        target_path = Path(out_path)
-        target_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(target_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_path, report)
     return report

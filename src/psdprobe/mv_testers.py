@@ -24,6 +24,7 @@ __all__ = [
     "krylov_degree",
     "krylov_tester",
     "nonadaptive_mv_tester",
+    "unrounded_krylov_degree",
 ]
 
 
@@ -83,21 +84,27 @@ def build_krylov(op, k: int, seed: SeedLike) -> KrylovSpace:
                        degenerate=r < k + 1)
 
 
+def unrounded_krylov_degree(eps: float, p: float, d: int,
+                            kappa: Optional[float] = None) -> float:
+    """kappa * eps^(-p/(2p+1)) * ln(1/eps) * [log2 d], before the ceiling.
+
+    The dimension factor enters only for p > 1; at p = inf the exponent
+    takes its limit -1/2.
+    """
+    kappa = defaults.KRYLOV_KAPPA if kappa is None else kappa
+    exponent = -0.5 if math.isinf(p) else -p / (2.0 * p + 1.0)
+    k = kappa * eps ** exponent * math.log(1.0 / eps)
+    return k * math.log2(d) if p > 1 else k
+
+
 def krylov_degree(eps: float, p: float, d: int,
                   kappa: Optional[float] = None) -> int:
-    """Krylov degree k = ceil(kappa * eps^(-p/(2p+1)) * ln(1/eps) * [log2 d]).
-
-    The dimension factor enters only for p > 1.
-    """
+    """Krylov degree k = ceil(``unrounded_krylov_degree``), at least 1."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    kappa = defaults.KRYLOV_KAPPA if kappa is None else kappa
-    k = kappa * eps ** (-p / (2.0 * p + 1.0)) * math.log(1.0 / eps)
-    if p > 1:
-        k *= math.log2(d)
-    return max(1, math.ceil(k))
+    return max(1, math.ceil(unrounded_krylov_degree(eps, p, d, kappa)))
 
 
 def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
@@ -112,12 +119,8 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
     norm, typically from a side estimator) and must then survive one direct
     confirming quad-form query, whose vector becomes the witness.  A bound
     of 0 means A = 0: the tolerance is 0 and nothing falls below it, so the
-    run accepts.
+    run accepts.  ``krylov_degree`` checks eps and p before any query.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if p < 1:
-        raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     if not 0.0 <= norm_estimate < math.inf:
         raise ValueError(
             f"norm_estimate must be finite and >= 0, got {norm_estimate}")

@@ -25,6 +25,7 @@ from psdprobe.harness import (
     write_records_csv,
 )
 from psdprobe.oracle import SymmetricOperator, rng_from
+from psdprobe.vmv_testers import oja_l1_tester
 
 
 def far_config(tmp_path=None, **overrides):
@@ -223,6 +224,22 @@ def test_config_rejects_constants_the_tester_does_not_read():
     assert records[0].verdict is False
 
 
+def test_config_rejects_a_p_the_tester_does_not_test():
+    for tester, p in (("nonadaptive_l1", 2.0), ("oja_l1", 2),
+                      ("bilinear_sketch", 1.0), ("bilinear_sketch", 3.0),
+                      ("adaptive_l2", 1.0)):
+        with pytest.raises(ConfigError, match=f"tester {tester} tests p = "):
+            far_config(tester=tester, p=p)
+    for tester, p in (("nonadaptive_l1", 1), ("bilinear_sketch", 2.0),
+                      ("krylov", 3.0), ("nonadaptive_mv", math.inf)):
+        assert far_config(tester=tester, p=p).p == p
+    # The scaling sweep builds the nonadaptive_l1 far family at the given p.
+    with pytest.raises(ConfigError, match="tests p = 1 only, got p=2.0"):
+        scaling_report("nonadaptive_l1", 2.0, (0.2,), (32,))
+    with pytest.raises(ConfigError, match="tests p = 1 only"):
+        scaling_report("oja_l1", 2.0, (0.2,), (32,))
+
+
 def test_run_experiment_rejects_non_config():
     with pytest.raises(ConfigError):
         run_experiment({"tester": "krylov"})
@@ -273,6 +290,17 @@ def test_run_experiment_krylov_rejections_carry_checked_witnesses():
         assert r.witness_valid is True
         assert r.queries_mv > 0
         assert r.queries_vmv >= 1  # the confirming quadratic form
+
+
+def test_run_experiment_krylov_runs_at_p_infinity():
+    for kind in ("far", "random_psd"):
+        records, summary = run_experiment(far_config(
+            tester="krylov", instance={"kind": kind, "dim": 32}, eps=0.2,
+            p=math.inf, trials=3))
+        assert {r.truth for r in records} == {kind == "random_psd"}
+        assert all(r.queries_mv > 0 for r in records)
+    assert summary["p"] == math.inf
+    assert summary["accept_given_psd"] == 1.0
 
 
 def test_run_experiment_krylov_accepts_the_zero_matrix():
@@ -383,6 +411,16 @@ def test_calibrate_validates():
         calibrate("embed_rows", trials=0)
 
 
+def test_calibrate_and_scaling_reject_non_integer_trials():
+    for trials in (2.5, True, "2"):
+        with pytest.raises(ConfigError,
+                           match="trials must be an integer >= 1, got"):
+            calibrate("embed_rows", trials=trials)
+        with pytest.raises(ConfigError,
+                           match="trials must be an integer >= 1, got"):
+            scaling_report("krylov", 1.0, (0.2,), (32,), trials=trials)
+
+
 def test_calibrate_refuses_blas_bound_reports_off_one_thread(tmp_path,
                                                              monkeypatch):
     def sweep(seed0, trials):
@@ -439,6 +477,24 @@ def test_scaling_report_validates():
         scaling_report("krylov", 1.0, (0.2,), (32,), trials=2.5)
 
 
+def test_oja_scaling_cells_run_the_tester_with_or_without_reduction(
+        monkeypatch):
+    calls = []
+
+    def counted(op, eps, cfg=None, *, rng=0):
+        calls.append((op.dim, cfg.eta_scales, cfg.amplification))
+        return oja_l1_tester(op, eps, cfg, rng=rng)
+
+    monkeypatch.setattr(harness, "oja_l1_tester", counted)
+    # ceil(8/0.3) = 27 >= 16: no reduction; 27 < 64: reduced.
+    for d in (16, 64):
+        calls.clear()
+        rep = scaling_report("oja_l1", 1.0, (0.3,), (d,), trials=4, seed0=0)
+        assert rep["rows"][0]["resolved"]
+        assert calls and len(calls) % 4 == 0
+        assert set(calls) == {(d, 1, 1)}
+
+
 def test_scaling_report_small_grid_resolves_budgets():
     rep = scaling_report("nonadaptive_l1", 1.0, (0.3, 0.15), (32,), trials=6,
                          seed0=2)
@@ -493,7 +549,7 @@ def test_cli_run_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config",
                  write_config(tmp_path, budget=9)]) == 2
     assert "error:" in capsys.readouterr().err
-    for bad in ({"eps": "0.1"}, {"p": None}, {"p": True},
+    for bad in ({"eps": "0.1"}, {"p": None}, {"p": True}, {"p": 2},
                 {"constants": {"kappa": True}}):
         assert main(["run", "--config", write_config(tmp_path, **bad)]) == 2
         err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for the matvec-model testers and the polynomial certificate."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from psdprobe.mv_testers import (
     krylov_degree,
     krylov_tester,
     nonadaptive_mv_tester,
+    unrounded_krylov_degree,
 )
 from psdprobe.oracle import (
     SpectrumInstance,
@@ -116,6 +119,14 @@ def test_krylov_degree_frozen_values():
         krylov_degree(0.0, 1, 64)
     with pytest.raises(ValueError):
         krylov_degree(0.1, 0.5, 64)
+
+
+def test_krylov_degree_takes_the_limit_exponent_at_p_infinity():
+    assert unrounded_krylov_degree(0.05, np.inf, 64) == pytest.approx(
+        unrounded_krylov_degree(0.05, 1e12, 64))
+    assert krylov_degree(0.05, np.inf, 64) == 322
+    assert krylov_degree(0.05, 2, 256) == math.ceil(
+        unrounded_krylov_degree(0.05, 2, 256))
 
 
 # ---------------------------------------------------------------------------
