@@ -8,7 +8,6 @@ from .oracle import (
     gen_rotated_diag,
     gen_wishart,
     gen_spiked_sym,
-    operator_from_descriptor,
     rng_from,
 )
 from .kernels import (

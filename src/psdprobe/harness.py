@@ -45,7 +45,7 @@ from . import defaults
 from .mv_testers import (krylov_tester, nonadaptive_mv_tester,
                          unrounded_krylov_degree)
 from .oracle import (SpectrumInstance, SymmetricOperator, gen_rotated_diag,
-                     gen_wishart, operator_from_descriptor, rng_from)
+                     gen_spiked_sym, gen_wishart, rng_from)
 from .spectrum import top_eigs_signed, top_eigs_signed_adaptive
 from .vmv_testers import (OjaConfig, adaptive_l2_tester,
                           bilinear_sketch_tester, build_sketch,
@@ -114,10 +114,17 @@ def _check_p(tester: str, p) -> None:
                           f"only, got p={p!r}")
 
 
-def _check_trials(trials) -> None:
+def _check_trials(trials) -> int:
+    """``trials`` as a Python int, once it is an integer >= 1."""
     if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) \
             or trials < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    return int(trials)
+
+
+def _check_seed0(seed0) -> None:
+    if not isinstance(seed0, int) or isinstance(seed0, bool):
+        raise ConfigError(f"seed0 must be an integer, got {seed0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +135,17 @@ def _check_trials(trials) -> None:
 class ExperimentConfig:
     """One experiment: a tester, an instance family, and a trial budget.
 
-    ``instance`` is a JSON-friendly dict with a ``kind`` field.  Kinds
-    "rotated_diag", "wishart" and "spiked" are forwarded to
-    ``operator_from_descriptor`` with the per-trial seed substituted for any
-    seed the descriptor carries; the harness adds the per-trial families
-    "identity", "random_psd" (uniform spectrum in [0, 1]), "far" (one
-    negative eigenvalue at exactly -eps times the Schatten-p norm), "hard_l1"
-    (the negative eigenvalue hidden under ~eps^(-2/3) taller positive
-    spikes) and "gap" (strictly inside the promise gap; excluded from rate
-    denominators).  All of these need a "dim" entry.
+    ``instance`` is a JSON-friendly dict whose ``kind`` names one of the
+    nine kinds ``instance_operator`` builds, each from the per-trial seed
+    (a seed in the descriptor is ignored): "rotated_diag" (needs
+    "eigenvalues"), "wishart" (needs "dim"), "spiked" (needs "dim", "s" and
+    "shift"; see ``gen_spiked_sym``), and the rotated spectrum families,
+    each needing "dim": "identity", "random_psd" (uniform spectrum in
+    [0, 1]), "far" (one negative eigenvalue at exactly -eps times the
+    Schatten-p norm), "hard_l1" (the negative eigenvalue hidden under
+    ~eps^(-2/3) taller positive spikes), "cluster_l1" (positives clustered
+    at the negative eigenvalue's scale) and "gap" (strictly inside the
+    promise gap; excluded from rate denominators).
 
     ``constants`` overrides named calibration constants.  Each tester reads
     its own set (``_TESTER_CONSTANTS``): kappa, c_psd, repeats,
@@ -163,8 +172,7 @@ class ExperimentConfig:
         if not isinstance(self.instance, dict) or "kind" not in self.instance:
             raise ConfigError("instance must be a dict with a 'kind' field")
         _check_trials(self.trials)
-        if not isinstance(self.seed0, int) or isinstance(self.seed0, bool):
-            raise ConfigError(f"seed0 must be an integer, got {self.seed0!r}")
+        _check_seed0(self.seed0)
         if not (_is_number(self.eps) and 0.0 < self.eps < 1.0):
             raise ConfigError(f"eps must be a number in (0, 1), "
                               f"got {self.eps!r}")
@@ -305,12 +313,27 @@ def family_spectrum(kind: str, d: int, eps: float, p: float,
 
 def instance_operator(desc: dict, eps: float, p: float,
                       seed: int) -> SymmetricOperator:
-    """Fresh operator for one trial; the trial seed overrides any seed field."""
+    """Fresh operator for one trial of any kind ``ExperimentConfig`` lists.
+
+    The trial seed overrides any seed field.  A descriptor that is not a
+    dict, names an unknown kind or lacks a field raises ConfigError.
+    """
+    if not isinstance(desc, dict):
+        raise ConfigError(f"descriptor must be a dict, got "
+                          f"{type(desc).__name__}")
     kind = desc.get("kind")
-    if kind in ("rotated_diag", "wishart", "spiked"):
-        full = dict(desc)
-        full["seed"] = seed
-        return operator_from_descriptor(full)
+    try:
+        if kind == "rotated_diag":
+            return gen_rotated_diag(SpectrumInstance(
+                eigenvalues=tuple(desc["eigenvalues"]), rotation_seed=seed))
+        if kind == "wishart":
+            return gen_wishart(int(desc["dim"]), seed)
+        if kind == "spiked":
+            return gen_spiked_sym(int(desc["dim"]), float(desc["s"]),
+                                  float(desc["shift"]), seed)
+    except KeyError as exc:
+        raise ConfigError(f"instance kind {kind!r} is missing field "
+                          f"{exc}") from None
     d = desc.get("dim")
     if not isinstance(d, int) or d < 2:
         raise ConfigError(f"instance kind {kind!r} needs an integer dim >= 2, "
@@ -563,10 +586,10 @@ def summarize(records: Sequence[TrialRecord],
 def _write_json(path, obj) -> None:
     """Sorted, indented JSON with a final newline; parents created."""
     target = Path(path)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _csv_cell(value) -> str:
@@ -872,8 +895,9 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
     if suite not in _SUITE_FNS:
         raise ConfigError(f"unknown calibration suite {suite!r}; expected one "
                           f"of {', '.join(CALIBRATION_SUITES)}")
+    _check_seed0(seed0)
     if trials is not None:
-        _check_trials(trials)
+        trials = _check_trials(trials)
     if (out_dir is not None and suite in _BLAS_BOUND_SUITES
             and os.environ.get("OPENBLAS_NUM_THREADS") != "1"):
         raise ConfigError(f"the {suite} report moves with the BLAS thread "
@@ -1043,14 +1067,15 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     if not eps_list or not d_list:
         raise ConfigError("eps_list and d_list must be non-empty")
     for eps in eps_list:
-        if not 0.0 < eps < 1.0:
-            raise ConfigError(f"eps values must be in (0, 1), got {eps}")
+        if not (_is_number(eps) and 0.0 < eps < 1.0):
+            raise ConfigError(f"eps values must be in (0, 1), got {eps!r}")
     for d in d_list:
         if not isinstance(d, (int, np.integer)) or d < 8:
             raise ConfigError(f"dims must be integers >= 8, got {d!r}")
     _check_p(tester, p)
-    _check_trials(trials)
-    rows = [_scaling_cell(tester, p, eps, d, trials, seed0)
+    trials = _check_trials(trials)
+    _check_seed0(seed0)
+    rows = [_scaling_cell(tester, p, float(eps), int(d), trials, seed0)
             for eps in eps_list for d in d_list]
     report = {"tester": tester, "p": p, "trials": trials, "seed0": seed0,
               "target": _SCALING_TARGET, "rows": rows,

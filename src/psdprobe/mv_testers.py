@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .oracle import SeedLike, rng_from
-from .vmv_testers import ONE_SIDED, Verdict, _fixed_sketch_tester, _queries_on
+from .vmv_testers import ONE_SIDED, Verdict, _fixed_sketch_tester, _tester
 
 __all__ = [
     "KrylovSpace",
@@ -107,6 +107,7 @@ def krylov_degree(eps: float, p: float, d: int,
     return max(1, math.ceil(unrounded_krylov_degree(eps, p, d, kappa)))
 
 
+@_tester(ONE_SIDED)
 def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
                   repeats: Optional[int] = None, rng: SeedLike = 0,
                   kappa: Optional[float] = None) -> Verdict:
@@ -119,14 +120,13 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
     norm, typically from a side estimator) and must then survive one direct
     confirming quad-form query, whose vector becomes the witness.  A bound
     of 0 means A = 0: the tolerance is 0 and nothing falls below it, so the
-    run accepts.  ``krylov_degree`` checks eps and p before any query.
+    run accepts.  Eps and p are checked before any query.
     """
     if not 0.0 <= norm_estimate < math.inf:
         raise ValueError(
             f"norm_estimate must be finite and >= 0, got {norm_estimate}")
     repeats = defaults.KRYLOV_REPEATS if repeats is None else repeats
     gen = rng_from(rng, 0x4B70)
-    start = _queries_on(op)
 
     tol = defaults.KRYLOV_EIG_TOL * norm_estimate
     k = min(krylov_degree(eps, p, op.dim, kappa), op.dim - 1)
@@ -140,18 +140,15 @@ def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
             cand = space.basis @ v[:, 0]
             cand /= float(np.linalg.norm(cand))
             if op.quad_form(cand) < 0.0:
-                return Verdict(is_psd=False, witness=cand,
-                               queries_used=_queries_on(op) - start,
-                               mode=ONE_SIDED, statistic=lam)
-    return Verdict(is_psd=True, witness=None,
-                   queries_used=_queries_on(op) - start,
-                   mode=ONE_SIDED, statistic=lam_seen)
+                return False, cand, lam
+    return True, None, lam_seen
 
 
 # ---------------------------------------------------------------------------
 # non-adaptive mv
 # ---------------------------------------------------------------------------
 
+@_tester(ONE_SIDED)
 def nonadaptive_mv_tester(op, eps: float, p: float, *,
                           repeats: Optional[int] = None, rng: SeedLike = 0,
                           kappa: Optional[float] = None) -> Verdict:
@@ -163,8 +160,6 @@ def nonadaptive_mv_tester(op, eps: float, p: float, *,
     the verdict comes from the smallest eigenvalue of GᵀAG against the same
     noise floor as the vmv variant, with witness G v.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
 

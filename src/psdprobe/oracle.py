@@ -51,9 +51,9 @@ answers ``eigenvalues`` from it after O(d^2) trace and Frobenius checks;
 any other operator (Wishart, spiked, a raw backing) is decomposed once with
 ``eigvalsh``.
 
-Generators produce the instance families an experiment config can name
-("rotated_diag", "wishart", "spiked", through ``operator_from_descriptor``):
-rotated diagonal spectra, Wishart matrices, and spiked asymmetric embeddings.
+Generators build rotated diagonal spectra, Wishart matrices and spiked
+asymmetric embeddings; ``harness.instance_operator`` builds the instance
+kinds an experiment config can name, these three among them.
 All randomness comes from explicitly seeded counter-based Philox streams; there
 is no module-level RNG state anywhere in this package.
 """
@@ -75,7 +75,6 @@ __all__ = [
     "gen_rotated_diag",
     "gen_wishart",
     "gen_spiked_sym",
-    "operator_from_descriptor",
 ]
 
 # Dense backing is exact and fast at desk scale; refuse anything larger so a
@@ -474,33 +473,3 @@ def gen_spiked_sym(d: int, s: float, shift: float, seed: int) -> SymmetricOperat
     a[d:, :d] = b.T
     a[np.diag_indices_from(a)] = shift
     return SymmetricOperator(a, seed=seed, validate=False)
-
-
-def operator_from_descriptor(desc: dict) -> SymmetricOperator:
-    """Build an operator from a JSON-friendly instance descriptor.
-
-    Expected shapes::
-
-        {"kind": "rotated_diag", "eigenvalues": [...], "seed": 7}
-        {"kind": "wishart", "dim": 64, "seed": 7}
-        {"kind": "spiked", "dim": 64, "s": 1.0, "shift": 16.8, "seed": 7}
-
-    Raises ValueError on unknown kinds or missing fields, which the CLI maps
-    to its config-error exit code.
-    """
-    if not isinstance(desc, dict):
-        raise ValueError(f"descriptor must be a dict, got {type(desc).__name__}")
-    kind = desc.get("kind")
-    try:
-        if kind == "rotated_diag":
-            return gen_rotated_diag(SpectrumInstance(
-                eigenvalues=tuple(desc["eigenvalues"]),
-                rotation_seed=int(desc["seed"])))
-        if kind == "wishart":
-            return gen_wishart(int(desc["dim"]), int(desc["seed"]))
-        if kind == "spiked":
-            return gen_spiked_sym(int(desc["dim"]), float(desc["s"]),
-                                  float(desc["shift"]), int(desc["seed"]))
-    except KeyError as exc:
-        raise ValueError(f"descriptor for kind={kind!r} missing field {exc}") from exc
-    raise ValueError(f"unknown instance kind {kind!r}")

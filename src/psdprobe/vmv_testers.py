@@ -15,6 +15,10 @@ One-sided testers never reject a PSD input: every rejection is triggered by
 an actual negative quadratic form witnessed through the oracle, so the
 guarantee holds under floating point, not just in exact arithmetic.
 
+Every public tester, here and in ``mv_testers``, answers through one exit,
+``_tester(mode)``, which checks eps and builds the ``Verdict``; a tester
+body returns only (is_psd, witness, statistic).
+
 Both Oja-based testers share one descent, ``_descend``: it runs on the
 operator the caller handed in, optionally through a Gaussian map G (so on
 the form x^T B x with B = G^T A G) and optionally under an affine shift of
@@ -30,6 +34,7 @@ exceeds d and B would be larger than A.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -61,12 +66,15 @@ class Verdict:
     """Outcome of one tester invocation.
 
     ``queries_used`` counts oracle accesses made by the call (mv and vmv
-    combined, measured on the operator the tester was handed).  For a
-    one-sided rejection, ``witness`` satisfies quad_form(A, witness) < 0.
-    ``statistic`` carries the tester's decision value when it has one
-    (gamma for the sketch tester, the confirming quadratic form for the
-    Oja tester, lambda_min of the compressed matrix for the non-adaptive
-    ones).
+    combined, measured on the operator the tester was handed); ``_tester``
+    writes it and ``mode``.  For a one-sided rejection, ``witness``
+    satisfies quad_form(A, witness) < 0.  ``statistic`` is gamma for
+    bilinear_sketch; the confirming quadratic form of an oja_l1 rejection
+    and the negative probe value of an adaptive_l2 probe rejection, None on
+    their other outcomes; for nonadaptive_l1 and nonadaptive_mv, lambda_min of the last
+    repetition's G^T A G (the rejecting one on a rejection); for krylov,
+    lambda_min of the rejecting repetition's projected matrix, or on an
+    accept the minimum of lambda_min over all repetitions.
     """
 
     is_psd: bool
@@ -129,8 +137,26 @@ class OjaConfig:
                    else amplification)
 
 
-def _queries_on(op) -> int:
-    return op.mv_queries + op.vmv_queries
+def _tester(mode: str):
+    """Decorator: the one exit of every public tester.
+
+    The call checks that eps is in (0, 1) before any query, runs the body,
+    which returns (is_psd, witness, statistic) and keeps the public
+    signature, and builds the ``Verdict``: ``queries_used`` is the movement
+    of op's mv + vmv counters over the call, ``mode`` the given one.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def tester(op, eps, *args, **kwargs):
+            if not 0.0 < eps < 1.0:
+                raise ValueError(f"eps must be in (0, 1), got {eps}")
+            start = op.mv_queries + op.vmv_queries
+            is_psd, witness, statistic = body(op, eps, *args, **kwargs)
+            return Verdict(is_psd=is_psd, witness=witness,
+                           queries_used=op.mv_queries + op.vmv_queries - start,
+                           mode=mode, statistic=statistic)
+        return tester
+    return wrap
 
 
 def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
@@ -253,6 +279,7 @@ def _read_blocks(parent, g, comp, us, first):
         yield parent.directions(uis[lo:hi].T), us[lo:hi], uis[lo:hi]
 
 
+@_tester(ONE_SIDED)
 def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
                   rng: SeedLike = 0) -> Verdict:
     """One-sided adaptive trace-norm tester.
@@ -278,10 +305,7 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     behavior.  On rejection the witness is the exact vector that confirming
     query saw, already in the space of the operator the caller handed in.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     gen = rng_from(rng, _OJA_STREAM)
-    start_queries = _queries_on(op)
     if cfg is None:
         cfg = OjaConfig.from_eps(eps, dim=op.dim)
     m = min(op.dim, math.ceil(defaults.REDUCE_KAPPA / eps))
@@ -298,12 +322,8 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
                            comp=comp)
             if hit is not None:
                 witness, value = hit
-                return Verdict(is_psd=False, witness=witness,
-                               queries_used=_queries_on(op) - start_queries,
-                               mode=ONE_SIDED, statistic=value)
-    return Verdict(is_psd=True, witness=None,
-                   queries_used=_queries_on(op) - start_queries,
-                   mode=ONE_SIDED, statistic=None)
+                return False, witness, value
+    return True, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +385,7 @@ def build_sketch(op, k: int, seed: SeedLike) -> SketchState:
                        gamma=gamma_statistic(alpha, beta, float(w[0]), k))
 
 
+@_tester(TWO_SIDED)
 def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
                            rng: SeedLike = 0,
                            kappa: Optional[float] = None) -> Verdict:
@@ -378,23 +399,14 @@ def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
     """
     if c_psd is None:
         c_psd = defaults.C_PSD
-    start = _queries_on(op)
     state = build_sketch(op, sketch_dim(eps, kappa), rng)
     noise_floor = defaults.SKETCH_EIG_TOL * max(state.beta, 1e-300) * state.k
     if state.eigvals[0] < -noise_floor:
         witness = state.g @ state.eigvecs[:, 0]
         if op.quad_form(witness) >= 0.0:  # assembly noise; keep the rejection
             witness = None
-        return Verdict(is_psd=False, witness=witness,
-                       queries_used=_queries_on(op) - start,
-                       mode=TWO_SIDED, statistic=state.gamma)
-    if state.beta > 0.0 and state.gamma > c_psd:
-        return Verdict(is_psd=False, witness=None,
-                       queries_used=_queries_on(op) - start,
-                       mode=TWO_SIDED, statistic=state.gamma)
-    return Verdict(is_psd=True, witness=None,
-                   queries_used=_queries_on(op) - start,
-                   mode=TWO_SIDED, statistic=state.gamma)
+        return False, witness, state.gamma
+    return not (state.beta > 0.0 and state.gamma > c_psd), None, state.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +435,7 @@ def _gap_sketch_dim(eps: float, c_psd: float) -> int:
     return hi
 
 
+@_tester(TWO_SIDED)
 def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
                        c_psd: Optional[float] = None) -> Verdict:
     """Two-sided Frobenius-scale tester with an adaptive second stage.
@@ -439,26 +452,19 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     in the shifted space proves nothing about A, so that rejection carries
     no witness.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     if c_psd is None:
         c_psd = defaults.C_PSD
     gen = rng_from(rng, 0xAD27)
-    start = _queries_on(op)
     for _ in range(defaults.PROBE_COUNT):
         x = gen.standard_normal(op.dim)
         val = op.quad_form(x)
         if val < 0.0:
-            return Verdict(is_psd=False, witness=x,
-                           queries_used=_queries_on(op) - start,
-                           mode=TWO_SIDED, statistic=val)
+            return False, x, val
 
     alpha = trace_estimate(op, gen)
     beta = frobenius_estimate(op, gen)
     if beta == 0.0:
-        return Verdict(is_psd=True, witness=None,
-                       queries_used=_queries_on(op) - start,
-                       mode=TWO_SIDED, statistic=None)
+        return True, None, None
 
     k = _gap_sketch_dim(eps, c_psd)
     c_far = c_far_curve(k, eps)
@@ -471,15 +477,14 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     n_iters = math.ceil(defaults.GAMMA_GROWTH_LOG / eta)
     is_psd = all(_descend(op, g, eta, n_iters, gen, trace_gamma, affine) is None
                  for _ in range(defaults.GAMMA_AMP))
-    return Verdict(is_psd=is_psd, witness=None,
-                   queries_used=_queries_on(op) - start,
-                   mode=TWO_SIDED, statistic=None)
+    return is_psd, None, None
 
 
 # ---------------------------------------------------------------------------
 # non-adaptive l1
 # ---------------------------------------------------------------------------
 
+@_tester(ONE_SIDED)
 def nonadaptive_l1_tester(op, eps: float, *, repeats: Optional[int] = None,
                           rng: SeedLike = 0,
                           kappa: Optional[float] = None) -> Verdict:
@@ -493,25 +498,23 @@ def nonadaptive_l1_tester(op, eps: float, *, repeats: Optional[int] = None,
     of this tester; correctness of the witness comes from the eigenvalue's
     margin over assembly noise rather than a confirming query.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     return _fixed_sketch_tester(op, eps, 1.0, op.sym_block, repeats, kappa,
                                 rng_from(rng, 0x0AD1))
 
 
 def _fixed_sketch_tester(op, eps: float, p: float, read, repeats, kappa,
-                         gen: np.random.Generator) -> Verdict:
+                         gen: np.random.Generator):
     """The repetition loop of both non-adaptive one-sided testers.
 
     Each repetition draws G with N(0, 1/d) entries and
     m = min(d, ceil(kappa d^(1 - 1/p) / eps)) columns (ceil(kappa/eps) at
     p = 1), reads the symmetric S = G^T A G through ``read(G)`` and rejects,
     with witness G v, when lambda_min(S) = v^T S v sits below the noise
-    floor 1e-9 ||S||_F.
+    floor 1e-9 ||S||_F.  Returns the tester body's (is_psd, witness,
+    statistic), the statistic being the last repetition's lambda_min(S).
     """
     repeats = defaults.NONADAPT_REPEATS if repeats is None else repeats
     kappa = defaults.NONADAPT_KAPPA if kappa is None else kappa
-    start = _queries_on(op)
     d = op.dim
     m = min(d, math.ceil(kappa * d ** (1.0 - 1.0 / p) / eps))
     lam_last = None
@@ -521,9 +524,5 @@ def _fixed_sketch_tester(op, eps: float, p: float, read, repeats, kappa,
         w, v = np.linalg.eigh(s)
         lam_last = float(w[0])
         if w[0] < -1e-9 * float(np.linalg.norm(s, "fro")):
-            return Verdict(is_psd=False, witness=g @ v[:, 0],
-                           queries_used=_queries_on(op) - start,
-                           mode=ONE_SIDED, statistic=lam_last)
-    return Verdict(is_psd=True, witness=None,
-                   queries_used=_queries_on(op) - start,
-                   mode=ONE_SIDED, statistic=lam_last)
+            return False, g @ v[:, 0], lam_last
+    return True, None, lam_last

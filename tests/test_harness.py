@@ -110,6 +110,33 @@ def test_instance_operator_validates():
         instance_operator({"kind": "gap", "dim": 8, "depth": 1.5}, 0.2, 1.0, 0)
 
 
+@pytest.mark.parametrize("desc", [
+    {"kind": "rotated_diag", "eigenvalues": [1.0, -2.0, 0.5], "seed": 4},
+    {"kind": "wishart", "dim": 12, "seed": 4},
+    {"kind": "spiked", "dim": 8, "s": 1.5, "shift": 6.0, "seed": 4},
+])
+def test_descriptor_round_trip(desc):
+    op = instance_operator(desc, 0.2, 1.0, 4)
+    op2 = instance_operator(dict(desc), 0.2, 1.0, 4)
+    np.testing.assert_array_equal(op.dense(), op2.dense())
+    # The trial seed builds the instance; a seed in the descriptor is ignored.
+    reseeded = instance_operator({**desc, "seed": 99}, 0.2, 1.0, 4)
+    np.testing.assert_array_equal(op.dense(), reseeded.dense())
+
+
+@pytest.mark.parametrize("desc,error,match", [
+    pytest.param({"kind": "nope"}, ValueError, "'nope'", id="desc0"),
+    pytest.param({"kind": "wishart", "seed": 1}, ConfigError,
+                 "missing field 'dim'", id="desc1"),
+    pytest.param({"kind": "rotated_diag", "seed": 1}, ConfigError,
+                 "missing field 'eigenvalues'", id="desc2"),
+    pytest.param("not a dict", ValueError, "must be a dict", id="not a dict"),
+])
+def test_descriptor_errors_are_value_errors(desc, error, match):
+    with pytest.raises(error, match=match):
+        instance_operator(desc, 0.2, 1.0, 4)
+
+
 def test_truth_label_tolerates_eigensolver_noise():
     op = SymmetricOperator(np.diag([1.0, -1e-14]))
     assert truth_label(op, 0.2, 1.0) is True
@@ -421,6 +448,33 @@ def test_calibrate_and_scaling_reject_non_integer_trials():
             scaling_report("krylov", 1.0, (0.2,), (32,), trials=trials)
 
 
+@pytest.mark.parametrize("seed0", ["3", 1.5, True])
+def test_calibrate_and_scaling_reject_non_integer_seed0(seed0):
+    with pytest.raises(ConfigError, match="seed0 must be an integer, got"):
+        calibrate("embed_rows", seed0=seed0, trials=1)
+    with pytest.raises(ConfigError, match="seed0 must be an integer, got"):
+        scaling_report("krylov", 1.0, (0.2,), (32,), trials=1, seed0=seed0)
+
+
+def test_numpy_integers_write_the_reports_plain_integers_write(tmp_path):
+    for name, trials, dim in (("int", 1, 32),
+                              ("numpy", np.int64(1), np.int64(32))):
+        out = tmp_path / name
+        scaling_report("krylov", 1.0, (0.2,), (dim,), trials=trials,
+                       out_path=out / "s.json")
+        calibrate("embed_rows", trials=trials, out_dir=out)
+    for report in ("s.json", "embed_rows.json"):
+        assert (tmp_path / "numpy" / report).read_bytes() == \
+            (tmp_path / "int" / report).read_bytes()
+
+
+def test_a_report_that_cannot_be_serialized_leaves_no_file(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        harness._write_json(path, {"rows": [1, object()]})
+    assert not path.exists()
+
+
 def test_calibrate_refuses_blas_bound_reports_off_one_thread(tmp_path,
                                                              monkeypatch):
     def sweep(seed0, trials):
@@ -475,6 +529,13 @@ def test_scaling_report_validates():
         scaling_report("krylov", 1.0, (0.2,), (32,), trials=0)
     with pytest.raises(ConfigError):
         scaling_report("krylov", 1.0, (0.2,), (32,), trials=2.5)
+
+
+def test_scaling_report_rejects_non_number_eps():
+    for eps in ("0.2", None, True):
+        with pytest.raises(ConfigError,
+                           match=r"eps values must be in \(0, 1\), got"):
+            scaling_report("krylov", 1.0, (eps,), (32,), trials=1)
 
 
 def test_oja_scaling_cells_run_the_tester_with_or_without_reduction(

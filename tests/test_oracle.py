@@ -13,7 +13,6 @@ from psdprobe.oracle import (
     gen_rotated_diag,
     gen_spiked_sym,
     gen_wishart,
-    operator_from_descriptor,
     rng_from,
 )
 
@@ -520,25 +519,3 @@ def test_spiked_embedding_large_spike_breaks_psd():
     d = 32
     op = gen_spiked_sym(d, s=3.0, shift=2.1 * np.sqrt(d), seed=17)
     assert op.eigenvalues().min() < 0
-
-
-@pytest.mark.parametrize("desc", [
-    {"kind": "rotated_diag", "eigenvalues": [1.0, -2.0, 0.5], "seed": 4},
-    {"kind": "wishart", "dim": 12, "seed": 4},
-    {"kind": "spiked", "dim": 8, "s": 1.5, "shift": 6.0, "seed": 4},
-])
-def test_descriptor_round_trip(desc):
-    op = operator_from_descriptor(desc)
-    op2 = operator_from_descriptor(dict(desc))
-    np.testing.assert_array_equal(op.dense(), op2.dense())
-
-
-@pytest.mark.parametrize("desc", [
-    {"kind": "nope"},
-    {"kind": "wishart", "seed": 1},
-    {"kind": "rotated_diag", "seed": 1},
-    "not a dict",
-])
-def test_descriptor_errors_are_value_errors(desc):
-    with pytest.raises(ValueError):
-        operator_from_descriptor(desc)

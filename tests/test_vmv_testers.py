@@ -9,6 +9,7 @@ import pytest
 
 from psdprobe import defaults
 from psdprobe.harness import instance_operator
+from psdprobe.mv_testers import krylov_tester, nonadaptive_mv_tester
 from psdprobe.oracle import (
     Compression,
     SpectrumInstance,
@@ -290,6 +291,27 @@ def test_oja_zero_operator_accepts_after_probes():
     # Each amplification round pays only the d-query norm probe, sees a
     # zero scale and skips the descent.
     assert v.queries_used == OjaConfig.from_eps(0.5, dim=10).amplification * 10
+
+
+# Each public tester as a call on (op, eps) alone.
+PUBLIC_TESTERS = {
+    "oja_l1": oja_l1_tester,
+    "bilinear_sketch": bilinear_sketch_tester,
+    "adaptive_l2": adaptive_l2_tester,
+    "nonadaptive_l1": nonadaptive_l1_tester,
+    "krylov": lambda op, eps: krylov_tester(op, eps, 1.0, 1.0),
+    "nonadaptive_mv": lambda op, eps: nonadaptive_mv_tester(op, eps, 1.0),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, math.nan])
+@pytest.mark.parametrize("tester", sorted(PUBLIC_TESTERS))
+def test_every_tester_rejects_eps_outside_the_unit_interval_before_a_query(
+        tester, eps):
+    op = identity_op(10)
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+        PUBLIC_TESTERS[tester](op, eps)
+    assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
 def test_oja_validates_eps():
