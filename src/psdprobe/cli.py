@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -69,13 +69,10 @@ def _cmd_run(args) -> int:
         data["trials"] = args.trials
     cfg = ExperimentConfig(**data)
     if args.out is not None:
-        name = Path(cfg.output_path).name if cfg.output_path \
-            else f"{cfg.tester}.csv"
-        cfg = ExperimentConfig(**{**data, "output_path":
-                                  str(Path(args.out) / name)})
+        name = Path(cfg.output_path or f"{cfg.tester}.csv").name
+        cfg = replace(cfg, output_path=str(Path(args.out) / name))
     elif cfg.output_path is None:
-        cfg = ExperimentConfig(**{**data, "output_path":
-                                  f"{cfg.tester}.csv"})
+        cfg = replace(cfg, output_path=f"{cfg.tester}.csv")
     records, summary = run_experiment(cfg)
     if args.format == "json":
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)

@@ -37,6 +37,9 @@ CALIBRATION_MARGINS = {
     "C_PSD": (0.27866009275416426, "pooled 99th percentile, rounded up"),
 }
 
+# --- rejection floor of every sketch and Krylov tester (vmv_testers._lowest)
+EIG_TOL = 1e-9            # lambda_min(S) < -EIG_TOL ||S||_F is really negative
+
 # --- dimension reduction ahead of the adaptive l1 tester -----------------
 REDUCE_KAPPA = 8.0        # reduced dimension m = ceil(REDUCE_KAPPA / eps)
 REDUCE_EPS_SHRINK = 4.0   # reduction keeps lambda_min below -eps/this factor
@@ -54,7 +57,6 @@ SKETCH_KAPPA = 12.0       # k = ceil(SKETCH_KAPPA eps^-2 ln^2(max(e, 1/eps)))
 C_PSD = 0.28              # pooled 99th pctile of gamma on the PSD sweeps was
                           # 0.2787 (calibration/c_psd.json); committed a hair up
 FROB_EPS_FAIL = 0.01      # failure probability of the beta estimate
-SKETCH_EIG_TOL = 1e-9     # lambda_min(S) noise floor, times beta * k
 
 # --- adaptive l2 tester ----------------------------------------------------
 PROBE_COUNT = 8           # Gaussian quad-form probes before sketching
@@ -72,7 +74,6 @@ NONADAPT_REPEATS = 5
 # --- Krylov (mv model) ------------------------------------------------------
 KRYLOV_KAPPA = 4.0        # k = ceil(KRYLOV_KAPPA eps^(-p/(2p+1)) ln(1/eps) ...)
 KRYLOV_REPEATS = 5
-KRYLOV_EIG_TOL = 1e-10    # relative lambda_min(PI A PI) rejection floor
 
 # --- spectrum estimation ----------------------------------------------------
 EMBED_KAPPA = 40.0        # embedding rows = ceil(EMBED_KAPPA m / eps^2), <= d

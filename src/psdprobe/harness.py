@@ -86,6 +86,9 @@ _TESTER_CONSTANTS = {
 
 TESTERS = tuple(_TESTER_CONSTANTS)
 
+# The two matvec-model testers, both called as (op, eps, p, **constants).
+_MV_TESTERS = {"krylov": krylov_tester, "nonadaptive_mv": nonadaptive_mv_tester}
+
 # The one Schatten p each of these testers tests; the others take any p >= 1.
 _TESTER_P = {"oja_l1": 1, "nonadaptive_l1": 1, "bilinear_sketch": 2,
              "adaptive_l2": 2}
@@ -106,12 +109,14 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_p(tester: str, p) -> None:
+def _check_p(tester: str, p) -> float:
+    """``p`` as a Python float, once it is a number >= 1 the tester tests."""
     if not (_is_number(p) and p >= 1.0):
         raise ConfigError(f"p must be a number >= 1, got {p!r}")
     if _TESTER_P.get(tester, p) != p:
         raise ConfigError(f"tester {tester} tests p = {_TESTER_P[tester]} "
                           f"only, got p={p!r}")
+    return float(p)
 
 
 def _check_trials(trials) -> int:
@@ -152,8 +157,8 @@ class ExperimentConfig:
     amplification or iter_scale, and k (the rank of the spectrum testers);
     any other name is an error.  Every value must be a finite positive
     number, and a whole number where the tester reads an integer.  eps, p
-    and the constants must be numbers, not strings or bools, and p must be
-    the one p a tester tests when it tests only one (``_TESTER_P``).
+    and the constants must be numbers, not strings or bools (eps and p are
+    stored as floats), and p the one p of a one-p tester (``_TESTER_P``).
     """
 
     tester: str
@@ -176,7 +181,8 @@ class ExperimentConfig:
         if not (_is_number(self.eps) and 0.0 < self.eps < 1.0):
             raise ConfigError(f"eps must be a number in (0, 1), "
                               f"got {self.eps!r}")
-        _check_p(self.tester, self.p)
+        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "p", _check_p(self.tester, self.p))
         if not isinstance(self.constants, dict):
             raise ConfigError("constants must be a dict")
         reads = _TESTER_CONSTANTS[self.tester]
@@ -316,28 +322,33 @@ def instance_operator(desc: dict, eps: float, p: float,
     """Fresh operator for one trial of any kind ``ExperimentConfig`` lists.
 
     The trial seed overrides any seed field.  A descriptor that is not a
-    dict, names an unknown kind or lacks a field raises ConfigError.
+    dict, names an unknown kind, lacks a field, has a dim that is not an
+    integer >= 2 or a non-number s, shift or depth raises ConfigError.
     """
     if not isinstance(desc, dict):
         raise ConfigError(f"descriptor must be a dict, got "
                           f"{type(desc).__name__}")
     kind = desc.get("kind")
-    try:
-        if kind == "rotated_diag":
-            return gen_rotated_diag(SpectrumInstance(
-                eigenvalues=tuple(desc["eigenvalues"]), rotation_seed=seed))
-        if kind == "wishart":
-            return gen_wishart(int(desc["dim"]), seed)
-        if kind == "spiked":
-            return gen_spiked_sym(int(desc["dim"]), float(desc["s"]),
-                                  float(desc["shift"]), seed)
-    except KeyError as exc:
-        raise ConfigError(f"instance kind {kind!r} is missing field "
-                          f"{exc}") from None
-    d = desc.get("dim")
+    needs = {"rotated_diag": ("eigenvalues",), "spiked": ("dim", "s", "shift")}
+    for name in needs.get(kind, ("dim",)):
+        if name not in desc:
+            raise ConfigError(f"instance kind {kind!r} is missing field "
+                              f"{name!r}")
+    if kind == "rotated_diag":
+        return gen_rotated_diag(SpectrumInstance(
+            eigenvalues=tuple(desc["eigenvalues"]), rotation_seed=seed))
+    d = desc["dim"]
     if not isinstance(d, int) or d < 2:
         raise ConfigError(f"instance kind {kind!r} needs an integer dim >= 2, "
                           f"got {d!r}")
+    for name in ("s", "shift", "depth"):
+        if name in desc and not _is_number(desc[name]):
+            raise ConfigError(f"instance field {name!r} must be a number, "
+                              f"got {desc[name]!r}")
+    if kind == "wishart":
+        return gen_wishart(d, seed)
+    if kind == "spiked":
+        return gen_spiked_sym(d, float(desc["s"]), float(desc["shift"]), seed)
     if kind == "gap":
         depth = float(desc.get("depth", 0.5))
         if not 0.0 < depth < 1.0:
@@ -445,21 +456,17 @@ def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
           for name, cast in _TESTER_CONSTANTS[cfg.tester].items()
           if name in cfg.constants}
     if cfg.tester == "oja_l1":
-        oja_cfg = OjaConfig.from_eps(cfg.eps, dim=op.dim, **kw) if kw else None
-        v = oja_l1_tester(op, cfg.eps, oja_cfg, rng=seed)
+        v = oja_l1_tester(op, cfg.eps,
+                          OjaConfig.from_eps(cfg.eps, dim=op.dim, **kw),
+                          rng=seed)
     elif cfg.tester == "bilinear_sketch":
         v = bilinear_sketch_tester(op, cfg.eps, rng=seed, **kw)
     elif cfg.tester == "adaptive_l2":
         v = adaptive_l2_tester(op, cfg.eps, rng=seed, **kw)
     elif cfg.tester == "nonadaptive_l1":
         v = nonadaptive_l1_tester(op, cfg.eps, rng=seed, **kw)
-    elif cfg.tester == "krylov":
-        # The harness knows the instance's eigenvalues anyway, so the tester
-        # gets the true Schatten norm rather than a side estimate.
-        v = krylov_tester(op, cfg.eps, cfg.p, op.schatten_norm(cfg.p),
-                          rng=seed, **kw)
-    elif cfg.tester == "nonadaptive_mv":
-        v = nonadaptive_mv_tester(op, cfg.eps, cfg.p, rng=seed, **kw)
+    elif cfg.tester in _MV_TESTERS:
+        v = _MV_TESTERS[cfg.tester](op, cfg.eps, cfg.p, rng=seed, **kw)
     else:
         return _spectrum_trial(cfg, op, seed, **kw)
     return _TesterOutput(verdict=v.is_psd, statistic=v.statistic,
@@ -798,8 +805,7 @@ def _calibrate_kappa_krylov(seed0: int,
             rate, _, _ = _sweep(
                 "far", d, eps, 1.0, range(base, base + n),
                 lambda op, seed: krylov_tester(
-                    op, eps, 1.0, op.schatten_norm(1.0), repeats=3, rng=seed,
-                    kappa=kappa).is_psd)
+                    op, eps, 1.0, repeats=3, rng=seed, kappa=kappa).is_psd)
             rates.append({"d": d, "eps": eps, "reject_rate": rate})
         worst = min(r["reject_rate"] for r in rates)
         rows.append({"kappa": kappa, "worst_cell_reject": worst,
@@ -946,13 +952,10 @@ def _knob_run(tester: str, op: SymmetricOperator, eps: float, p: float,
         # median crossing, where the grid size follows the clean law.
         return nonadaptive_l1_tester(op, eps, rng=seed,
                                      kappa=(knob - 0.5) * eps).is_psd
-    if tester == "krylov":
-        factor = unrounded_krylov_degree(eps, p, op.dim, 1.0)
-        return krylov_tester(op, eps, p, op.schatten_norm(p), repeats=1,
-                             rng=seed, kappa=(knob - 0.5) / factor).is_psd
-    factor = op.dim ** (1.0 - 1.0 / p) / eps
-    return nonadaptive_mv_tester(op, eps, p, repeats=1, rng=seed,
-                                 kappa=(knob - 0.5) / factor).is_psd
+    factor = (unrounded_krylov_degree(eps, p, op.dim, 1.0) if tester == "krylov"
+              else op.dim ** (1.0 - 1.0 / p) / eps)
+    return _MV_TESTERS[tester](op, eps, p, repeats=1, rng=seed,
+                               kappa=(knob - 0.5) / factor).is_psd
 
 
 def _knob_cap(tester: str, d: int, eps: float) -> int:
@@ -1072,7 +1075,7 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     for d in d_list:
         if not isinstance(d, (int, np.integer)) or d < 8:
             raise ConfigError(f"dims must be integers >= 8, got {d!r}")
-    _check_p(tester, p)
+    p = _check_p(tester, p)
     trials = _check_trials(trials)
     _check_seed0(seed0)
     rows = [_scaling_cell(tester, p, float(eps), int(d), trials, seed0)

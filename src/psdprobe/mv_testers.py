@@ -16,7 +16,8 @@ import numpy as np
 
 from . import defaults
 from .oracle import SeedLike, rng_from
-from .vmv_testers import ONE_SIDED, Verdict, _fixed_sketch_tester, _tester
+from .vmv_testers import (ONE_SIDED, Verdict, _fixed_sketch_tester, _lowest,
+                          _tester)
 
 __all__ = [
     "KrylovSpace",
@@ -108,37 +109,30 @@ def krylov_degree(eps: float, p: float, d: int,
 
 
 @_tester(ONE_SIDED)
-def krylov_tester(op, eps: float, p: float, norm_estimate: float, *,
+def krylov_tester(op, eps: float, p: float, *,
                   repeats: Optional[int] = None, rng: SeedLike = 0,
                   kappa: Optional[float] = None) -> Verdict:
     """One-sided adaptive Schatten-p tester via Krylov subspaces.
 
     Each repetition builds a fresh Krylov space and inspects the smallest
-    eigenvalue of the projected matrix; a PSD input keeps that matrix PSD
-    (congruence), so rejection needs an eigenvalue below the floating-point
-    tolerance scaled by ``norm_estimate`` (an upper bound on the Schatten-p
-    norm, typically from a side estimator) and must then survive one direct
-    confirming quad-form query, whose vector becomes the witness.  A bound
-    of 0 means A = 0: the tolerance is 0 and nothing falls below it, so the
-    run accepts.  Eps and p are checked before any query.
+    eigenvalue of the projected matrix T; a PSD input keeps T PSD
+    (congruence), so rejection needs ``_lowest(T)`` to put it below the
+    floor, relative to ||T||_F, and one direct confirming quad-form query
+    at basis v, which becomes the witness.  A is read only through counted
+    queries; A = 0 gives T = 0, floor 0 and an accept.  Eps and p are
+    checked before any query.
     """
-    if not 0.0 <= norm_estimate < math.inf:
-        raise ValueError(
-            f"norm_estimate must be finite and >= 0, got {norm_estimate}")
     repeats = defaults.KRYLOV_REPEATS if repeats is None else repeats
     gen = rng_from(rng, 0x4B70)
 
-    tol = defaults.KRYLOV_EIG_TOL * norm_estimate
     k = min(krylov_degree(eps, p, op.dim, kappa), op.dim - 1)
     lam_seen = None
     for _ in range(repeats):
         space = build_krylov(op, k, gen)
-        w, v = np.linalg.eigh(space.projected)
-        lam = float(w[0])
+        lam, v = _lowest(space.projected)
         lam_seen = lam if lam_seen is None else min(lam_seen, lam)
-        if lam < -tol:
-            cand = space.basis @ v[:, 0]
-            cand /= float(np.linalg.norm(cand))
+        if v is not None:
+            cand = space.basis @ v
             if op.quad_form(cand) < 0.0:
                 return False, cand, lam
     return True, None, lam_seen
@@ -158,7 +152,7 @@ def nonadaptive_mv_tester(op, eps: float, p: float, *,
     m = ceil(kappa * d^(1 - 1/p) / eps) columns (capped at d, where the
     sketch becomes exact), AG costs exactly m queries per repetition, and
     the verdict comes from the smallest eigenvalue of GᵀAG against the same
-    noise floor as the vmv variant, with witness G v.
+    rejection floor as the vmv variant (``_lowest``), with witness G v.
     """
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")

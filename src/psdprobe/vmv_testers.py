@@ -159,6 +159,15 @@ def _tester(mode: str):
     return wrap
 
 
+def _lowest(s: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+    """lambda_min of the symmetric s, and its unit eigenvector only when
+    lambda_min < -EIG_TOL ||s||_F: eigh's backward error is O(u ||s||), so
+    rounding never takes a PSD s there, nor a zero s, whose floor is 0."""
+    w, v = np.linalg.eigh(s)
+    floor = -defaults.EIG_TOL * float(np.linalg.norm(s, "fro"))
+    return float(w[0]), (v[:, 0] if w[0] < floor else None)
+
+
 def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
     if not (lo > 0 and up >= lo):
         raise ValueError(f"invalid norm interval ({lo}, {up})")
@@ -335,18 +344,18 @@ class SketchState:
     """Realized bilinear sketch plus the scalars of the gamma statistic.
 
     ``g`` is the d x k standard Gaussian sketch matrix, ``s`` the dense
-    symmetric k x k compressed matrix G^T A G, ``eigvals`` (ascending) and
-    ``eigvecs`` its eigenpairs, ``alpha`` a trace estimate, ``beta`` a
-    Frobenius estimate, and
-    gamma = (alpha - lambda_min(s)) / (beta sqrt(k) ln(max(k, 2))),
+    symmetric k x k compressed matrix G^T A G, ``lam_min`` and
+    ``direction`` its ``_lowest`` pair, ``alpha`` a trace estimate, ``beta``
+    a Frobenius estimate, and
+    gamma = (alpha - lam_min) / (beta sqrt(k) ln(max(k, 2))),
     defined as 0 when beta = 0 (the zero operator).
     """
 
     k: int
     g: np.ndarray
     s: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
+    lam_min: float
+    direction: Optional[np.ndarray]
     alpha: float
     beta: float
     gamma: float
@@ -379,10 +388,9 @@ def build_sketch(op, k: int, seed: SeedLike) -> SketchState:
     s = op.sym_block(g)
     alpha = trace_estimate(op, gen)
     beta = frobenius_estimate(op, gen)
-    w, v = np.linalg.eigh(s)
-    return SketchState(k=k, g=g, s=s, eigvals=w, eigvecs=v, alpha=alpha,
-                       beta=beta,
-                       gamma=gamma_statistic(alpha, beta, float(w[0]), k))
+    lam, v = _lowest(s)
+    return SketchState(k=k, g=g, s=s, lam_min=lam, direction=v, alpha=alpha,
+                       beta=beta, gamma=gamma_statistic(alpha, beta, lam, k))
 
 
 @_tester(TWO_SIDED)
@@ -391,18 +399,16 @@ def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
                            kappa: Optional[float] = None) -> Verdict:
     """Two-sided Frobenius-scale tester from one bilinear sketch.
 
-    Rejects when the compressed matrix has an eigenvalue below the
-    floating-point noise floor (with the pulled-back eigenvector as witness
-    when it survives a confirming query), or when gamma exceeds the
-    calibrated threshold; accepts otherwise.  The statistic field always
-    carries gamma.
+    Rejects when ``_lowest`` puts the compressed matrix below its floor
+    (with the pulled-back eigenvector as witness when it survives a
+    confirming query), or when gamma exceeds the calibrated threshold;
+    accepts otherwise.  The statistic field always carries gamma.
     """
     if c_psd is None:
         c_psd = defaults.C_PSD
     state = build_sketch(op, sketch_dim(eps, kappa), rng)
-    noise_floor = defaults.SKETCH_EIG_TOL * max(state.beta, 1e-300) * state.k
-    if state.eigvals[0] < -noise_floor:
-        witness = state.g @ state.eigvecs[:, 0]
+    if state.direction is not None:
+        witness = state.g @ state.direction
         if op.quad_form(witness) >= 0.0:  # assembly noise; keep the rejection
             witness = None
         return False, witness, state.gamma
@@ -493,9 +499,9 @@ def nonadaptive_l1_tester(op, eps: float, *, repeats: Optional[int] = None,
     Each repetition draws G with N(0, 1/d) entries, m = ceil(kappa/eps)
     columns, fills G^T A G with one query per distinct entry (m(m+1)/2 vmv,
     all on sketch columns fixed before the first answer arrives) and rejects
-    only when its smallest eigenvalue sits below the floating-point noise
-    floor.  The query positions never depend on answers, which is the point
-    of this tester; correctness of the witness comes from the eigenvalue's
+    only when ``_lowest`` puts its smallest eigenvalue below the floor.
+    The query positions never depend on answers, which is the point of
+    this tester; correctness of the witness comes from the eigenvalue's
     margin over assembly noise rather than a confirming query.
     """
     return _fixed_sketch_tester(op, eps, 1.0, op.sym_block, repeats, kappa,
@@ -509,8 +515,8 @@ def _fixed_sketch_tester(op, eps: float, p: float, read, repeats, kappa,
     Each repetition draws G with N(0, 1/d) entries and
     m = min(d, ceil(kappa d^(1 - 1/p) / eps)) columns (ceil(kappa/eps) at
     p = 1), reads the symmetric S = G^T A G through ``read(G)`` and rejects,
-    with witness G v, when lambda_min(S) = v^T S v sits below the noise
-    floor 1e-9 ||S||_F.  Returns the tester body's (is_psd, witness,
+    with witness G v, when ``_lowest(S)`` finds lambda_min(S) = v^T S v
+    below its floor.  Returns the tester body's (is_psd, witness,
     statistic), the statistic being the last repetition's lambda_min(S).
     """
     repeats = defaults.NONADAPT_REPEATS if repeats is None else repeats
@@ -520,9 +526,7 @@ def _fixed_sketch_tester(op, eps: float, p: float, read, repeats, kappa,
     lam_last = None
     for _ in range(repeats):
         g = gen.standard_normal((d, m)) / math.sqrt(d)
-        s = read(g)
-        w, v = np.linalg.eigh(s)
-        lam_last = float(w[0])
-        if w[0] < -1e-9 * float(np.linalg.norm(s, "fro")):
-            return False, g @ v[:, 0], lam_last
+        lam_last, v = _lowest(read(g))
+        if v is not None:
+            return False, g @ v, lam_last
     return True, None, lam_last

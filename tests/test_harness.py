@@ -124,6 +124,20 @@ def test_descriptor_round_trip(desc):
     np.testing.assert_array_equal(op.dense(), reseeded.dense())
 
 
+@pytest.mark.parametrize("desc,field", [
+    ({"kind": "wishart", "dim": "16"}, "dim"),
+    ({"kind": "wishart", "dim": True}, "dim"),
+    ({"kind": "spiked", "dim": 1.5, "s": 3.0, "shift": 0.0}, "dim"),
+    ({"kind": "spiked", "dim": 8, "s": "3", "shift": 0.0}, "'s'"),
+    ({"kind": "spiked", "dim": 8, "s": 3.0, "shift": None}, "'shift'"),
+    ({"kind": "gap", "dim": 8, "depth": "x"}, "'depth'"),
+])
+def test_descriptor_dim_and_number_fields_are_checked_for_every_kind(desc,
+                                                                     field):
+    with pytest.raises(ConfigError, match=field):
+        instance_operator(desc, 0.2, 1.0, 0)
+
+
 @pytest.mark.parametrize("desc,error,match", [
     pytest.param({"kind": "nope"}, ValueError, "'nope'", id="desc0"),
     pytest.param({"kind": "wishart", "seed": 1}, ConfigError,
@@ -454,6 +468,23 @@ def test_calibrate_and_scaling_reject_non_integer_seed0(seed0):
         calibrate("embed_rows", seed0=seed0, trials=1)
     with pytest.raises(ConfigError, match="seed0 must be an integer, got"):
         scaling_report("krylov", 1.0, (0.2,), (32,), trials=1, seed0=seed0)
+
+
+def test_numpy_floats_write_the_files_plain_floats_write(tmp_path):
+    # 0.25 and 1.0 are exact in float32, so both sides run the same trials.
+    for name, eps, p in (("float", 0.25, 1.0),
+                         ("numpy", np.float32(0.25), np.float32(1.0))):
+        out = tmp_path / name
+        cfg = ExperimentConfig(tester="krylov",
+                               instance={"kind": "far", "dim": 16}, eps=eps,
+                               p=p, trials=3, output_path=str(out / "r.csv"))
+        assert type(cfg.eps) is float and type(cfg.p) is float
+        run_experiment(cfg, clock=lambda: 0.0)
+        scaling_report("krylov", p, (eps,), (32,), trials=1,
+                       out_path=out / "s.json")
+    for name in ("r.csv", "r.summary.json", "s.json"):
+        assert (tmp_path / "numpy" / name).read_bytes() == \
+            (tmp_path / "float" / name).read_bytes()
 
 
 def test_numpy_integers_write_the_reports_plain_integers_write(tmp_path):

@@ -136,21 +136,21 @@ def test_krylov_degree_takes_the_limit_exponent_at_p_infinity():
 def test_krylov_accepts_psd():
     for s in range(10):
         op = gen_wishart(100, seed=s)
-        v = krylov_tester(op, 0.1, 1, op.schatten_norm(1), rng=s)
+        v = krylov_tester(op, 0.1, 1, rng=s)
         assert v.is_psd
         assert v.witness is None
         assert v.mode == "one_sided"
     for s in range(20):
         lam = tuple(rng_from(50 + s).uniform(0.0, 1.0, size=40))
         op = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=s))
-        assert krylov_tester(op, 0.1, 1, op.schatten_norm(1), rng=s).is_psd
+        assert krylov_tester(op, 0.1, 1, rng=s).is_psd
 
 
 def test_krylov_rejects_far_l1_with_valid_witness():
     rejected = 0
     for s in range(30):
         op = far_op_l1(64, 0.05, 30 + s)
-        v = krylov_tester(op, 0.05, 1, op.schatten_norm(1), rng=s)
+        v = krylov_tester(op, 0.05, 1, rng=s)
         if not v.is_psd:
             rejected += 1
             assert op.quad_form(v.witness) < 0.0
@@ -158,15 +158,27 @@ def test_krylov_rejects_far_l1_with_valid_witness():
     assert rejected >= 28
 
 
+@pytest.mark.parametrize("kind,accepts", [("random_psd", True), ("far", False),
+                                          ("hard_l1", False)])
+def test_krylov_verdict_and_queries_do_not_move_with_the_scale(kind, accepts):
+    # No norm goes in: the floor scales with the projected matrix itself.
+    a = instance_operator({"kind": kind, "dim": 48}, 0.1, 1.0, 5).dense()
+    runs = {}
+    for c in (1e-150, 1.0, 1e150):
+        v = krylov_tester(SymmetricOperator(c * a), 0.1, 1.0, rng=3)
+        runs[c] = (v.is_psd, v.queries_used, v.statistic / c)
+    assert runs[1.0][0] is accepts
+    for c in (1e-150, 1e150):
+        assert runs[c][:2] == runs[1.0][:2]
+        assert runs[c][2] == pytest.approx(runs[1.0][2], rel=1e-9)
+
+
 def test_krylov_tester_validates():
     op = identity_op(10)
     with pytest.raises(ValueError):
-        krylov_tester(op, 0.0, 1, 1.0)
+        krylov_tester(op, 0.0, 1)
     with pytest.raises(ValueError):
-        krylov_tester(op, 0.1, 0.5, 1.0)
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            krylov_tester(op, 0.1, 1, bad)
+        krylov_tester(op, 0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from psdprobe.vmv_testers import (
     _OJA_STREAM,
     _descend,
     _gap_sketch_dim,
+    _lowest,
     _scale_grid,
     gamma_statistic,
     nonadaptive_l1_tester,
@@ -299,7 +300,7 @@ PUBLIC_TESTERS = {
     "bilinear_sketch": bilinear_sketch_tester,
     "adaptive_l2": adaptive_l2_tester,
     "nonadaptive_l1": nonadaptive_l1_tester,
-    "krylov": lambda op, eps: krylov_tester(op, eps, 1.0, 1.0),
+    "krylov": lambda op, eps: krylov_tester(op, eps, 1.0),
     "nonadaptive_mv": lambda op, eps: nonadaptive_mv_tester(op, eps, 1.0),
 }
 
@@ -312,6 +313,27 @@ def test_every_tester_rejects_eps_outside_the_unit_interval_before_a_query(
     with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
         PUBLIC_TESTERS[tester](op, eps)
     assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
+# ---------------------------------------------------------------------------
+# the rejection floor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ratio,rejects", [(2.0, True), (0.5, False)])
+def test_lowest_rejects_only_below_the_relative_floor(ratio, rejects):
+    t = ratio * defaults.EIG_TOL
+    s = np.diag([1.0, -t])
+    assert np.linalg.norm(s, "fro") == 1.0  # so t is relative to ||S||_F
+    lam, v = _lowest(s)
+    assert lam == pytest.approx(-t, rel=1e-12)
+    if rejects:
+        np.testing.assert_allclose(np.abs(v), [0.0, 1.0], atol=1e-15)
+    else:
+        assert v is None
+
+
+def test_lowest_never_rejects_the_zero_matrix():
+    assert _lowest(np.zeros((3, 3))) == (0.0, None)
 
 
 def test_oja_validates_eps():
