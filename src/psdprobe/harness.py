@@ -323,7 +323,8 @@ def instance_operator(desc: dict, eps: float, p: float,
 
     The trial seed overrides any seed field.  A descriptor that is not a
     dict, names an unknown kind, lacks a field, has a dim that is not an
-    integer >= 2 or a non-number s, shift or depth raises ConfigError.
+    integer >= 2, eigenvalues that are not a list of at least 2 finite
+    numbers, or a non-number s, shift or depth raises ConfigError.
     """
     if not isinstance(desc, dict):
         raise ConfigError(f"descriptor must be a dict, got "
@@ -335,8 +336,13 @@ def instance_operator(desc: dict, eps: float, p: float,
             raise ConfigError(f"instance kind {kind!r} is missing field "
                               f"{name!r}")
     if kind == "rotated_diag":
-        return gen_rotated_diag(SpectrumInstance(
-            eigenvalues=tuple(desc["eigenvalues"]), rotation_seed=seed))
+        lam = desc["eigenvalues"]
+        if not (isinstance(lam, (list, tuple)) and len(lam) >= 2 and all(
+                _is_number(v) and math.isfinite(v) for v in lam)):
+            raise ConfigError(f"instance field 'eigenvalues' must be a list "
+                              f"of at least 2 finite numbers, got {lam!r}")
+        return gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(lam),
+                                                 rotation_seed=seed))
     d = desc["dim"]
     if not isinstance(d, int) or d < 2:
         raise ConfigError(f"instance kind {kind!r} needs an integer dim >= 2, "

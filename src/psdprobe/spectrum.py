@@ -13,8 +13,13 @@ approximates the distance from A to the nearest negative-semidefinite rank-k
 matrix; flipping the sign of the cross term gives the positive side.  The fit
 is projected onto the sketch's column spaces, whitened on the joint row space
 of the regression matrices, and solved in the factored form Y = Z Z^T by
-damped Newton with the exact Hessian from ten starts; tiny instances are
-certified against a brute-force oracle in the test suite.
+damped Newton with the exact Hessian from ten starts.  The ten starts run as
+one stacked array program: each step builds every running start's gradient
+and Hessian at once, and each damping round factors and solves every pending
+start in one call, while each start keeps its own damping and stop tests, so
+it ends where it would alone.  Tiny instances are certified against a
+brute-force oracle, and the stacked program against a one-start-at-a-time
+reference, in the test suite.
 
 Every estimate runs one fit-cost loop, ``_fit_costs``: ||A||_F^2, then per
 repetition R, a fit and a holdout sketch read through one reader, and a fit
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import defaults
 from .oracle import SymmetricOperator, rng_from
@@ -147,71 +153,129 @@ def _spectral_starts(c1: np.ndarray, c2: np.ndarray, b: np.ndarray,
     return starts
 
 
+def _fit_starts(c1: np.ndarray, c2: np.ndarray, b: np.ndarray, k: int,
+                cols: int, rng) -> np.ndarray:
+    """The fit's ten (n, k) starting factors, stacked.
+
+    One 10 x cols x k Gaussian block is drawn from ``rng`` (so the fit
+    advances a shared Generator by exactly that block), its leading n rows
+    scaled to where ||C1 Z Z^T C2^T|| matches ||B||; up to five spectral
+    subsets of the unweighted solution (see _spectral_starts) then replace
+    the first slots.
+    """
+    block = rng_from(rng, 0x0F17).standard_normal((_FIT_STARTS, cols, k))
+    zscale = math.sqrt(max(float(np.linalg.norm(b)), 1e-300) / (
+        float(np.linalg.norm(c1, 2) * np.linalg.norm(c2, 2)) * k))
+    starts = zscale * block[:, :c1.shape[1]]
+    for slot, z0 in enumerate(_spectral_starts(c1, c2, b, k,
+                                               _FIT_STARTS // 2)):
+        starts[slot] = z0
+    return starts
+
+
+def _factorable(mats: np.ndarray) -> np.ndarray:
+    """Which of the stacked symmetric matrices pass a Cholesky factorization.
+
+    ``np.linalg.cholesky`` raises if any slice fails; the gufunc behind it
+    runs the same LAPACK potrf on each slice and leaves a failed one as NaN,
+    so reading it directly gives the per-slice verdict in one call.  Only
+    that call's invalid flag is silenced.
+    """
+    with np.errstate(invalid="ignore"):
+        low = _umath_linalg.cholesky_lo(mats, signature="d->d")
+    return ~np.isnan(low).any(axis=(-2, -1))
+
+
+def _residuals(c1: np.ndarray, c2: np.ndarray, b: np.ndarray,
+               z: np.ndarray):
+    """P1 = C1 Z, P2 = C2 Z, E = P1 P2^T - B and ||E||_F^2 per stacked Z."""
+    p1 = c1 @ z
+    p2 = c2 @ z
+    e = p1 @ p2.swapaxes(-2, -1) - b
+    return p1, p2, e, np.sum(e * e, axis=(-2, -1))
+
+
 def _newton(c1: np.ndarray, c2: np.ndarray, b: np.ndarray,
-            z: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Damped Newton descent of ||C1 Z Z^T C2^T - B||_F^2 from the factor z.
+            z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Damped Newton descent of ||C1 Z Z^T C2^T - B||_F^2 from each of the
+    stacked factors z (starts x n x k); returns every start's (cost, Z).
 
     With P = C Z and E = P1 P2^T - B, half the cost has gradient
     C1^T E P2 + C2^T E^T P1 and the exact Hessian
     J^T J + (C1^T E C2 + C2^T E^T C1) (x) I_k, where J^T J is
     G11 (x) P2^T P2 + G22 (x) P1^T P1 (G = C^T C) plus two cross terms in
-    C1^T P1 and C2^T P2.  Each part is one einsum over stacked factors, so
-    no Jacobian is formed.  The damping lam rises until H + lam I passes a
-    Cholesky factorization and the step lowers the cost, and falls fourfold
-    after each accepted step.  Stops at the first accepted step whose
+    C1^T P1 and C2^T P2.  Each part is one einsum over the stacked factors,
+    so no Jacobian is formed.
+
+    Each start keeps its own damping lam: it rises (to at least 1e-3 of the
+    Hessian's largest entry, then fourfold) until H + lam I passes a Cholesky
+    factorization and the step lowers the cost, and falls fourfold after each
+    accepted step.  A start stops at cost 0, at the first accepted step whose
     relative gain is below 1e-13, once a rejected step's predicted gain is,
-    or after 100 steps.  Over 300 seeded sketches (d 6-32, k 1-3) the median
-    run stopped after 11 steps; the 1% that reach the cap are creeping into
-    worse basins, and a cap of 2,000 changed no fit's result.
+    or after 100 steps.  The starts run in lockstep: each step builds the
+    gradients and Hessians of the starts still running, then each damping
+    round factors and solves the starts still pending in one stacked call,
+    so every start follows the trajectory it would follow alone.  Over 300
+    seeded sketches (d 6-32, k 1-3) the median run stopped after 11 steps;
+    the 1% that reach the cap are creeping into worse basins, and a cap of
+    2,000 changed no fit's result.
     """
-    n, k = z.shape
+    z = z.copy()
+    count, n, k = z.shape
     eye = np.eye(n * k)
-    grams = np.stack([c1.T @ c1, c2.T @ c2, np.zeros((n, n))])
-    outer = np.stack([np.zeros((k, k)), np.zeros((k, k)), np.eye(k)])
-    cross = np.empty((2, n, k))
-    p1 = c1 @ z
-    p2 = c2 @ z
-    e = p1 @ p2.T - b
-    cost = float(np.sum(e * e))
-    lam = 0.0
+    grams = np.zeros((count, 3, n, n))
+    grams[:, 0] = c1.T @ c1
+    grams[:, 1] = c2.T @ c2
+    outer = np.zeros((count, 3, k, k))
+    outer[:, 2] = np.eye(k)
+    cross = np.empty((count, 2, n, k))
+    cost = _residuals(c1, c2, b, z)[3]
+    lam = np.zeros(count)
+    run = np.arange(count)
     for _ in range(100):
-        if cost == 0.0:
+        run = run[cost[run] != 0.0]
+        m = run.size
+        if m == 0:
             break
+        zr, now, lr = z[run], cost[run], lam[run]
+        # Recomputing P and E from Z gives the bits the trial step had.
+        p1, p2, e, _ = _residuals(c1, c2, b, zr)
         ce = c1.T @ e
-        grad = (ce @ p2 + c2.T @ (e.T @ p1)).ravel()
+        # One (1, nk) row per start: the gain grad @ step then runs the same
+        # dot kernel as for a single start.
+        grad = (ce @ p2 + c2.T @ (e.swapaxes(1, 2) @ p1)).reshape(m, 1, -1)
         curv = ce @ c2
-        grams[2] = curv + curv.T
-        outer[0] = p2.T @ p2
-        outer[1] = p1.T @ p1
-        cross[0] = c1.T @ p1
-        cross[1] = c2.T @ p2
-        hess = (np.einsum("sij,scd->icjd", grams, outer)
-                + np.einsum("sid,sjc->icjd", cross, cross[::-1])
-                ).reshape(n * k, n * k)
-        bump = 1e-3 * max(float(np.abs(hess).max()), 1e-300)
-        while True:
-            damped = hess + lam * eye
-            try:
-                np.linalg.cholesky(damped)
-            except np.linalg.LinAlgError:
-                lam = max(4.0 * lam, bump)
-                continue
-            step = np.linalg.solve(damped, -grad)
-            zc = z + step.reshape(n, k)
-            p1c = c1 @ zc
-            p2c = c2 @ zc
-            ec = p1c @ p2c.T - b
-            costc = float(np.sum(ec * ec))
-            if costc < cost or -float(grad @ step) <= 1e-13 * cost:
-                break
-            lam = max(4.0 * lam, bump)
-        if not costc < cost:
-            break
-        rel = (cost - costc) / cost
-        z, p1, p2, e, cost = zc, p1c, p2c, ec, costc
-        lam *= 0.25
-        if rel < 1e-13:
-            break
+        g, o, x = grams[:m], outer[:m], cross[:m]
+        g[:, 2] = curv + curv.swapaxes(1, 2)
+        o[:, 0] = p2.swapaxes(1, 2) @ p2
+        o[:, 1] = p1.swapaxes(1, 2) @ p1
+        x[:, 0] = c1.T @ p1
+        x[:, 1] = c2.T @ p2
+        hess = (np.einsum("bsij,bscd->bicjd", g, o)
+                + np.einsum("bsid,bsjc->bicjd", x, x[:, ::-1])
+                ).reshape(m, n * k, n * k)
+        bump = 1e-3 * np.maximum(np.abs(hess).max(axis=(1, 2)), 1e-300)
+        descent = -grad.swapaxes(1, 2)
+        zc, costc = np.empty_like(zr), np.empty(m)
+        pending = np.arange(m)
+        while pending.size:
+            damped = hess[pending] + lr[pending, None, None] * eye
+            ok = _factorable(damped)
+            tried = pending[ok]
+            step = np.linalg.solve(damped[ok], descent[tried])
+            zt = zr[tried] + step.reshape(-1, n, k)
+            ct = _residuals(c1, c2, b, zt)[3]
+            gain = -(grad[tried] @ step)[:, 0, 0]
+            done = (ct < now[tried]) | (gain <= 1e-13 * now[tried])
+            zc[tried[done]], costc[tried[done]] = zt[done], ct[done]
+            pending = np.concatenate([pending[~ok], tried[~done]])
+            lr[pending] = np.maximum(4.0 * lr[pending], bump[pending])
+        better = costc < now
+        rel = (now - costc) / now
+        moved = run[better]
+        z[moved], cost[moved] = zc[better], costc[better]
+        lam[moved] = 0.25 * lr[better]
+        run = run[better & (rel >= 1e-13)]
     return cost, z
 
 
@@ -222,11 +286,10 @@ def psd_rank_k_fit(m1: np.ndarray, m2: np.ndarray, q: np.ndarray,
     Returns (cost, Y).  The problem is projected onto the column spaces of m1
     and m2 and whitened on their joint row space (see _reduced_problem), then
     solved in the factored form Y = Z Z^T, which enforces both constraints,
-    by damped Newton (see _newton) from ten starts: up to five spectral
-    subsets of the unweighted solution (see _spectral_starts), the rest from
-    one 10 x cols x k Gaussian block drawn from ``rng``; the best end point
-    wins.  Nonconvex, so the starts are the only global guarantee; tiny
-    instances are certified against a brute-force oracle in the tests.
+    by one stacked damped-Newton program (see _newton) over the ten starts
+    of _fit_starts; the first start to reach the lowest cost wins.
+    Nonconvex, so the starts are the only global guarantee; tiny instances
+    are certified against a brute-force oracle in the tests.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
@@ -249,21 +312,11 @@ def psd_rank_k_fit(m1: np.ndarray, m2: np.ndarray, q: np.ndarray,
     if reduced is None or tmass == 0.0:
         return (tmass, np.zeros((cols, cols)))
     c1, c2, b, c0, w = reduced
-
-    # The random starts keep the leading rows of the drawn block, at the
-    # scale where ||C1 Z Z^T C2^T|| matches ||B||.
-    block = rng_from(rng, 0x0F17).standard_normal((_FIT_STARTS, cols, k))
-    zscale = math.sqrt(max(float(np.linalg.norm(b)), 1e-300) / (
-        float(np.linalg.norm(c1, 2) * np.linalg.norm(c2, 2)) * k))
-    starts = list(zscale * block[:, :w.shape[1]])
-    for slot, z0 in enumerate(_spectral_starts(c1, c2, b, k,
-                                               _FIT_STARTS // 2)):
-        starts[slot] = z0
-    cost, z = min((_newton(c1, c2, b, z0) for z0 in starts),
-                  key=lambda run: run[0])
-    zw = w @ z
+    costs, zs = _newton(c1, c2, b, _fit_starts(c1, c2, b, k, cols, rng))
+    best = int(np.argmin(costs))
+    zw = w @ zs[best]
     y = zw @ zw.T
-    return (cost + c0, (y + y.T) / 2.0)
+    return (float(costs[best]) + c0, (y + y.T) / 2.0)
 
 
 def _frob_sq_estimate(op: SymmetricOperator, eps: float, rng) -> float:

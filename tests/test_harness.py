@@ -151,6 +151,20 @@ def test_descriptor_errors_are_value_errors(desc, error, match):
         instance_operator(desc, 0.2, 1.0, 4)
 
 
+@pytest.mark.parametrize("eigenvalues", [
+    ["1", "2"], [True, False], 5, "12", None, [3.0],
+    [1.0, float("nan")], [1.0, float("inf")], [1.0, [2.0]],
+])
+def test_rotated_diag_eigenvalues_must_be_finite_numbers(tmp_path, capsys,
+                                                          eigenvalues):
+    desc = {"kind": "rotated_diag", "eigenvalues": eigenvalues}
+    with pytest.raises(ConfigError, match="'eigenvalues'"):
+        instance_operator(desc, 0.2, 1.0, 0)
+    assert main(["run", "--config", write_config(tmp_path, instance=desc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'eigenvalues'" in err
+
+
 def test_truth_label_tolerates_eigensolver_noise():
     op = SymmetricOperator(np.diag([1.0, -1e-14]))
     assert truth_label(op, 0.2, 1.0) is True

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (brute_force_psd_fit, pipeline_fit_instance,
                       spectrum_sketch)
+from newton_reference import newton_hessian, sequential_newton
 from psdprobe import defaults
 from psdprobe.harness import instance_operator
 from psdprobe.oracle import (
@@ -24,8 +25,12 @@ from psdprobe.spectrum import (
     EigenEstimate,
     _adaptive_sketch,
     _embedded,
+    _factorable,
+    _fit_starts,
     _frob_sq_estimate,
     _median_reps,
+    _newton,
+    _reduced_problem,
     _sketch_dims,
     affine_embedding,
     estimate_Akplus_sq,
@@ -297,6 +302,91 @@ def test_fit_draws_exactly_one_start_block(k, spectrum):
     twin.standard_normal((10, sk.m1.shape[1], k))
     np.testing.assert_array_equal(gen.standard_normal(4),
                                   twin.standard_normal(4))
+
+
+def _reference_problems(count):
+    """Seeded reduced fit problems (d 6-32, k 1-3) with the fit's ten starts.
+
+    Each draws a dense symmetric operator, sketches it the way the
+    estimators do, and reduces the fit of either sign of the cross term;
+    yields (c1, c2, b, starts) with the starts built by _fit_starts.
+    """
+    for idx in range(count):
+        gen = rng_from(idx, 0x5EF1)
+        d = int(gen.integers(6, 33))
+        k = int(gen.integers(1, 4))
+        a = gen.standard_normal((d, d))
+        op = SymmetricOperator((a + a.T) / 2.0)
+        sk = spectrum_sketch(op, k=k, eps=float(gen.uniform(0.2, 0.4)),
+                             rng=idx)
+        sign = float(gen.choice([-1.0, 1.0]))
+        c1, c2, b, _, _ = _reduced_problem(sk.m1, sk.m2, -sign * sk.q)
+        assert k <= c1.shape[1]
+        yield c1, c2, b, _fit_starts(c1, c2, b, k, sk.m1.shape[1], rng=idx)
+
+
+def test_stacked_newton_matches_sequential_reference():
+    # Every start of the stacked program ends on the (cost, Z) that the
+    # one-start-at-a-time descent reaches from it, bit for bit.
+    for c1, c2, b, starts in _reference_problems(300):
+        costs, zs = _newton(c1, c2, b, starts)
+        assert costs.shape == (10,) and zs.shape == starts.shape
+        for i, z0 in enumerate(starts):
+            cost, z = sequential_newton(c1, c2, b, z0)
+            assert float(costs[i]).hex() == float(cost).hex()
+            assert zs[i].tobytes() == z.tobytes()
+
+
+def _cholesky_passes(mat):
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _minimum_hessians(count):
+    """Hessians at the best end point of k=2 fits, with Z S for S = [[0, 1],
+    [-1, 0]]: the cost is invariant under Z -> Z Q, so H vec(Z S) ~ 0."""
+    for c1, c2, b, starts in _reference_problems(count):
+        if starts.shape[2] != 2:
+            continue
+        costs, zs = _newton(c1, c2, b, starts)
+        z = zs[int(np.argmin(costs))]
+        yield newton_hessian(c1, c2, b, z), z @ np.array([[0.0, 1.0],
+                                                          [-1.0, 0.0]])
+
+
+def test_factorable_agrees_with_cholesky_slice_by_slice():
+    gen = rng_from(0, 0xFAC7)
+    a = gen.standard_normal((4, 4, 4))
+    pd = a @ a.swapaxes(1, 2) + 1e-3 * np.eye(4)
+    q = np.linalg.qr(gen.standard_normal((4, 4, 4)))[0]
+    indefinite = (q * [3.0, 1.0, -0.5, 2.0]) @ q.swapaxes(1, 2)
+    # Integer outer products: rank 1 and 2 with exact arithmetic, so the
+    # factorization meets an exact zero pivot.
+    v = gen.integers(-3, 4, (4, 4, 2)).astype(float)
+    v[:, 0, :] = [1.0, 0.0]
+    singular = np.concatenate([v[:2, :, :1] @ v[:2, :, :1].swapaxes(1, 2),
+                               v[2:] @ v[2:].swapaxes(1, 2)])
+    kinds = {"pd": (pd, True), "indefinite": (indefinite, False),
+             "singular": (singular, False)}
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, (mats, expected) in kinds.items():
+            mixed = np.concatenate([mats, pd[:1]])
+            got = _factorable(mixed)
+            assert got.tolist() == [_cholesky_passes(m) for m in mixed], name
+            assert got[:-1].tolist() == [expected] * len(mats), name
+        seen = 0
+        for hess, rotation in _minimum_hessians(40):
+            scale = np.abs(hess).max() * np.linalg.norm(rotation)
+            assert np.linalg.norm(hess @ rotation.ravel()) <= 1e-6 * scale
+            assert _factorable(hess[None]).tolist() == [_cholesky_passes(hess)]
+            seen += 1
+    assert seen >= 5
+    assert np.geterr() == before
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +701,21 @@ SPECTRUM_BYTE_TABLE = [
     ("estimate_Akplus_sq", _WISHART, 3, 0.5, 5,
      (10888, "0x1.d5a0b2350fb88p+4")),
 ]
+
+
+@pytest.mark.parametrize("estimator",
+                         [top_eigs_signed, top_eigs_signed_adaptive])
+@pytest.mark.parametrize("instance", [_SPIKE, _NEG_SPIKE], ids=["pos", "neg"])
+def test_spike_cells_recover_the_signed_top_eigenvalue(estimator, instance):
+    # The benchmark's spectrum_fit cells.  At k=1 the harness's guarantee
+    # check has no qualifying eigenvalue (its bar is |lambda_1| + 2 radius),
+    # so only this test holds their estimates to the sign and the radius.
+    lam = instance["eigenvalues"][0]
+    for seed in range(10):
+        op = instance_operator(instance, 0.2, 2.0, seed)
+        est = estimator(op, 1, 0.2, rng=seed)
+        assert np.sign(est.values[0]) == np.sign(lam)
+        assert abs(est.values[0] - lam) <= est.error_bound
 
 
 @pytest.mark.parametrize(
