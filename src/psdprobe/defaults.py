@@ -10,6 +10,11 @@ each write one committed report under ``calibration/``:
   * kappa_krylov.json -- KRYLOV_KAPPA
   * embed_rows.json   -- EMBED_KAPPA
 
+The four ladder suites (all but c_psd) follow one rule: walk the ladder's
+rungs upward, measure each, and stop at the first rung whose worst rate
+reaches 0.9.  That rung is the reported constant; a ladder with no
+passing rung reports ``separated: false`` and no constant.
+
 EMBED_KAPPA matches its report.  Every other reported constant differs
 from its report, and CALIBRATION_MARGINS below gives its report value and
 the reason for the gap; a tier-1 test holds each report to one or the
@@ -26,7 +31,7 @@ CALIBRATION_MARGINS = {
     # with a C_PSD measured at 4.0; the shipped C_PSD was measured at 12.
     "SKETCH_KAPPA": (4.0, "C_PSD was calibrated at kappa 12 (c_psd.json)"),
     # Both ladders ran on the flat far family, which any tester solves in
-    # O(1) queries, and stopped at their lowest rung: no rung failed, so
+    # O(1) queries, and passed at their lowest rung: no rung failed, so
     # the reports bound nothing on hard inputs.
     "KRYLOV_KAPPA": (0.5, "lowest rung, on the flat far family only"),
     "OJA_ITER_SCALE": (0.125, "lowest rung, flat far family, amplification "
@@ -51,6 +56,12 @@ OJA_ITER_SCALE = 1.0      # multiplier on N = (2/(eta eps)) ln(10/eps^2)
 OJA_AMP = 20              # independent repetitions (single run succeeds >~ 1/10)
 OJA_MARGIN = 1e-12        # relative f threshold before the confirming query
 OJA_BLOWUP = 1e120        # abandon a step-size scale once ||x||^2 passes this
+
+# --- memory guard of the sketch testers -----------------------------------
+# bilinear_sketch holds G (d x k) and G^T A G (k x k), adaptive_l2 its G
+# (d x k), all float64; a sketch past this many bytes is refused before any
+# query.  The largest one benched, adaptive_l2 at d=256 and eps 0.3, is 5.4 MB.
+SKETCH_MAX_BYTES = 2 ** 30
 
 # --- bilinear sketch (two-sided l2 tester) --------------------------------
 SKETCH_KAPPA = 12.0       # k = ceil(SKETCH_KAPPA eps^-2 ln^2(max(e, 1/eps)))

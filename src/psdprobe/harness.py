@@ -519,9 +519,10 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1,
     Trial i draws a fresh instance from seed0 + i, labels it from its
     eigenvalues (see ``truth_label``), runs the tester, and hard-checks
     that the reported query count equals the oracle counter movement.
-    When cfg.output_path is set, the records go there as CSV (parent
-    directories created) and the summary lands next to it with the suffix
-    swapped for .summary.json.
+    When cfg.output_path is set, the records go there as CSV and the
+    summary lands next to it with the suffix swapped for .summary.json;
+    their directory is created before the first trial (ConfigError if it
+    cannot be).
 
     ``workers`` > 1 fans the trials over a process pool; records are merged
     by seed, so the worker count never changes the output files.  ``clock``
@@ -531,6 +532,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1,
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError(f"expected an ExperimentConfig, "
                           f"got {type(cfg).__name__}")
+    if cfg.output_path:
+        _make_dir(Path(cfg.output_path).parent)
     seeds = range(cfg.seed0, cfg.seed0 + cfg.trials)
     if workers > 1 and clock is None:
         from concurrent.futures import ProcessPoolExecutor
@@ -596,12 +599,21 @@ def summarize(records: Sequence[TrialRecord],
     return summary
 
 
+def _make_dir(directory) -> None:
+    """Create an output directory up front, so a bad location fails before
+    the work, as a ConfigError naming it."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: "
+                          f"{exc}") from exc
+
+
 def _write_json(path, obj) -> None:
-    """Sorted, indented JSON with a final newline; parents created."""
-    target = Path(path)
+    """Sorted, indented JSON with a final newline, into a directory the
+    caller made with ``_make_dir``."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(text)
 
 
@@ -635,6 +647,13 @@ def write_records_csv(path, records: Sequence[TrialRecord]) -> None:
 # report carries the measured distributions so a failure to separate is
 # diagnosable, and the suites never mutate defaults -- committing new values
 # is an explicit edit of defaults.py with the report checked in next to it.
+# The ladder suites walk their rungs upward through ``_ladder`` and stop at
+# the first rung that reaches ``_TARGET``.  Grid cell i of a sweep draws its
+# trials from the seed block starting at seed0 + 100_000 i.
+
+# The rate a ladder rung, or a scaling cell's knob, must reach.
+_TARGET = 0.9
+
 
 def _diag_instance(kind: str, d: int, eps: float, p: float,
                    seed: int) -> SymmetricOperator:
@@ -657,65 +676,75 @@ def _sweep(kind: str, d: int, eps: float, p: float, seeds: Sequence[int],
     return rejects / len(seeds), float(np.mean(budgets)), int(max(budgets))
 
 
+def _ladder(name: str, rungs: Sequence[float], rate: str,
+            measure: Callable[[float], dict]) -> Tuple[dict, List[dict]]:
+    """Walk ``rungs`` in ascending order, one ``measure(rung)`` row each, and
+    stop at the first row whose ``rate`` reaches ``_TARGET``: that rung is
+    constant ``name``.  Returns (constants, rows); constants is empty when
+    no rung passes."""
+    rows = []
+    for rung in sorted(rungs):
+        rows.append(measure(rung))
+        if rows[-1][rate] >= _TARGET:
+            return {name: float(rung)}, rows
+    return {}, rows
+
+
+# The sketch tester's working range; k grows like eps^-2 ln^2(1/eps), so
+# pushing the grid to smaller eps buys minutes of sketch filling per cell
+# without moving the pooled quantiles.
+_GAMMA_GRID = [(d, eps) for d in (256, 512) for eps in (0.3, 0.2)]
 _PSD_KINDS = ("wishart", "identity", "random_psd")
 
 
-def _gamma_cell(d: int, eps: float, kappa: float, n_per_side: int,
-                seed0: int) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Gamma samples on PSD and matched Frobenius-far instances."""
-    k = sketch_dim(eps, kappa)
-    psd_gammas = np.empty(n_per_side)
-    far_gammas = np.empty(n_per_side)
-    for i in range(n_per_side):
-        seed = seed0 + 2 * i
-        kind = _PSD_KINDS[i % len(_PSD_KINDS)]
-        op = (gen_wishart(d, seed) if kind == "wishart"
-              else _diag_instance(kind, d, eps, 2.0, seed))
-        psd_gammas[i] = build_sketch(op, k, seed).gamma
-        far_op = _diag_instance("far", d, eps, 2.0, seed + 1)
-        far_gammas[i] = build_sketch(far_op, k, seed + 1).gamma
-    return k, psd_gammas, far_gammas
+def _gamma_grid(kappa: float, n: int, seed0: int
+                ) -> Tuple[List[dict], List[np.ndarray], List[np.ndarray]]:
+    """Gamma at sketch constant ``kappa`` on n PSD and n matched
+    Frobenius-far instances per ``_GAMMA_GRID`` cell: (cell rows, PSD
+    samples, far samples), one entry per cell."""
+    cells, psd, far = [], [], []
+    for ci, (d, eps) in enumerate(_GAMMA_GRID):
+        k = sketch_dim(eps, kappa)
+        psd_g = np.empty(n)
+        far_g = np.empty(n)
+        for i in range(n):
+            seed = seed0 + 100_000 * ci + 2 * i
+            kind = _PSD_KINDS[i % len(_PSD_KINDS)]
+            op = (gen_wishart(d, seed) if kind == "wishart"
+                  else _diag_instance(kind, d, eps, 2.0, seed))
+            psd_g[i] = build_sketch(op, k, seed).gamma
+            far_op = _diag_instance("far", d, eps, 2.0, seed + 1)
+            far_g[i] = build_sketch(far_op, k, seed + 1).gamma
+        cells.append({"d": d, "eps": eps, "k": k,
+                      "psd_q99": float(np.percentile(psd_g, 99.0)),
+                      "far_q05": float(np.percentile(far_g, 5.0))})
+        psd.append(psd_g)
+        far.append(far_g)
+    return cells, psd, far
 
 
 def _calibrate_c_psd(seed0: int, trials: Optional[int]) -> Tuple[dict, dict]:
     n = 40 if trials is None else trials
-    # The sketch tester's working range; k grows like eps^-2 ln^2(1/eps), so
-    # pushing the grid to smaller eps buys minutes of sketch filling per cell
-    # without moving the pooled quantiles.
-    grid = [(d, eps) for d in (256, 512) for eps in (0.3, 0.2)]
-    cells = []
-    psd_all: List[np.ndarray] = []
-    far_all: List[np.ndarray] = []
-    for ci, (d, eps) in enumerate(grid):
-        k, psd_g, far_g = _gamma_cell(d, eps, defaults.SKETCH_KAPPA, n,
-                                      seed0 + 100_000 * ci)
-        psd_all.append(psd_g)
-        far_all.append(far_g)
-        ln_k = math.log(max(k, 2))
-        denom = eps * math.sqrt(k) - defaults.C_FAR_GAP
-        cells.append({
-            "d": d, "eps": eps, "k": k, "n_per_side": n,
-            "psd_q99": float(np.percentile(psd_g, 99.0)),
-            "far_q05": float(np.percentile(far_g, 5.0)),
-            "far_implied_c_far": (float(np.percentile(far_g, 5.0) * ln_k
-                                        / denom) if denom > 0 else None),
-        })
+    cells, psd_all, far_all = _gamma_grid(defaults.SKETCH_KAPPA, n, seed0)
+    for cell in cells:
+        denom = cell["eps"] * math.sqrt(cell["k"]) - defaults.C_FAR_GAP
+        cell["n_per_side"] = n
+        cell["far_implied_c_far"] = (
+            cell["far_q05"] * math.log(max(cell["k"], 2)) / denom
+            if denom > 0 else None)
     psd_pool = np.concatenate(psd_all)
     far_pool = np.concatenate(far_all)
     c_psd = float(np.percentile(psd_pool, 99.0))
     far_q05 = float(np.percentile(far_pool, 5.0))
-    separated = bool(c_psd < far_q05)
     implied = [c["far_implied_c_far"] for c in cells
                if c["far_implied_c_far"] is not None]
-    constants = {"C_PSD": c_psd}
-    if implied:
-        constants["C_FAR"] = float(min(implied))
+    constants = {}
+    if c_psd < far_q05:
+        constants["C_PSD"] = c_psd
+        if implied:
+            constants["C_FAR"] = float(min(implied))
     report = {
-        "suite": "c_psd",
-        "seed0": seed0,
         "kappa": defaults.SKETCH_KAPPA,
-        "separated": separated,
-        "constants": constants,
         "pooled": {"psd_q99": c_psd, "far_q05": far_q05,
                    "margin": far_q05 - c_psd,
                    "psd_quantiles": {q: float(np.percentile(psd_pool, q))
@@ -730,106 +759,76 @@ def _calibrate_c_psd(seed0: int, trials: Optional[int]) -> Tuple[dict, dict]:
 def _calibrate_kappa_sketch(seed0: int,
                             trials: Optional[int]) -> Tuple[dict, dict]:
     n = 30 if trials is None else trials
-    ladder = (0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
-    grid = [(d, eps) for d in (256, 512) for eps in (0.3, 0.2)]
-    rows = []
-    chosen = None
-    for kappa in ladder:
-        cell_rows = []
-        psd_pool: List[np.ndarray] = []
-        far_pool: List[np.ndarray] = []
-        for ci, (d, eps) in enumerate(grid):
-            cell_seed = seed0 + 100_000 * ci
-            k, psd_g, far_g = _gamma_cell(d, eps, kappa, n, cell_seed)
-            cell_rows.append({"d": d, "eps": eps, "k": k,
-                              "psd_q99": float(np.percentile(psd_g, 99.0)),
-                              "far_q05": float(np.percentile(far_g, 5.0))})
-            psd_pool.append(psd_g)
-            far_pool.append(far_g)
-        threshold = float(np.percentile(np.concatenate(psd_pool), 99.0))
-        accept = [float(np.mean(g <= threshold)) for g in psd_pool]
-        reject = [float(np.mean(g > threshold)) for g in far_pool]
-        success = min(min(accept), min(reject))
-        rows.append({"kappa": kappa, "threshold": threshold,
-                     "accept_given_psd": accept, "reject_given_far": reject,
-                     "worst_cell_success": success, "cells": cell_rows})
-        if success >= 0.9:
-            chosen = kappa
-            break
-    constants = {} if chosen is None else {"SKETCH_KAPPA": chosen}
-    report = {"suite": "kappa_sketch", "seed0": seed0, "n_per_side": n,
-              "grid": grid, "separated": chosen is not None,
-              "constants": constants, "ladder": rows}
-    return constants, report
+
+    def measure(kappa: float) -> dict:
+        cells, psd, far = _gamma_grid(kappa, n, seed0)
+        threshold = float(np.percentile(np.concatenate(psd), 99.0))
+        accept = [float(np.mean(g <= threshold)) for g in psd]
+        reject = [float(np.mean(g > threshold)) for g in far]
+        return {"kappa": kappa, "threshold": threshold,
+                "accept_given_psd": accept, "reject_given_far": reject,
+                "worst_cell_success": min(accept + reject), "cells": cells}
+
+    constants, rows = _ladder("SKETCH_KAPPA", (0.5, 1.0, 2.0, 4.0, 8.0, 12.0),
+                              "worst_cell_success", measure)
+    return constants, {"n_per_side": n, "grid": _GAMMA_GRID, "ladder": rows}
+
+
+_REJECT_GRID = [(d, eps) for d in (64, 256) for eps in (0.2, 0.1)]
+
+
+def _reject_row(rung: dict, n: int, seed0: int,
+                run: Callable[[SymmetricOperator, float, int], bool]) -> dict:
+    """``rung`` plus the reject rate of ``run(op, eps, seed)`` (True on
+    accept) on n far instances per ``_REJECT_GRID`` cell, and the worst."""
+    cells = []
+    for ci, (d, eps) in enumerate(_REJECT_GRID):
+        base = seed0 + 100_000 * ci
+        rate, _, _ = _sweep("far", d, eps, 1.0, range(base, base + n),
+                            lambda op, seed: run(op, eps, seed))
+        cells.append({"d": d, "eps": eps, "reject_rate": rate})
+    return {**rung, "worst_cell_reject": min(c["reject_rate"] for c in cells),
+            "cells": cells}
 
 
 def _calibrate_kappa_oja(seed0: int,
                          trials: Optional[int]) -> Tuple[dict, dict]:
     n = 20 if trials is None else trials
-    ladder = (0.125, 0.25, 0.5, 1.0, 2.0)
-    grid = [(d, eps) for d in (64, 256) for eps in (0.2, 0.1)]
     amp = 6  # enough amplification that >= 0.9 is reachable, cheap to miss
-    rows = []
-    # Descending: successful runs reject early and are cheap, and the sweep
-    # stops at the first level that fails, so the binary-search cost profile
-    # favours walking down from the top.
-    for scale in reversed(ladder):
-        rates = []
-        for ci, (d, eps) in enumerate(grid):
-            cfg = OjaConfig.from_eps(eps, dim=d, amplification=amp,
-                                     iter_scale=scale)
-            base = seed0 + 100_000 * ci
-            rate, _, _ = _sweep(
-                "far", d, eps, 1.0, range(base, base + n),
-                lambda op, seed: oja_l1_tester(op, eps, cfg, rng=seed).is_psd)
-            rates.append({"d": d, "eps": eps, "reject_rate": rate})
-        worst = min(r["reject_rate"] for r in rates)
-        rows.append({"iter_scale": scale, "amplification": amp,
-                     "worst_cell_reject": worst, "cells": rates})
-        if worst < 0.9:
-            break
-    passing = [r["iter_scale"] for r in rows if r["worst_cell_reject"] >= 0.9]
-    chosen = min(passing) if passing else None
-    constants = {} if chosen is None else {"OJA_ITER_SCALE": chosen}
-    report = {"suite": "kappa_oja", "seed0": seed0, "trials_per_cell": n,
-              "grid": grid, "separated": chosen is not None,
-              "constants": constants, "ladder": rows}
-    return constants, report
+
+    def measure(scale: float) -> dict:
+        return _reject_row(
+            {"iter_scale": scale, "amplification": amp}, n, seed0,
+            lambda op, eps, seed: oja_l1_tester(
+                op, eps, OjaConfig.from_eps(eps, dim=op.dim, amplification=amp,
+                                            iter_scale=scale),
+                rng=seed).is_psd)
+
+    constants, rows = _ladder("OJA_ITER_SCALE", (0.125, 0.25, 0.5, 1.0, 2.0),
+                              "worst_cell_reject", measure)
+    return constants, {"trials_per_cell": n, "grid": _REJECT_GRID,
+                       "ladder": rows}
 
 
 def _calibrate_kappa_krylov(seed0: int,
                             trials: Optional[int]) -> Tuple[dict, dict]:
     n = 20 if trials is None else trials
-    ladder = (0.5, 1.0, 2.0, 4.0)
-    grid = [(d, eps) for d in (64, 256) for eps in (0.2, 0.1)]
-    rows = []
-    chosen = None
-    for kappa in ladder:
-        rates = []
-        for ci, (d, eps) in enumerate(grid):
-            base = seed0 + 100_000 * ci
-            rate, _, _ = _sweep(
-                "far", d, eps, 1.0, range(base, base + n),
-                lambda op, seed: krylov_tester(
-                    op, eps, 1.0, repeats=3, rng=seed, kappa=kappa).is_psd)
-            rates.append({"d": d, "eps": eps, "reject_rate": rate})
-        worst = min(r["reject_rate"] for r in rates)
-        rows.append({"kappa": kappa, "worst_cell_reject": worst,
-                     "cells": rates})
-        if worst >= 0.9:
-            chosen = kappa
-            break
+
+    def measure(kappa: float) -> dict:
+        return _reject_row(
+            {"kappa": kappa}, n, seed0,
+            lambda op, eps, seed: krylov_tester(
+                op, eps, 1.0, repeats=3, rng=seed, kappa=kappa).is_psd)
+
+    constants, rows = _ladder("KRYLOV_KAPPA", (0.5, 1.0, 2.0, 4.0),
+                              "worst_cell_reject", measure)
     exponent = None
-    if chosen is not None:
-        fit_rows = [_scaling_cell("krylov", 1.0, eps, 256, max(10, n // 2),
-                                  seed0) for eps in (0.2, 0.1, 0.05, 0.02)]
-        exponent = _loglog_slopes(fit_rows, "knob")["vs_inv_eps"]
-    constants = {} if chosen is None else {"KRYLOV_KAPPA": chosen}
-    report = {"suite": "kappa_krylov", "seed0": seed0, "trials_per_cell": n,
-              "grid": grid, "separated": chosen is not None,
-              "constants": constants, "ladder": rows,
-              "exponent_vs_inv_eps": exponent}
-    return constants, report
+    if constants:
+        exponent = scaling_report(
+            "krylov", 1.0, (0.2, 0.1, 0.05, 0.02), (256,),
+            trials=max(10, n // 2), seed0=seed0)["size_slopes"]["vs_inv_eps"]
+    return constants, {"trials_per_cell": n, "grid": _REJECT_GRID,
+                       "ladder": rows, "exponent_vs_inv_eps": exponent}
 
 
 def _calibrate_embed_rows(seed0: int,
@@ -837,41 +836,31 @@ def _calibrate_embed_rows(seed0: int,
     from .spectrum import affine_embedding
 
     n_seeds = 20 if trials is None else trials
-    ladder = (10, 20, 40, 60)
     rank, cols, d, n_x = 5, 2, 240, 100
-    rows = []
-    chosen = None
-    for mult in ladder:
-        rows_dim = mult * rank
-        if rows_dim > d:
-            break  # no compression left to measure at this rung
+
+    def measure(mult: int) -> dict:
         good = 0
         for s in range(n_seeds):
             gen = rng_from(seed0 + s, _SPECTRUM_STREAM)
             a = gen.standard_normal((d, rank))
             b = gen.standard_normal((d, cols))
-            sk = affine_embedding(rows_dim, d, seed0 + s)
-            ok = True
-            for _ in range(n_x):
-                x = gen.standard_normal((rank, cols))
-                resid = a @ x - b
+            sk = affine_embedding(mult * rank, d, seed0 + s)
+
+            def distortion() -> float:
+                resid = a @ gen.standard_normal((rank, cols)) - b
                 exact = float(np.linalg.norm(resid) ** 2)
-                compressed = float(np.linalg.norm(sk @ resid) ** 2)
-                if abs(compressed / exact - 1.0) > 0.3:
-                    ok = False
-                    break
-            good += ok
-        rate = good / n_seeds
-        rows.append({"rows_per_rank": mult, "rows": rows_dim,
-                     "seed_pass_rate": rate})
-        if chosen is None and rate >= 0.9:
-            chosen = mult
-    constants = {} if chosen is None else {"EMBED_KAPPA": float(chosen)}
-    report = {"suite": "embed_rows", "seed0": seed0, "seeds": n_seeds,
-              "shape": {"rank": rank, "cols": cols, "d": d, "n_x": n_x},
-              "separated": chosen is not None, "constants": constants,
-              "ladder": rows}
-    return constants, report
+                return abs(float(np.linalg.norm(sk @ resid) ** 2) / exact - 1.0)
+
+            good += all(distortion() <= 0.3 for _ in range(n_x))
+        return {"rows_per_rank": mult, "rows": mult * rank,
+                "seed_pass_rate": good / n_seeds}
+
+    # A rung with more rows than d leaves no compression to measure.
+    rungs = [mult for mult in (10, 20, 40, 60) if mult * rank <= d]
+    constants, rows = _ladder("EMBED_KAPPA", rungs, "seed_pass_rate", measure)
+    return constants, {"seeds": n_seeds, "ladder": rows,
+                       "shape": {"rank": rank, "cols": cols, "d": d,
+                                 "n_x": n_x}}
 
 
 _SUITE_FNS = {
@@ -897,12 +886,14 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
 
     The sweep is fully seeded, so re-running with the same seed0 reproduces
     the constants bit for bit.  ``trials`` overrides the per-cell sample
-    count (tests use small values).  When the sweep fails to separate, the
-    report says so (``separated: false``) and carries the measured
-    distributions; the constants map is then empty and the CLI exits 3.
-    When ``out_dir`` is set the report is written there as <suite>.json;
-    for c_psd and kappa_sketch that raises ConfigError, before any sweep
-    runs, unless OPENBLAS_NUM_THREADS is "1".
+    count (tests use small values).  Every report carries ``suite``,
+    ``seed0``, ``constants`` and ``separated``, written here.  When the
+    sweep fails to separate, the constants map is empty, the report says
+    so (``separated: false``) and carries the measured distributions, and
+    the CLI exits 3.  When ``out_dir`` is set the report is written there
+    as <suite>.json; for c_psd and kappa_sketch that raises ConfigError,
+    before any sweep runs, unless OPENBLAS_NUM_THREADS is "1", and an
+    ``out_dir`` that cannot be created raises ConfigError before the sweep.
     """
     if suite not in _SUITE_FNS:
         raise ConfigError(f"unknown calibration suite {suite!r}; expected one "
@@ -915,7 +906,11 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
         raise ConfigError(f"the {suite} report moves with the BLAS thread "
                           f"count; set OPENBLAS_NUM_THREADS=1 to write it "
                           f"(see defaults.py)")
+    if out_dir is not None:
+        _make_dir(out_dir)
     constants, report = _SUITE_FNS[suite](seed0, trials)
+    report.update(suite=suite, seed0=seed0, constants=constants,
+                  separated=bool(constants))
     if out_dir is not None:
         _write_json(Path(out_dir) / f"{suite}.json", report)
     return constants, report
@@ -975,13 +970,9 @@ def _knob_cap(tester: str, d: int, eps: float) -> int:
     return d
 
 
-# The reject rate a scaling cell's knob must reach.
-_SCALING_TARGET = 0.9
-
-
 def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
                   seed0: int) -> dict:
-    """Minimal integer knob whose reject rate reaches ``_SCALING_TARGET``.
+    """Minimal integer knob whose reject rate reaches ``_TARGET``.
 
     Doubling finds an upper bracket, bisection closes it (to a ~12% window
     for the Oja iteration knob, exactly elsewhere).  Instances are rebuilt
@@ -1000,14 +991,14 @@ def _scaling_cell(tester: str, p: float, eps: float, d: int, trials: int,
         return evals[knob]
 
     hi = 1
-    while evaluate(hi)[0] < _SCALING_TARGET and hi < cap:
+    while evaluate(hi)[0] < _TARGET and hi < cap:
         hi = min(cap, hi * 2)
-    resolved = evals[hi][0] >= _SCALING_TARGET
+    resolved = evals[hi][0] >= _TARGET
     lo = hi // 2
     slack = (lambda: max(1, lo // 8)) if tester == "oja_l1" else (lambda: 1)
     while resolved and hi - lo > slack():
         mid = (lo + hi) // 2
-        if evaluate(mid)[0] >= _SCALING_TARGET:
+        if evaluate(mid)[0] >= _TARGET:
             hi = mid
         else:
             lo = mid
@@ -1056,7 +1047,7 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
 
     Per cell, the tester's size knob (Oja iterations, sketch columns, Krylov
     degree, matvec columns) is bisected for the smallest value whose reject
-    rate on freshly drawn far instances reaches 0.9; the reported
+    rate on freshly drawn far instances reaches ``_TARGET``; the reported
     budget is the measured oracle query count at that knob.  The instances
     are the hard trace-norm family for the l1 testers and the Frobenius
     boundary family for nonadaptive_mv (see the spectrum builders above).
@@ -1068,7 +1059,9 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     Oja), so when the resolved knobs
     are single digits the queries fit sits visibly below the knob fit; the
     two agree in the regime where the knob dominates the budget.  Exponent
-    checks should read ``size_slopes``, capacity planning ``slopes``.
+    checks should read ``size_slopes``, capacity planning ``slopes``.  The
+    directory of ``out_path`` is created before the sweep; ConfigError if it
+    cannot be.
     """
     if tester not in _SCALING_FAMILY:
         raise ConfigError(f"no size knob wired for tester {tester!r}; "
@@ -1084,10 +1077,12 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     p = _check_p(tester, p)
     trials = _check_trials(trials)
     _check_seed0(seed0)
+    if out_path is not None:
+        _make_dir(Path(out_path).parent)
     rows = [_scaling_cell(tester, p, float(eps), int(d), trials, seed0)
             for eps in eps_list for d in d_list]
     report = {"tester": tester, "p": p, "trials": trials, "seed0": seed0,
-              "target": _SCALING_TARGET, "rows": rows,
+              "target": _TARGET, "rows": rows,
               "slopes": _loglog_slopes(rows),
               "size_slopes": _loglog_slopes(rows, "knob")}
     if out_path is not None:

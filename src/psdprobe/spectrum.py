@@ -66,9 +66,12 @@ def affine_embedding(rows: int, d: int, seed) -> np.ndarray:
     return gen.standard_normal((rows, d)) / math.sqrt(rows)
 
 
-def _check_k_eps(k: int, eps: float) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def _check_k_eps(k: int, eps: float, d: int) -> None:
+    """Before any query: a rank k in [1, d], since no fit has more than d
+    columns, and eps in (0, 1)."""
+    if not 1 <= k <= d:
+        raise ValueError(f"k must be in [1, d] for a d={d} operator, got "
+                         f"k={k}")
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
 
@@ -430,7 +433,7 @@ def estimate_Akplus_sq(op: SymmetricOperator, k: int, eps: float,
     the one task (k, -1); the difference is medianed over
     ceil(MEDIAN_REPS_C ln(1/delta)) independent sketches.
     """
-    _check_k_eps(k, eps)
+    _check_k_eps(k, eps, op.dim)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     frob_sq, costs = _fit_costs(op, k, eps, _median_reps(delta),
@@ -474,7 +477,7 @@ def _mass_profiles(op: SymmetricOperator, k: int, eps: float, rng, salt: int,
     One _fit_costs run at accuracy eps^2/2 fits the 2k tasks rank-major,
     the positive side (sign -1) before the negative one at each rank.
     """
-    _check_k_eps(k, eps)
+    _check_k_eps(k, eps, op.dim)
     tasks = [(i, sign) for i in range(1, k + 1) for sign in (-1.0, 1.0)]
     frob_sq, costs = _fit_costs(op, k, 0.5 * eps * eps,
                                 _median_reps(1.0 / (20.0 * k)),

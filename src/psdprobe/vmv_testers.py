@@ -375,14 +375,25 @@ def gamma_statistic(alpha: float, beta: float, lam_min: float, k: int) -> float:
     return (alpha - lam_min) / (beta * math.sqrt(k) * math.log(max(k, 2)))
 
 
+def _check_sketch_bytes(what: str, nbytes: int) -> None:
+    """Refuse, before any query or draw, a sketch whose float64 arrays would
+    pass ``defaults.SKETCH_MAX_BYTES``."""
+    if nbytes > defaults.SKETCH_MAX_BYTES:
+        raise ValueError(f"{what} needs {nbytes:,} bytes of sketch, over the "
+                         f"{defaults.SKETCH_MAX_BYTES:,}-byte limit")
+
+
 def build_sketch(op, k: int, seed: SeedLike) -> SketchState:
     """Fill all k(k+1)/2 distinct entries of G^T A G and compute gamma.
 
     Query cost is exactly k(k+1)/2 vmv for the sketch plus 160 for the trace
-    estimate and 592 for the Frobenius estimate.
+    estimate and 592 for the Frobenius estimate.  A sketch whose G and
+    G^T A G pass ``defaults.SKETCH_MAX_BYTES`` raises ValueError first.
     """
     if k < 1:
         raise ValueError(f"sketch size must be >= 1, got {k}")
+    _check_sketch_bytes(f"a k={k} bilinear sketch on d={op.dim}",
+                        8 * k * (op.dim + k))
     gen = rng_from(seed, 0x5CE7)
     g = gen.standard_normal((op.dim, k))
     s = op.sym_block(g)
@@ -456,10 +467,14 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     trace is (C_far - 1) k by construction, so the descent runs at a single
     analytic step-size scale, with no norm probe.  A negative value found
     in the shifted space proves nothing about A, so that rejection carries
-    no witness.
+    no witness.  An eps whose d x k G would pass
+    ``defaults.SKETCH_MAX_BYTES`` raises ValueError before any query.
     """
     if c_psd is None:
         c_psd = defaults.C_PSD
+    k = _gap_sketch_dim(eps, c_psd)
+    _check_sketch_bytes(f"adaptive_l2 at eps={eps} (k={k}, d={op.dim})",
+                        8 * op.dim * k)
     gen = rng_from(rng, 0xAD27)
     for _ in range(defaults.PROBE_COUNT):
         x = gen.standard_normal(op.dim)
@@ -472,7 +487,6 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     if beta == 0.0:
         return True, None, None
 
-    k = _gap_sketch_dim(eps, c_psd)
     c_far = c_far_curve(k, eps)
     g = gen.standard_normal((op.dim, k))
     # The shifted sketch (G^T A G - alpha I) / (beta sqrt(k) ln k)

@@ -537,6 +537,38 @@ def test_calibrate_refuses_blas_bound_reports_off_one_thread(tmp_path,
     assert not out.exists()
 
 
+def test_ladder_stops_at_the_first_passing_rung():
+    rates = {1: 0.5, 2: 0.9, 3: 0.2, 4: 1.0}
+    measured = []
+
+    def measure(rung):
+        measured.append(rung)
+        return {"rung": rung, "rate": rates[rung]}
+
+    constants, rows = harness._ladder("C", (1, 2, 3, 4), "rate", measure)
+    assert constants == {"C": 2.0}
+    assert measured == [1, 2]
+    assert rows == [{"rung": 1, "rate": 0.5}, {"rung": 2, "rate": 0.9}]
+
+
+def test_ladder_returns_no_constant_when_no_rung_passes():
+    constants, rows = harness._ladder(
+        "C", (1, 2, 3), "rate", lambda rung: {"rung": rung, "rate": 0.89})
+    assert constants == {}
+    assert [row["rung"] for row in rows] == [1, 2, 3]
+
+
+def test_calibrate_writes_the_shared_report_fields(monkeypatch):
+    for constants in ({"EMBED_KAPPA": 40.0}, {}):
+        monkeypatch.setitem(harness._SUITE_FNS, "embed_rows",
+                            lambda seed0, trials, c=constants: (c, {"x": 1}))
+        got, report = calibrate("embed_rows", seed0=5)
+        assert got == constants
+        assert report == {"x": 1, "suite": "embed_rows", "seed0": 5,
+                          "constants": constants,
+                          "separated": bool(constants)}
+
+
 def test_calibrate_embed_rows_writes_a_reproducible_report(tmp_path):
     constants, report = calibrate("embed_rows", seed0=0, trials=2,
                                   out_dir=tmp_path)
@@ -716,6 +748,38 @@ def test_cli_calibrate_exit_codes(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert "failed to separate" in capsys.readouterr().err
     assert (tmp_path / "embed_rows.json").exists()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the work ran before the output location was checked")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_bad_output_location_exits_2_before_any_work(tmp_path, capsys,
+                                                         monkeypatch, fmt):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory")
+    monkeypatch.setattr(harness, "_run_trial", _never)
+    monkeypatch.setitem(harness._SUITE_FNS, "embed_rows", _never)
+    monkeypatch.setattr(harness, "_scaling_cell", _never)
+    config = write_config(tmp_path, output_path=str(blocker / "x.csv"))
+    for argv in (["run", "--config", config],
+                 ["calibrate", "--suite", "embed_rows",
+                  "--out", str(blocker / "cal")],
+                 ["scaling", "--tester", "krylov", "--eps", "0.2",
+                  "--dims", "32", "--out", str(blocker / "sc")]):
+        assert main(argv + ["--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory ")
+        assert str(blocker) in err
+
+
+def test_cli_run_k_above_dim_exits_2_naming_k_and_d(tmp_path, capsys):
+    config = write_config(tmp_path, tester="spectrum", eps=0.3, trials=1,
+                          instance={"kind": "wishart", "dim": 6},
+                          constants={"k": 9})
+    assert main(["run", "--config", config]) == 2
+    assert "d=6 operator, got k=9" in capsys.readouterr().err
 
 
 def test_cli_calibrate_unknown_suite_exits_2(tmp_path, capsys):

@@ -430,6 +430,18 @@ def test_akplus_validates():
             estimate_Akplus_sq(op, **bad)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda op: top_eigs_signed(op, 9, 0.3),
+    lambda op: top_eigs_signed_adaptive(op, 9, 0.3),
+    lambda op: estimate_Akplus_sq(op, 9, 0.3, 0.1),
+], ids=["top_eigs_signed", "top_eigs_signed_adaptive", "estimate_Akplus_sq"])
+def test_estimators_refuse_k_above_d_before_any_query(estimate):
+    op = gen_wishart(6, seed=1)
+    with pytest.raises(ValueError, match=r"d=6 operator, got k=9"):
+        estimate(op)
+    assert (op.mv_queries, op.vmv_queries) == (0, 0)
+
+
 def test_akplus_full_mass_on_low_rank_psd():
     vals = np.concatenate([[2.0, 1.0], np.zeros(14)])
     op = rotated_spectrum(vals, rot_seed=6)

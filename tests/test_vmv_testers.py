@@ -766,6 +766,16 @@ def test_adaptive_l2_separates_identity_from_far():
         assert not v.is_psd
         assert v.witness is None  # shifted-space directions prove nothing
 
+@pytest.mark.parametrize("tester, eps", [(bilinear_sketch_tester, 0.01),
+                                         (adaptive_l2_tester, 3e-4)],
+                         ids=["bilinear_sketch", "adaptive_l2"])
+def test_sketch_testers_refuse_a_sketch_past_the_byte_limit(tester, eps):
+    op = SymmetricOperator(np.eye(2))
+    with pytest.raises(ValueError, match=r"k=\d+.*d=2\)? needs [\d,]+ bytes"):
+        tester(op, eps)
+    assert (op.mv_queries, op.vmv_queries) == (0, 0)
+
+
 def test_adaptive_l2_validates_eps():
     op = identity_op(10)
     with pytest.raises(ValueError):
