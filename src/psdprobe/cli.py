@@ -23,23 +23,15 @@ _REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
                          and f.default_factory is MISSING)
 
 
-def _float_list(text: str) -> List[float]:
+def _number_list(text: str, kind=float) -> list:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated list of numbers, "
-                          f"got {text!r}") from exc
+        raise ConfigError(f"expected a comma-separated list of {kind.__name__}"
+                          f" values, got {text!r}") from exc
     if not values:
         raise ConfigError(f"expected a non-empty list, got {text!r}")
     return values
-
-
-def _int_list(text: str) -> List[int]:
-    values = _float_list(text)
-    ints = [int(v) for v in values]
-    if any(i != v for i, v in zip(ints, values)):
-        raise ConfigError(f"expected integers, got {text!r}")
-    return ints
 
 
 def _load_config(path: str) -> dict:
@@ -111,8 +103,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_scaling(args) -> int:
     out_dir = Path(args.out)
-    report = scaling_report(args.tester, args.p, _float_list(args.eps),
-                            _int_list(args.dims), trials=args.trials,
+    report = scaling_report(args.tester, args.p, _number_list(args.eps),
+                            _number_list(args.dims, int), trials=args.trials,
                             seed0=args.seed or 0,
                             out_path=out_dir / f"{args.tester}_scaling.json")
     if args.format == "json":

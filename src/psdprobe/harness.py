@@ -29,13 +29,13 @@ eigendecomposed to be labelled.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, repeat
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -109,6 +109,23 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, lo: Optional[int] = None) -> int:
+    """``value`` as a Python int, once it is an integer (numpy's too, never
+    a bool) and at least ``lo`` when that is set."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or lo is not None and value < lo):
+        floor = "" if lo is None else f" >= {lo}"
+        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
+    return int(value)
+
+
+def _check_eps(eps, rule: str = "eps must be a number in (0, 1)") -> float:
+    """``eps`` as a Python float, once it is a number in (0, 1)."""
+    if not (_is_number(eps) and 0.0 < eps < 1.0):
+        raise ConfigError(f"{rule}, got {eps!r}")
+    return float(eps)
+
+
 def _check_p(tester: str, p) -> float:
     """``p`` as a Python float, once it is a number >= 1 the tester tests."""
     if not (_is_number(p) and p >= 1.0):
@@ -119,17 +136,49 @@ def _check_p(tester: str, p) -> float:
     return float(p)
 
 
-def _check_trials(trials) -> int:
-    """``trials`` as a Python int, once it is an integer >= 1."""
-    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) \
-            or trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    return int(trials)
+# The fields each instance kind needs.
+_KIND_FIELDS = {"rotated_diag": ("eigenvalues",),
+                "spiked": ("dim", "s", "shift"),
+                **dict.fromkeys(("wishart", "gap", "identity", "random_psd",
+                                 "far", "hard_l1", "cluster_l1"), ("dim",))}
 
 
-def _check_seed0(seed0) -> None:
-    if not isinstance(seed0, int) or isinstance(seed0, bool):
-        raise ConfigError(f"seed0 must be an integer, got {seed0!r}")
+def _plain(value):
+    """A numpy scalar as the Python number it holds; anything else as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _check_instance(desc) -> dict:
+    """A checked copy of an instance descriptor (see ``ExperimentConfig``),
+    numpy scalars made the Python numbers they hold, so that it serializes
+    like its plain twin; ConfigError on any field that config forbids."""
+    # A tuple compares kinds by ==, so an unhashable kind fails cleanly.
+    if not isinstance(desc, dict) or \
+            desc.get("kind") not in tuple(_KIND_FIELDS):
+        raise ConfigError(f"instance must be a dict whose kind is one of "
+                          f"{', '.join(_KIND_FIELDS)}, got {desc!r}")
+    out = {name: _plain(value) for name, value in desc.items()}
+    kind = out["kind"]
+    for name in _KIND_FIELDS[kind]:
+        if name not in out:
+            raise ConfigError(f"instance kind {kind!r} is missing field "
+                              f"{name!r}")
+    if kind == "rotated_diag":
+        lam = out["eigenvalues"]
+        if not (isinstance(lam, (list, tuple)) and len(lam) >= 2 and all(
+                _is_number(v) and math.isfinite(v) for v in lam)):
+            raise ConfigError(f"instance field 'eigenvalues' must be a list "
+                              f"of at least 2 finite numbers, got {lam!r}")
+        out["eigenvalues"] = [_plain(v) for v in lam]
+    else:
+        out["dim"] = _check_int(f"instance kind {kind!r} dim", out["dim"], 2)
+    for name in ("s", "shift", "depth"):
+        if name in out and not _is_number(out[name]):
+            raise ConfigError(f"instance field {name!r} must be a number, "
+                              f"got {out[name]!r}")
+    if kind == "gap" and not 0.0 < out.get("depth", 0.5) < 1.0:
+        raise ConfigError(f"gap depth must be in (0, 1), got {out['depth']}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +192,15 @@ class ExperimentConfig:
     ``instance`` is a JSON-friendly dict whose ``kind`` names one of the
     nine kinds ``instance_operator`` builds, each from the per-trial seed
     (a seed in the descriptor is ignored): "rotated_diag" (needs
-    "eigenvalues"), "wishart" (needs "dim"), "spiked" (needs "dim", "s" and
-    "shift"; see ``gen_spiked_sym``), and the rotated spectrum families,
-    each needing "dim": "identity", "random_psd" (uniform spectrum in
+    "eigenvalues", a list of at least 2 finite numbers), "wishart", "spiked"
+    (also needs numbers "s" and "shift"; see ``gen_spiked_sym``), and the
+    rotated spectrum families "identity", "random_psd" (uniform spectrum in
     [0, 1]), "far" (one negative eigenvalue at exactly -eps times the
     Schatten-p norm), "hard_l1" (the negative eigenvalue hidden under
     ~eps^(-2/3) taller positive spikes), "cluster_l1" (positives clustered
     at the negative eigenvalue's scale) and "gap" (strictly inside the
-    promise gap; excluded from rate denominators).
+    promise gap, at "depth" in (0, 1), default 0.5; excluded from rate
+    denominators).  All but "rotated_diag" need "dim", an integer >= 2.
 
     ``constants`` overrides named calibration constants.  Each tester reads
     its own set (``_TESTER_CONSTANTS``): kappa, c_psd, repeats,
@@ -159,6 +209,8 @@ class ExperimentConfig:
     number, and a whole number where the tester reads an integer.  eps, p
     and the constants must be numbers, not strings or bools (eps and p are
     stored as floats), and p the one p of a one-p tester (``_TESTER_P``).
+    All of it is checked when the config is built, before any work; the
+    config keeps Python numbers only, each constant cast as its tester reads it.
     """
 
     tester: str
@@ -174,15 +226,12 @@ class ExperimentConfig:
         if self.tester not in TESTERS:
             raise ConfigError(f"unknown tester {self.tester!r}; expected one "
                               f"of {', '.join(TESTERS)}")
-        if not isinstance(self.instance, dict) or "kind" not in self.instance:
-            raise ConfigError("instance must be a dict with a 'kind' field")
-        _check_trials(self.trials)
-        _check_seed0(self.seed0)
-        if not (_is_number(self.eps) and 0.0 < self.eps < 1.0):
-            raise ConfigError(f"eps must be a number in (0, 1), "
-                              f"got {self.eps!r}")
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "p", _check_p(self.tester, self.p))
+        for name, value in (("instance", _check_instance(self.instance)),
+                            ("trials", _check_int("trials", self.trials, 1)),
+                            ("seed0", _check_int("seed0", self.seed0)),
+                            ("eps", _check_eps(self.eps)),
+                            ("p", _check_p(self.tester, self.p))):
+            object.__setattr__(self, name, value)
         if not isinstance(self.constants, dict):
             raise ConfigError("constants must be a dict")
         reads = _TESTER_CONSTANTS[self.tester]
@@ -197,6 +246,8 @@ class ExperimentConfig:
             if reads[name] is int and not number.is_integer():
                 raise ConfigError(f"constant {name!r} must be a whole "
                                   f"number, got {value!r}")
+        object.__setattr__(self, "constants", {
+            name: reads[name](value) for name, value in self.constants.items()})
 
 
 @dataclass(frozen=True)
@@ -205,10 +256,11 @@ class TrialRecord:
 
     ``truth`` is None only for instances inside the promise gap, which are
     generated only on request and excluded from rate denominators.  For the
-    spectrum testers ``verdict`` means the per-eigenvalue guarantee held
-    against the instance's eigenvalues, ``statistic`` is the worst
-    qualifying eigenvalue error over the allowed radius, and
-    ``witness_valid`` reports sign correctness on the qualifying indices.
+    spectrum testers ``verdict`` means the estimates met their coverage and
+    soundness checks against the instance's eigenvalues (see
+    ``_spectrum_guarantee``), ``statistic``, set on every trial, is the
+    worse of the two bottleneck errors over the allowed radius, and
+    ``witness_valid`` whether the qualifying eigenvalues' signs are matched.
     """
 
     seed: int
@@ -321,48 +373,23 @@ def instance_operator(desc: dict, eps: float, p: float,
                       seed: int) -> SymmetricOperator:
     """Fresh operator for one trial of any kind ``ExperimentConfig`` lists.
 
-    The trial seed overrides any seed field.  A descriptor that is not a
-    dict, names an unknown kind, lacks a field, has a dim that is not an
-    integer >= 2, eigenvalues that are not a list of at least 2 finite
-    numbers, or a non-number s, shift or depth raises ConfigError.
+    The trial seed overrides any seed field.  The descriptor goes through
+    ``_check_instance`` first, so a bad one raises ConfigError.
     """
-    if not isinstance(desc, dict):
-        raise ConfigError(f"descriptor must be a dict, got "
-                          f"{type(desc).__name__}")
-    kind = desc.get("kind")
-    needs = {"rotated_diag": ("eigenvalues",), "spiked": ("dim", "s", "shift")}
-    for name in needs.get(kind, ("dim",)):
-        if name not in desc:
-            raise ConfigError(f"instance kind {kind!r} is missing field "
-                              f"{name!r}")
-    if kind == "rotated_diag":
-        lam = desc["eigenvalues"]
-        if not (isinstance(lam, (list, tuple)) and len(lam) >= 2 and all(
-                _is_number(v) and math.isfinite(v) for v in lam)):
-            raise ConfigError(f"instance field 'eigenvalues' must be a list "
-                              f"of at least 2 finite numbers, got {lam!r}")
-        return gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(lam),
-                                                 rotation_seed=seed))
-    d = desc["dim"]
-    if not isinstance(d, int) or d < 2:
-        raise ConfigError(f"instance kind {kind!r} needs an integer dim >= 2, "
-                          f"got {d!r}")
-    for name in ("s", "shift", "depth"):
-        if name in desc and not _is_number(desc[name]):
-            raise ConfigError(f"instance field {name!r} must be a number, "
-                              f"got {desc[name]!r}")
+    desc = _check_instance(desc)
+    kind, d = desc["kind"], desc.get("dim")
     if kind == "wishart":
         return gen_wishart(d, seed)
     if kind == "spiked":
         return gen_spiked_sym(d, float(desc["s"]), float(desc["shift"]), seed)
-    if kind == "gap":
+    if kind == "rotated_diag":
+        lam = desc["eigenvalues"]
+    elif kind == "gap":
         depth = float(desc.get("depth", 0.5))
-        if not 0.0 < depth < 1.0:
-            raise ConfigError(f"gap depth must be in (0, 1), got {depth}")
         lam = family_spectrum("far", d, depth * eps, p, seed)
     else:
         lam = family_spectrum(kind, d, eps, p, seed)
-    return gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(float(v) for v in lam),
+    return gen_rotated_diag(SpectrumInstance(eigenvalues=lam,
                                              rotation_seed=seed))
 
 
@@ -406,42 +433,40 @@ class _TesterOutput:
     witness_valid: Optional[bool]
 
 
-def _sign_match(a: float, b: float) -> bool:
-    if a > 0.0:
-        return b > 0.0
-    if a < 0.0:
-        return b < 0.0
-    return b == 0.0
+def _bottleneck(xs, ys) -> float:
+    """The least max |x - y| over injections of xs into ys (inf when ys is
+    too short).  On the line an order-preserving injection attains it, so
+    one pass over the sorted xs finds it: best[j] is the optimum for the xs
+    so far into the first j sorted ys."""
+    ys = np.sort(np.asarray(ys, dtype=float))
+    best = np.zeros(ys.size + 1)
+    for x in np.sort(np.asarray(xs, dtype=float)):
+        best = np.concatenate(([math.inf], np.minimum.accumulate(
+            np.maximum(best[:-1], np.abs(x - ys)))))
+    return float(best[-1])
 
 
 def _spectrum_guarantee(values: Sequence[float], eigs: np.ndarray, k: int,
                         radius: float):
-    """Best-assignment check of the per-eigenvalue estimate guarantee.
+    """Check the k signed estimates against the true eigenvalues.
 
-    Qualifying true eigenvalues are those with |lam_i| >= |lam_k| + 2 radius
-    (at most k - 1 of them when radius > 0); the guarantee allows an
-    arbitrary assignment sigma, so all injections of qualifying indices into
-    the k estimates are tried.  Returns (guarantee held, worst matched error
-    over radius, signs correct on a within-radius assignment).
+    Coverage: every true eigenvalue among the top k by magnitude with
+    |lam| >= |lam_{k+1}| + 2 radius is matched by a distinct estimate within
+    radius; such a lam has |lam| >= 2 radius, so its match has its sign.
+    Soundness: every estimate lies within radius of a distinct true
+    eigenvalue.  Returns (both held, the larger of the two bottleneck errors
+    over radius, whether the qualifying eigenvalues' signs can be matched by
+    distinct estimates, None when none qualifies).
     """
     by_mag = np.sort(np.abs(eigs))[::-1]
-    signed = sorted(eigs, key=abs, reverse=True)
-    bar = by_mag[min(k, len(by_mag)) - 1] + 2.0 * radius
-    qual = [lam for lam in signed[:k] if abs(lam) >= bar]
-    if not qual:
-        return True, None, None
-    best_err = math.inf
-    signs_ok = False
-    for perm in permutations(range(len(values)), len(qual)):
-        errs = [abs(values[j] - lam) for j, lam in zip(perm, qual)]
-        worst = max(errs)
-        best_err = min(best_err, worst)
-        if worst <= radius and all(_sign_match(values[j], lam)
-                                   for j, lam in zip(perm, qual)):
-            signs_ok = True
-    held = bool(best_err <= radius)
-    normalized = best_err / radius if radius > 0.0 else (0.0 if held else math.inf)
-    return held, float(normalized), (signs_ok if held else None)
+    bar = (by_mag[k] if k < by_mag.size else 0.0) + 2.0 * radius
+    qual = [lam for lam in sorted(eigs, key=abs, reverse=True)[:k]
+            if abs(lam) >= bar]
+    err = max(_bottleneck(qual, values), _bottleneck(values, eigs))
+    stat = err / radius if radius > 0.0 else (0.0 if err == 0.0 else math.inf)
+    signs_ok = (_bottleneck(np.sign(qual), np.sign(values)) == 0.0
+                if qual else None)
+    return stat <= 1.0, stat, signs_ok
 
 
 def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator, seed: int,
@@ -458,23 +483,20 @@ def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator, seed: int,
 
 def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
               seed: int) -> _TesterOutput:
-    kw = {name: cast(cfg.constants[name])
-          for name, cast in _TESTER_CONSTANTS[cfg.tester].items()
-          if name in cfg.constants}
     if cfg.tester == "oja_l1":
-        v = oja_l1_tester(op, cfg.eps,
-                          OjaConfig.from_eps(cfg.eps, dim=op.dim, **kw),
-                          rng=seed)
+        v = oja_l1_tester(op, cfg.eps, OjaConfig.from_eps(
+            cfg.eps, dim=op.dim, **cfg.constants), rng=seed)
     elif cfg.tester == "bilinear_sketch":
-        v = bilinear_sketch_tester(op, cfg.eps, rng=seed, **kw)
+        v = bilinear_sketch_tester(op, cfg.eps, rng=seed, **cfg.constants)
     elif cfg.tester == "adaptive_l2":
-        v = adaptive_l2_tester(op, cfg.eps, rng=seed, **kw)
+        v = adaptive_l2_tester(op, cfg.eps, rng=seed, **cfg.constants)
     elif cfg.tester == "nonadaptive_l1":
-        v = nonadaptive_l1_tester(op, cfg.eps, rng=seed, **kw)
+        v = nonadaptive_l1_tester(op, cfg.eps, rng=seed, **cfg.constants)
     elif cfg.tester in _MV_TESTERS:
-        v = _MV_TESTERS[cfg.tester](op, cfg.eps, cfg.p, rng=seed, **kw)
+        v = _MV_TESTERS[cfg.tester](op, cfg.eps, cfg.p, rng=seed,
+                                    **cfg.constants)
     else:
-        return _spectrum_trial(cfg, op, seed, **kw)
+        return _spectrum_trial(cfg, op, seed, **cfg.constants)
     return _TesterOutput(verdict=v.is_psd, statistic=v.statistic,
                          witness=v.witness, declared=v.queries_used,
                          witness_valid=None)
@@ -502,10 +524,6 @@ def _run_trial(cfg: ExperimentConfig, seed: int,
                        queries_mv=queries_mv, queries_vmv=queries_vmv,
                        statistic=out.statistic, witness_valid=witness_valid,
                        wall_time_ms=wall)
-
-
-def _pool_trial(cfg: ExperimentConfig, seed: int) -> TrialRecord:
-    return _run_trial(cfg, seed, time.perf_counter)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +557,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1,
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_pool_trial, repeat(cfg), seeds,
-                                    chunksize=chunk))
+            trial = functools.partial(_run_trial, cfg, clock=time.perf_counter)
+            records = list(pool.map(trial, seeds, chunksize=chunk))
     else:
         clk = time.perf_counter if clock is None else clock
         records = [_run_trial(cfg, s, clk) for s in seeds]
@@ -659,7 +677,7 @@ def _diag_instance(kind: str, d: int, eps: float, p: float,
                    seed: int) -> SymmetricOperator:
     """An unrotated operator on ``family_spectrum``, carrying that spectrum."""
     lam = family_spectrum(kind, d, eps, p, seed)
-    return SymmetricOperator(np.diag(lam), seed=seed, spectrum=lam)
+    return SymmetricOperator(np.diag(lam), spectrum=lam)
 
 
 def _sweep(kind: str, d: int, eps: float, p: float, seeds: Sequence[int],
@@ -898,9 +916,9 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
     if suite not in _SUITE_FNS:
         raise ConfigError(f"unknown calibration suite {suite!r}; expected one "
                           f"of {', '.join(CALIBRATION_SUITES)}")
-    _check_seed0(seed0)
+    seed0 = _check_int("seed0", seed0)
     if trials is not None:
-        trials = _check_trials(trials)
+        trials = _check_int("trials", trials, 1)
     if (out_dir is not None and suite in _BLAS_BOUND_SUITES
             and os.environ.get("OPENBLAS_NUM_THREADS") != "1"):
         raise ConfigError(f"the {suite} report moves with the BLAS thread "
@@ -1068,18 +1086,15 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
                           f"expected one of {', '.join(_SCALING_FAMILY)}")
     if not eps_list or not d_list:
         raise ConfigError("eps_list and d_list must be non-empty")
-    for eps in eps_list:
-        if not (_is_number(eps) and 0.0 < eps < 1.0):
-            raise ConfigError(f"eps values must be in (0, 1), got {eps!r}")
-    for d in d_list:
-        if not isinstance(d, (int, np.integer)) or d < 8:
-            raise ConfigError(f"dims must be integers >= 8, got {d!r}")
+    eps_list = [_check_eps(eps, "eps values must be in (0, 1)")
+                for eps in eps_list]
+    d_list = [_check_int("every dim", d, 8) for d in d_list]
     p = _check_p(tester, p)
-    trials = _check_trials(trials)
-    _check_seed0(seed0)
+    trials = _check_int("trials", trials, 1)
+    seed0 = _check_int("seed0", seed0)
     if out_path is not None:
         _make_dir(Path(out_path).parent)
-    rows = [_scaling_cell(tester, p, float(eps), int(d), trials, seed0)
+    rows = [_scaling_cell(tester, p, eps, d, trials, seed0)
             for eps in eps_list for d in d_list]
     report = {"tester": tester, "p": p, "trials": trials, "seed0": seed0,
               "target": _TARGET, "rows": rows,

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import defaults
 from .oracle import SeedLike, rng_from
-from .vmv_testers import (ONE_SIDED, Verdict, _fixed_sketch_tester, _lowest,
-                          _tester)
+from .vmv_testers import (ONE_SIDED, Verdict, _check_eps,
+                          _fixed_sketch_tester, _lowest, _tester)
 
 __all__ = [
     "KrylovSpace",
@@ -101,8 +101,7 @@ def unrounded_krylov_degree(eps: float, p: float, d: int,
 def krylov_degree(eps: float, p: float, d: int,
                   kappa: Optional[float] = None) -> int:
     """Krylov degree k = ceil(``unrounded_krylov_degree``), at least 1."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_eps(eps)
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     return max(1, math.ceil(unrounded_krylov_degree(eps, p, d, kappa)))

@@ -158,8 +158,8 @@ class SymmetricOperator:
     backing's trace and Frobenius norm, and a mismatch raises ValueError.
     """
 
-    def __init__(self, matrix: np.ndarray, seed: Optional[int] = None,
-                 validate: bool = True, *, spectrum=None):
+    def __init__(self, matrix: np.ndarray, *, validate: bool = True,
+                 spectrum=None):
         a = np.array(matrix, dtype=float, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"operator backing must be square, got {a.shape}")
@@ -180,7 +180,6 @@ class SymmetricOperator:
         # Halving before adding keeps entries near the float maximum finite.
         a *= 0.5
         self._a = a + a.T
-        self.seed = seed
         self._eigs: Optional[np.ndarray] = None
         if spectrum is not None:
             # The halved copy is dead now; the check reuses it as scratch.
@@ -208,9 +207,6 @@ class SymmetricOperator:
             raise ValueError(f"{name} expects shape ({self._dim},), got {v.shape}")
         return v
 
-    def _block(self, b, name: str) -> np.ndarray:
-        return _checked_block(b, self._dim, name)
-
     def mat_vec(self, v: np.ndarray) -> np.ndarray:
         """One mv query: the full vector A @ v."""
         v = self._vector(v, "mat_vec")
@@ -232,14 +228,14 @@ class SymmetricOperator:
 
     def mat_vecs(self, v) -> np.ndarray:
         """A V, one ``mv`` query per column of V."""
-        v = self._block(v, "mat_vecs")
+        v = _checked_block(v, self._dim, "mat_vecs")
         self._charge(v.shape[1], 0)
         return self._a @ v
 
     def bilinear_block(self, x, y) -> np.ndarray:
         """X^T A Y, one ``vmv`` query per entry of the result."""
-        x = self._block(x, "bilinear_block")
-        y = self._block(y, "bilinear_block")
+        x = _checked_block(x, self._dim, "bilinear_block")
+        y = _checked_block(y, self._dim, "bilinear_block")
         self._charge(0, x.shape[1] * y.shape[1])
         return x.T @ (self._a @ y)
 
@@ -249,7 +245,7 @@ class SymmetricOperator:
         The lower triangle is a mirror of the upper one, so the result is
         exactly symmetric.
         """
-        g = self._block(g, "sym_block")
+        g = _checked_block(g, self._dim, "sym_block")
         k = g.shape[1]
         self._charge(0, k * (k + 1) // 2)
         upper = np.triu(g.T @ (self._a @ g))
@@ -257,11 +253,11 @@ class SymmetricOperator:
 
     def quad_forms(self, x, y=None) -> np.ndarray:
         """Column-wise x_j^T A y_j (y defaults to x), one ``vmv`` per column."""
-        x = self._block(x, "quad_forms")
+        x = _checked_block(x, self._dim, "quad_forms")
         if y is None:
             y = x
         else:
-            y = self._block(y, "quad_forms")
+            y = _checked_block(y, self._dim, "quad_forms")
             if y.shape != x.shape:
                 raise ValueError(f"quad_forms blocks differ in shape: "
                                  f"{x.shape} vs {y.shape}")
@@ -275,7 +271,7 @@ class SymmetricOperator:
         before any answer is read, so the product reveals nothing a reader
         could not get from the same reads asked one at a time.
         """
-        u = self._block(u, "directions")
+        u = _checked_block(u, self._dim, "directions")
         return DirectionBlock(self, u, self._a @ u)
 
     def compressed(self, g) -> "Compression":
@@ -309,8 +305,8 @@ class SymmetricOperator:
         return float((w ** p).sum() ** (1.0 / p))
 
     def __repr__(self) -> str:
-        return (f"SymmetricOperator(dim={self._dim}, seed={self.seed}, "
-                f"mv={self._mv}, vmv={self._vmv})")
+        return (f"SymmetricOperator(dim={self._dim}, mv={self._mv}, "
+                f"vmv={self._vmv})")
 
 
 def _checked_block(b, rows: int, name: str) -> np.ndarray:
@@ -443,15 +439,14 @@ def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
     else:
         s = _haar_orthogonal(d, rng_from(instance.rotation_seed, 0x0ACE))
         a = (s.T * lam) @ s
-    return SymmetricOperator(a, seed=instance.rotation_seed, validate=False,
-                             spectrum=lam)
+    return SymmetricOperator(a, validate=False, spectrum=lam)
 
 
 def gen_wishart(d: int, seed: int) -> SymmetricOperator:
     """PSD Wishart instance W = X X^T with X entries i.i.d. N(0, 1/d)."""
     rng = rng_from(seed, 0x0B15)
     x = rng.standard_normal((d, d)) / np.sqrt(d)
-    return SymmetricOperator(x @ x.T, seed=seed, validate=False)
+    return SymmetricOperator(x @ x.T, validate=False)
 
 
 def gen_spiked_sym(d: int, s: float, shift: float, seed: int) -> SymmetricOperator:
@@ -472,4 +467,4 @@ def gen_spiked_sym(d: int, s: float, shift: float, seed: int) -> SymmetricOperat
     a[:d, d:] = b
     a[d:, :d] = b.T
     a[np.diag_indices_from(a)] = shift
-    return SymmetricOperator(a, seed=seed, validate=False)
+    return SymmetricOperator(a, validate=False)

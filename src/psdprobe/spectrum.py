@@ -42,6 +42,7 @@ from numpy.linalg import _umath_linalg
 
 from . import defaults
 from .oracle import SymmetricOperator, rng_from
+from .vmv_testers import _check_eps
 
 __all__ = [
     "EigenEstimate",
@@ -72,8 +73,7 @@ def _check_k_eps(k: int, eps: float, d: int) -> None:
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, d] for a d={d} operator, got "
                          f"k={k}")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_eps(eps)
 
 
 def _sketch_dims(d: int, k: int, eps: float) -> Tuple[int, int]:
@@ -458,14 +458,11 @@ def _signed_from_masses(est_pos: np.ndarray, est_neg: np.ndarray,
                         k: int, error_bound: float) -> EigenEstimate:
     """Difference consecutive masses, clip at 0, keep the k largest."""
     cands = []
-    prev = 0.0
-    for i in range(k):
-        cands.append(math.sqrt(max(0.0, est_pos[i] - prev)))
-        prev = est_pos[i]
-    prev = 0.0
-    for i in range(k):
-        cands.append(-math.sqrt(max(0.0, est_neg[i] - prev)))
-        prev = est_neg[i]
+    for est, sign in ((est_pos, 1.0), (est_neg, -1.0)):
+        prev = 0.0
+        for i in range(k):
+            cands.append(sign * math.sqrt(max(0.0, est[i] - prev)))
+            prev = est[i]
     cands.sort(key=lambda v: (-abs(v), v < 0))
     return EigenEstimate(values=tuple(cands[:k]), error_bound=error_bound)
 

@@ -84,6 +84,12 @@ class Verdict:
     statistic: Optional[float] = None
 
 
+def _check_eps(eps) -> None:
+    """The one library check of eps: ValueError unless 0 < eps < 1."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+
+
 @dataclass(frozen=True)
 class OjaConfig:
     """Tuning knobs of the Oja-style descent.
@@ -118,8 +124,7 @@ class OjaConfig:
         operator whose trace norm is known only inside a factor-2m^2 bracket,
         hence ceil(log2(2 m^2)) step-size scales.
         """
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must be in (0, 1), got {eps}")
+        _check_eps(eps)
         m = math.ceil(defaults.REDUCE_KAPPA / eps)
         if dim is not None and m >= dim:
             m = dim
@@ -148,8 +153,7 @@ def _tester(mode: str):
     def wrap(body):
         @functools.wraps(body)
         def tester(op, eps, *args, **kwargs):
-            if not 0.0 < eps < 1.0:
-                raise ValueError(f"eps must be in (0, 1), got {eps}")
+            _check_eps(eps)
             start = op.mv_queries + op.vmv_queries
             is_psd, witness, statistic = body(op, eps, *args, **kwargs)
             return Verdict(is_psd=is_psd, witness=witness,
@@ -363,8 +367,7 @@ class SketchState:
 
 def sketch_dim(eps: float, kappa: Optional[float] = None) -> int:
     """Sketch size k = ceil(kappa * eps^-2 * ln^2(max(e, 1/eps)))."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_eps(eps)
     kappa = defaults.SKETCH_KAPPA if kappa is None else kappa
     return math.ceil(kappa * eps ** -2 * math.log(max(math.e, 1.0 / eps)) ** 2)
 
@@ -437,12 +440,13 @@ def c_far_curve(k: int, eps: float) -> float:
 
 
 def _gap_sketch_dim(eps: float, c_psd: float) -> int:
-    """Smallest k with c_far_curve(k, eps) - c_psd >= 1."""
+    """Smallest k with c_far_curve(k, eps) - c_psd >= 1 (ValueError past 2^40)."""
     lo, hi = 4, 8
     while c_far_curve(hi, eps) - c_psd < 1.0:
         hi *= 2
         if hi > 2 ** 40:
-            raise ArithmeticError("gap condition unreachable; calibration broken")
+            raise ValueError(f"adaptive_l2 at eps={eps}: no sketch size up to "
+                             f"2^40 separates the gamma envelopes")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if c_far_curve(mid, eps) - c_psd >= 1.0:

@@ -25,7 +25,7 @@ from psdprobe.harness import (
     write_records_csv,
 )
 from psdprobe.oracle import SymmetricOperator, rng_from
-from psdprobe.vmv_testers import oja_l1_tester
+from psdprobe.vmv_testers import adaptive_l2_tester, oja_l1_tester
 
 
 def far_config(tmp_path=None, **overrides):
@@ -402,6 +402,45 @@ def test_run_experiment_spectrum_dispatch():
     assert summary["accept_given_psd"] >= 0.75
 
 
+_SPIKE = [5.0] + [1.0] * 15
+_SPIKE_RADIUS = 0.2 * math.sqrt(40.0)  # eps ||A||_F of either spike
+
+
+def test_spectrum_guarantee_fails_a_wrong_sign_estimate_at_k1():
+    # lambda_1 = -5 clears |lambda_2| + 2 radius = 3.53, so coverage needs an
+    # estimate within the radius, which a wrong-sign one cannot be.
+    held, stat, signs = harness._spectrum_guarantee(
+        [5.0], np.array([-5.0] + _SPIKE[1:]), 1, _SPIKE_RADIUS)
+    assert (held, signs) == (False, False) and stat == 10.0 / _SPIKE_RADIUS
+    held, stat, signs = harness._spectrum_guarantee(
+        [-4.5], np.array([-5.0] + _SPIKE[1:]), 1, _SPIKE_RADIUS)
+    assert (held, signs) == (True, True) and stat == 0.5 / _SPIKE_RADIUS
+
+
+def test_spectrum_guarantee_checks_every_estimate_against_distinct_eigs():
+    flat = np.ones(16)  # nothing qualifies for coverage
+    held, stat, signs = harness._spectrum_guarantee([3.0], flat, 1, 0.8)
+    assert (held, signs) == (False, None) and stat == 2.5
+    # Two estimates may not share the one eigenvalue near them.
+    held, stat, _ = harness._spectrum_guarantee([5.0, 5.0],
+                                                np.array(_SPIKE), 2, 1.0)
+    assert not held and stat == 4.0
+    held, stat, _ = harness._spectrum_guarantee([5.0, 1.5],
+                                                np.array(_SPIKE), 2, 1.0)
+    assert held and stat == 0.5
+
+
+@pytest.mark.parametrize("tester", ["spectrum", "spectrum_adaptive"])
+def test_spike_trials_carry_a_statistic_that_sets_the_verdict(tester):
+    for lam in (_SPIKE, [-5.0] + _SPIKE[1:]):
+        records, _ = run_experiment(far_config(
+            tester=tester, instance={"kind": "rotated_diag", "eigenvalues": lam},
+            eps=0.2, p=2.0, trials=2, seed0=0, constants={"k": 1}))
+        for r in records:
+            assert r.statistic is not None and r.verdict == (r.statistic <= 1.0)
+            assert r.verdict and r.witness_valid
+
+
 def test_run_experiment_is_byte_deterministic(tmp_path):
     frozen = lambda: 41.0
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -511,6 +550,69 @@ def test_numpy_integers_write_the_reports_plain_integers_write(tmp_path):
     for report in ("s.json", "embed_rows.json"):
         assert (tmp_path / "numpy" / report).read_bytes() == \
             (tmp_path / "int" / report).read_bytes()
+
+
+def test_check_int_takes_numpy_integers_and_refuses_bools_and_floats():
+    for value in (7, np.int64(7), np.int32(7), np.uint8(7)):
+        got = harness._check_int("n", value, 7)
+        assert got == 7 and type(got) is int
+    assert harness._check_int("seed0", np.int64(-3)) == -3
+    for value in (True, np.bool_(True), 7.0, np.float64(7.0), "7", None):
+        with pytest.raises(ConfigError, match="n must be an integer, got"):
+            harness._check_int("n", value)
+    for value in (1, np.int64(1)):
+        with pytest.raises(ConfigError, match="n must be an integer >= 2, got"):
+            harness._check_int("n", value, 2)
+
+
+# Each numpy-typed descriptor holds the same numbers as its plain twin (all
+# exact in float32), and runs with numpy-integer trials and seed0.
+_NUMPY_TWINS = [
+    ({"kind": "rotated_diag", "eigenvalues": [3.0, -1.0, 0.5, 2]},
+     {"kind": "rotated_diag",
+      "eigenvalues": [np.float32(3.0), np.float64(-1.0), 0.5, np.int64(2)]}),
+    ({"kind": "spiked", "dim": 4, "s": 3.0, "shift": 6.5},
+     {"kind": "spiked", "dim": np.int64(4), "s": np.float32(3.0),
+      "shift": np.float64(6.5)}),
+    ({"kind": "gap", "dim": 16, "depth": 0.25},
+     {"kind": "gap", "dim": np.int32(16), "depth": np.float32(0.25)}),
+]
+
+
+@pytest.mark.parametrize("plain,numpy_typed", _NUMPY_TWINS,
+                         ids=[t[0]["kind"] for t in _NUMPY_TWINS])
+def test_numpy_descriptors_write_the_files_plain_descriptors_write(
+        tmp_path, plain, numpy_typed):
+    for name, desc, seed0, trials in (("plain", plain, 5, 3),
+                                      ("numpy", numpy_typed, np.int64(5),
+                                       np.int64(3))):
+        cfg = ExperimentConfig(tester="krylov", instance=desc, eps=0.25, p=2.0,
+                               trials=trials, seed0=seed0,
+                               output_path=str(tmp_path / name / "r.csv"))
+        assert cfg.instance == plain and type(cfg.seed0) is int
+        run_experiment(cfg, clock=lambda: 0.0)
+    for name in ("r.csv", "r.summary.json"):
+        assert (tmp_path / "numpy" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
+def test_a_bad_descriptor_fails_when_the_config_is_built(tmp_path, capsys,
+                                                         monkeypatch):
+    with pytest.raises(ConfigError, match="dim must be an integer >= 2"):
+        far_config(instance={"kind": "far", "dim": 1})
+    with pytest.raises(ConfigError, match="gap depth"):
+        far_config(instance={"kind": "gap", "dim": 8, "depth": 1.5})
+    with pytest.raises(ConfigError, match="'nope'"):
+        far_config(instance={"kind": "nope", "dim": 8})
+    with pytest.raises(ConfigError, match="kind is one of"):
+        far_config(instance={"kind": ["far"], "dim": 8})
+    monkeypatch.setattr(harness, "_run_trial", _never)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, instance={"kind": "far", "dim": 1},
+                          output_path=str(out / "r.csv"))
+    assert main(["run", "--config", config]) == 2
+    assert "dim must be an integer >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_report_that_cannot_be_serialized_leaves_no_file(tmp_path):
@@ -772,6 +874,18 @@ def test_cli_bad_output_location_exits_2_before_any_work(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory ")
         assert str(blocker) in err
+
+
+def test_cli_run_adaptive_l2_past_the_sketch_search_exits_2_before_queries(
+        tmp_path, capsys):
+    op = instance_operator({"kind": "far", "dim": 8}, 1e-7, 2.0, 0)
+    with pytest.raises(ValueError, match="adaptive_l2 at eps=1e-07"):
+        adaptive_l2_tester(op, 1e-7)
+    assert (op.mv_queries, op.vmv_queries) == (0, 0)
+    config = write_config(tmp_path, tester="adaptive_l2", eps=1e-7, p=2.0,
+                          trials=1, instance={"kind": "far", "dim": 8})
+    assert main(["run", "--config", config]) == 2
+    assert "adaptive_l2 at eps=1e-07" in capsys.readouterr().err
 
 
 def test_cli_run_k_above_dim_exits_2_naming_k_and_d(tmp_path, capsys):

@@ -719,9 +719,8 @@ SPECTRUM_BYTE_TABLE = [
                          [top_eigs_signed, top_eigs_signed_adaptive])
 @pytest.mark.parametrize("instance", [_SPIKE, _NEG_SPIKE], ids=["pos", "neg"])
 def test_spike_cells_recover_the_signed_top_eigenvalue(estimator, instance):
-    # The benchmark's spectrum_fit cells.  At k=1 the harness's guarantee
-    # check has no qualifying eigenvalue (its bar is |lambda_1| + 2 radius),
-    # so only this test holds their estimates to the sign and the radius.
+    # The benchmark's spectrum_fit cells, held here to the sign and the
+    # radius; the harness's coverage check holds their trials to the same.
     lam = instance["eigenvalues"][0]
     for seed in range(10):
         op = instance_operator(instance, 0.2, 2.0, seed)
