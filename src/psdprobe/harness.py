@@ -20,10 +20,12 @@ The calibration and scaling sweeps store their instances unrotated
 (diagonal), since the consuming tester's query distribution is rotation
 invariant -- Gaussian sketches, Gaussian descent payloads, Gaussian Krylov
 starts all are -- which keeps instance construction at O(d^2) instead of a
-d^3 QR per trial.  ``run_experiment`` hides its spectrum families under a
-seeded Haar rotation (``gen_rotated_diag``).  Either way the operator
-carries the spectrum it was built from, so none of these instances is
-eigendecomposed to be labelled.
+d^3 QR per trial.  ``run_experiment`` hides its spectrum families from a
+tester that would read coordinates under one Haar rotation per dimension,
+whose QR is paid once per process; by the same invariance, sharing it
+across trials leaves every tester's distributions unchanged.  Either way
+the operator carries the spectrum it was built from, so none of these
+instances is eigendecomposed to be labelled.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ CSV_FIELDS = ("seed", "truth", "verdict", "queries_mv", "queries_vmv",
               "statistic", "witness_valid", "wall_time_ms")
 
 _SPECTRUM_STREAM = 0x1A57  # per-trial instance spectra
+_ROTATION_SEED = 0         # the one Haar rotation per dimension
 
 
 class ConfigError(ValueError):
@@ -191,7 +194,9 @@ class ExperimentConfig:
 
     ``instance`` is a JSON-friendly dict whose ``kind`` names one of the
     nine kinds ``instance_operator`` builds, each from the per-trial seed
-    (a seed in the descriptor is ignored): "rotated_diag" (needs
+    (a seed in the descriptor is ignored) and, for every kind but "wishart"
+    and "spiked", under the one Haar rotation of its dimension:
+    "rotated_diag" (needs
     "eigenvalues", a list of at least 2 finite numbers), "wishart", "spiked"
     (also needs numbers "s" and "shift"; see ``gen_spiked_sym``), and the
     rotated spectrum families "identity", "random_psd" (uniform spectrum in
@@ -209,6 +214,8 @@ class ExperimentConfig:
     number, and a whole number where the tester reads an integer.  eps, p
     and the constants must be numbers, not strings or bools (eps and p are
     stored as floats), and p the one p of a one-p tester (``_TESTER_P``).
+    A spectrum tester's k is at most the instance's d (2 dim for "spiked"),
+    and a "cluster_l1" dim holds the family's positives at eps.
     All of it is checked when the config is built, before any work; the
     config keeps Python numbers only, each constant cast as its tester reads it.
     """
@@ -248,6 +255,15 @@ class ExperimentConfig:
                                   f"number, got {value!r}")
         object.__setattr__(self, "constants", {
             name: reads[name](value) for name, value in self.constants.items()})
+        # The checks that join fields: k within d, a cluster that fits.
+        kind = self.instance["kind"]
+        d = (len(self.instance["eigenvalues"]) if kind == "rotated_diag"
+             else self.instance["dim"] * (2 if kind == "spiked" else 1))
+        if self.constants.get("k", 1) > d:
+            raise ConfigError(f"constant 'k' must be in [1, d] for a d={d} "
+                              f"operator, got k={self.constants['k']}")
+        if kind == "cluster_l1":
+            _cluster_size(d, self.eps)
 
 
 @dataclass(frozen=True)
@@ -323,6 +339,16 @@ def hard_l1_spectrum(d: int, eps: float,
     return np.concatenate(([-t], pos))
 
 
+def _cluster_size(d: int, eps: float) -> int:
+    """The number of positives in a cluster_l1 draw, (1 - eps) / (1.25 eps)
+    rounded and at least 1; ConfigError when d - 1 slots cannot hold them."""
+    n_c = max(1, round((1.0 - eps) / (1.25 * eps)))
+    if n_c > d - 1:
+        raise ConfigError(f"cluster family needs dim >= {n_c + 1} at "
+                          f"eps={eps}, got dim {d}")
+    return n_c
+
+
 def cluster_l1_spectrum(d: int, eps: float,
                         gen: np.random.Generator) -> np.ndarray:
     """Single-scale trace-norm family: positives clustered near the negative.
@@ -335,9 +361,7 @@ def cluster_l1_spectrum(d: int, eps: float,
     for them: its top scales feed a fast first descent phase whose crossover
     with the slow tail phase moves with eps and inflates the fitted slope.
     """
-    n_c = max(1, round((1.0 - eps) / (1.25 * eps)))
-    if n_c > d - 1:
-        raise ConfigError(f"cluster family needs dim > {n_c + 1} at eps={eps}")
+    n_c = _cluster_size(d, eps)
     raw = gen.uniform(0.9, 1.1, n_c)
     pos = raw * ((1.0 - eps) / (eps * float(raw.sum())))
     lam = np.zeros(d)
@@ -373,8 +397,13 @@ def instance_operator(desc: dict, eps: float, p: float,
                       seed: int) -> SymmetricOperator:
     """Fresh operator for one trial of any kind ``ExperimentConfig`` lists.
 
-    The trial seed overrides any seed field.  The descriptor goes through
-    ``_check_instance`` first, so a bad one raises ConfigError.
+    The trial seed overrides any seed field; it draws the Wishart and spiked
+    matrices and every spectrum.  Spectra are hidden under the one Haar
+    rotation of their dimension (``_ROTATION_SEED``), whose QR is paid once
+    per process: every tester draws Gaussian sketches, payloads and starts,
+    so its distributions on Q^T diag(lam) Q are the same for every
+    orthogonal Q.  The descriptor goes through ``_check_instance`` first, so
+    a bad one raises ConfigError.
     """
     desc = _check_instance(desc)
     kind, d = desc["kind"], desc.get("dim")
@@ -390,7 +419,7 @@ def instance_operator(desc: dict, eps: float, p: float,
     else:
         lam = family_spectrum(kind, d, eps, p, seed)
     return gen_rotated_diag(SpectrumInstance(eigenvalues=lam,
-                                             rotation_seed=seed))
+                                             rotation_seed=_ROTATION_SEED))
 
 
 # Relative slack at the two boundaries.  Carried spectra are exact; only

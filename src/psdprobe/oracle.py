@@ -60,6 +60,7 @@ is no module-level RNG state anywhere in this package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -408,24 +409,33 @@ class SpectrumInstance:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues",
                            tuple(float(v) for v in self.eigenvalues))
+        object.__setattr__(self, "rotation_seed", int(self.rotation_seed))
         if len(self.eigenvalues) == 0:
             raise ValueError("empty spectrum")
 
 
-def _haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    # QR of a Gaussian matrix is Haar only after fixing the signs of R's
-    # diagonal; without the correction the distribution is biased.
-    m = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(m)
+@functools.lru_cache(maxsize=4)
+def _haar_orthogonal(d: int, rotation_seed: int) -> np.ndarray:
+    """The seeded Haar orthogonal d x d matrix, memoized and read-only.
+
+    QR of a Gaussian matrix is Haar only after fixing the signs of R's
+    diagonal; without the correction the distribution is biased (Mezzadri,
+    Notices AMS 2007).  The Gaussian dies with the QR call and the signs are
+    fixed in place, so the factorization sets the peak memory.
+    """
+    q, r = np.linalg.qr(rng_from(rotation_seed, 0x0ACE).standard_normal((d, d)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return q * signs[np.newaxis, :]
+    q *= signs
+    q.flags.writeable = False
+    return q
 
 
 def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
     """Hide a prescribed spectrum inside a Haar-rotated dense matrix.
 
-    An isotropic spectrum commutes with any rotation, so that case returns
+    Every spectrum built with one rotation seed at one d shares one
+    memoized Q, so only the first pays the QR.  An isotropic spectrum commutes with any rotation, so that case returns
     the exact scaled identity rather than a numerically rotated copy.  The
     operator carries ``lam`` as its spectrum, so labelling it needs no
     eigendecomposition.
@@ -437,7 +447,7 @@ def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
     if np.ptp(lam) == 0.0:
         a = np.eye(d) * lam[0]
     else:
-        s = _haar_orthogonal(d, rng_from(instance.rotation_seed, 0x0ACE))
+        s = _haar_orthogonal(d, instance.rotation_seed)
         a = (s.T * lam) @ s
     return SymmetricOperator(a, validate=False, spectrum=lam)
 

@@ -1,12 +1,13 @@
 """Tests for the experiment harness and its CLI front end."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from psdprobe import harness
+from psdprobe import harness, oracle
 from psdprobe.cli import main
 from psdprobe.harness import (
     CSV_FIELDS,
@@ -97,6 +98,28 @@ def test_instance_operator_trial_seed_controls_the_draw():
     c = instance_operator(desc, 0.2, 1.0, 5).dense()
     np.testing.assert_array_equal(a, b)
     assert np.abs(a - c).max() > 1e-3
+
+
+def test_instance_operator_shares_one_rotation_per_dimension():
+    # Trials at one d differ in their spectra only: every rotated instance
+    # reuses one memoized Haar Q, so a second seed pays no QR and the two
+    # backings share an eigenbasis.
+    oracle._haar_orthogonal.cache_clear()
+    a = instance_operator({"kind": "far", "dim": 40}, 0.2, 1.0, 1).dense()
+    b = instance_operator({"kind": "random_psd", "dim": 40}, 0.2, 1.0, 2).dense()
+    info = oracle._haar_orthogonal.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.abs(a @ b - b @ a).max() < 1e-12
+    assert np.abs(a - b).max() > 1e-3
+
+
+def test_instance_operator_rotation_is_pinned():
+    # The bytes of one rotated backing, so that the shared rotation (its
+    # seed, stream and sign fix) cannot drift silently.  They pin float bit
+    # patterns, so they hold for one numpy/BLAS build.
+    a = instance_operator({"kind": "random_psd", "dim": 24}, 0.3, 1.0, 5).dense()
+    assert hashlib.sha1(a.tobytes()).hexdigest() == \
+        "1a8aa6ac6b99e0811d13be9c354ffb36bb165b43"
 
 
 def test_instance_operator_validates():
@@ -293,6 +316,43 @@ def test_config_rejects_a_p_the_tester_does_not_test():
         scaling_report("nonadaptive_l1", 2.0, (0.2,), (32,))
     with pytest.raises(ConfigError, match="tests p = 1 only"):
         scaling_report("oja_l1", 2.0, (0.2,), (32,))
+
+
+def test_config_refuses_a_spectrum_rank_above_the_instance_d(tmp_path):
+    out = tmp_path / "kcheck" / "spectrum" / "r.csv"
+    with pytest.raises(ConfigError, match="d=6 operator, got k=9"):
+        ExperimentConfig(tester="spectrum", instance={"kind": "wishart",
+                                                      "dim": 6},
+                         eps=0.3, constants={"k": 9}, output_path=str(out))
+    assert not (tmp_path / "kcheck").exists()
+    # A spiked instance is 2 dim wide; rotated_diag as long as its spectrum.
+    spiked = {"kind": "spiked", "dim": 3, "s": 1.0, "shift": 0.0}
+    assert ExperimentConfig(tester="spectrum_adaptive", instance=spiked,
+                            eps=0.3, constants={"k": 6}).constants == {"k": 6}
+    with pytest.raises(ConfigError, match="d=6 operator, got k=7"):
+        ExperimentConfig(tester="spectrum_adaptive", instance=spiked,
+                         eps=0.3, constants={"k": 7})
+    with pytest.raises(ConfigError, match="d=3 operator, got k=4"):
+        ExperimentConfig(tester="spectrum", eps=0.3, constants={"k": 4},
+                         instance={"kind": "rotated_diag",
+                                   "eigenvalues": [1.0, 2.0, 3.0]})
+
+
+def test_config_refuses_a_cluster_dim_too_small_for_its_eps(tmp_path):
+    # eps 0.05 puts round(0.95 / 0.0625) = 15 positives beside the negative.
+    out = tmp_path / "ccheck" / "krylov" / "r.csv"
+    with pytest.raises(ConfigError, match="needs dim >= 16 at eps=0.05, "
+                                          "got dim 8"):
+        ExperimentConfig(tester="krylov", instance={"kind": "cluster_l1",
+                                                    "dim": 8},
+                         eps=0.05, output_path=str(out))
+    assert not (tmp_path / "ccheck").exists()
+    with pytest.raises(ConfigError, match="needs dim >= 16"):
+        ExperimentConfig(tester="krylov", eps=0.05,
+                         instance={"kind": "cluster_l1", "dim": 15})
+    records, _ = run_experiment(ExperimentConfig(
+        tester="krylov", eps=0.05, instance={"kind": "cluster_l1", "dim": 16}))
+    assert records[0].truth is False
 
 
 def test_run_experiment_rejects_non_config():

@@ -414,10 +414,15 @@ def test_rng_from_is_deterministic_and_stream_separated():
 
 
 def test_haar_factor_is_orthogonal_and_deterministic():
-    q1 = _haar_orthogonal(24, rng_from(9))
-    q2 = _haar_orthogonal(24, rng_from(9))
-    np.testing.assert_array_equal(q1, q2)
+    q1 = _haar_orthogonal(24, 9)
+    assert _haar_orthogonal(24, 9) is q1
+    _haar_orthogonal.cache_clear()
+    np.testing.assert_array_equal(_haar_orthogonal(24, 9), q1)
     np.testing.assert_allclose(q1 @ q1.T, np.eye(24), atol=1e-12)
+    # Every caller shares the memoized array, so none may write to it.
+    assert not q1.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        q1[0, 0] = 0.0
 
 
 def test_rotated_diag_realizes_requested_spectrum():

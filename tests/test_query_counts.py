@@ -11,7 +11,10 @@ import pytest
 
 from psdprobe.harness import ExperimentConfig, run_experiment
 
-# (tester, instance, eps, p, constants, [(mv, vmv) for seeds 5, 6, 7])
+# (tester, instance, eps, p, constants, [(mv, vmv) for seeds 5, 6, 7]).
+# Rotated rows run on the harness's one Haar rotation per dimension; the
+# five Oja and adaptive_l2 rows whose counts depend on the draw were
+# re-recorded when that rotation stopped following the trial seed.
 QUERY_TABLE = [
     ("oja_l1", {"kind": "random_psd", "dim": 16}, 0.5, 1.0,
      {"amplification": 1, "iter_scale": 0.05}, [(0, 79)] * 3),
@@ -19,13 +22,13 @@ QUERY_TABLE = [
     # 1,494 through a 27-column sketch (d64), so runs cross several 64-draw
     # blocks and every chunk of the A.U product, and some runs blow up.
     ("oja_l1", {"kind": "random_psd", "dim": 24}, 0.3, 1.0,
-     {"amplification": 1}, [(0, 3121), (0, 3125), (0, 3101)]),
+     {"amplification": 1}, [(0, 3107), (0, 3075), (0, 3099)]),
     ("oja_l1", {"kind": "random_psd", "dim": 64}, 0.3, 1.0,
-     {"amplification": 1}, [(0, 25424), (0, 23628), (0, 25242)]),
+     {"amplification": 1}, [(0, 24896), (0, 23642), (0, 25270)]),
     ("oja_l1", {"kind": "far", "dim": 24}, 0.3, 1.0, {},
-     [(0, 36), (0, 34), (0, 36)]),
+     [(0, 48), (0, 25), (0, 34)]),
     ("oja_l1", {"kind": "far", "dim": 48}, 0.3, 1.0, {},
-     [(0, 41), (0, 59), (0, 31)]),
+     [(0, 45), (0, 28), (0, 28)]),
     ("bilinear_sketch", {"kind": "random_psd", "dim": 24}, 0.5, 2.0, {},
      [(0, 1928)] * 3),
     ("bilinear_sketch", {"kind": "far", "dim": 24}, 0.5, 2.0, {},
@@ -33,7 +36,7 @@ QUERY_TABLE = [
     ("adaptive_l2", {"kind": "random_psd", "dim": 16}, 0.5, 2.0, {},
      [(0, 4753)] * 3),
     ("adaptive_l2", {"kind": "far", "dim": 16}, 0.5, 2.0, {},
-     [(0, 1548), (0, 1), (0, 1212)]),
+     [(0, 1436), (0, 1040), (0, 1126)]),
     ("nonadaptive_l1", {"kind": "random_psd", "dim": 32}, 0.3, 1.0, {},
      [(0, 1890)] * 3),
     ("nonadaptive_l1", {"kind": "far", "dim": 32}, 0.3, 1.0, {},

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from psdprobe import defaults
-from psdprobe.harness import instance_operator
+from psdprobe.harness import family_spectrum, instance_operator
 from psdprobe.mv_testers import krylov_tester, nonadaptive_mv_tester
 from psdprobe.oracle import (
     Compression,
@@ -47,6 +47,15 @@ def far_op_l1(d, depth, rot_seed):
     """lambda_min = -depth with the rest of the unit trace norm spread flat."""
     lam = tuple([-depth] + [(1.0 - depth) / (d - 1)] * (d - 1))
     return gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=rot_seed))
+
+
+def family_op(kind, d, eps, p, seed):
+    """A family draw rotated by its own seed's Haar Q, as every trial was
+    before the harness shared one rotation per dimension.  The byte pins
+    below pin tester arithmetic on these fixed matrices, not the harness's
+    rotation."""
+    lam = family_spectrum(kind, d, eps, p, seed)
+    return gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=seed))
 
 
 def far_op_frob(d, ratio, rot_seed):
@@ -564,7 +573,7 @@ def test_oja_rejection_in_the_first_block_never_forms_b(seed, queries):
     # cluster_l1 d128 (m = 27): seed 6 rejects on the start query, seed 5
     # on a confirmed value a few steps in (BYTE_TABLE rows).
     op = _FormCountingOperator(
-        instance_operator({"kind": "cluster_l1", "dim": 128}, 0.3, 1.0, seed).dense())
+        family_op("cluster_l1", 128, 0.3, 1.0, seed).dense())
     v = oja_l1_tester(op, 0.3, rng=seed)
     assert (v.is_psd, v.queries_used) == (False, queries)
     assert op.forms == 0
@@ -626,7 +635,7 @@ BYTE_TABLE = [
     ids=[f"{r[0]}-{r[1]}-d{r[2]}-s{r[5]}" for r in BYTE_TABLE])
 def test_descent_outputs_match_byte_table(tester, kind, dim, eps, p, seed,
                                           expected):
-    op = instance_operator({"kind": kind, "dim": dim}, eps, p, seed)
+    op = family_op(kind, dim, eps, p, seed)
     run = oja_l1_tester if tester == "oja_l1" else adaptive_l2_tester
     v = run(op, eps, rng=seed)
     stat = None if v.statistic is None else float(v.statistic).hex()
