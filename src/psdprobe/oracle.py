@@ -19,28 +19,35 @@ Each is charged exactly what the loop of scalar queries it replaces costs:
   * quad_forms(X, Y)     -> x_j^T A y_j per column  (X.cols ``vmv``; Y
                             defaults to X)
 
-A fixed-direction handle answers scalar queries along directions that were
-all fixed before any answer is read, from one product with the block:
+A fixed-direction handle serves the Oja descent (``vmv_testers._descend``)
+along directions that were all fixed before any answer is read.  Step j of
+that descent reads two vmv queries, t_j = u_j^T A u_j and
+s_j = u_j^T A x_{j-1}, where x_{j-1} has moved from a start y along u_1 ..
+u_{j-1} only; so every answer of every step is a linear function of the
+products below, and the descent solves its steps from them:
 
   * directions(U)        -> a handle on the columns u_j of U (no charge;
-                            the simulator forms A U once, uncounted)
-  * handle.quad_form(j)  -> u_j^T A u_j                  (one ``vmv``)
-  * handle.bilinear(j, y) -> u_j^T A y, as (A u_j)^T y   (one ``vmv``)
+                            the simulator forms U^T A once, uncounted)
+  * handle.gram()        -> U^T A U                  (no charge)
+  * handle.against(y)    -> U^T A y                  (no charge)
+  * handle.charge_steps(k) -> charges the two ``vmv`` reads of each of the
+                            next k steps, at most one step per direction
 
-A compressed handle answers the same reads on the m x m form B = G^T A G
+A compressed handle serves the same descent on the m x m form B = G^T A G
 of a (dim, m) map G fixed before any answer is read, in m dimensions:
 
   * compressed(G)         -> a handle on B (no charge; G is checked like
                              any block)
   * comp.directions(U)    -> a direction handle on the columns of an (m, n)
-                             U; the first call forms B once, uncounted
-  * its quad_form(j), bilinear(j, y) -> u_j^T B u_j and u_j^T B y, each
-                             charged to A as the one ``vmv`` query
-                             (G u_j)^T A (G y) it stands for
+                             U; the first call forms B once, uncounted; its
+                             products are U^T B U and U^T B y, and each step
+                             it charges costs A the two ``vmv`` queries
+                             (G u_j)^T A (G u_j) and (G u_j)^T A (G x_{j-1})
+                             it stands for
 
 A query with a wrongly shaped vector or block raises ValueError before it
 is charged.  Block queries, ``directions`` and ``compressed`` also reject
-non-finite blocks; scalar queries and handle reads pass non-finite values
+non-finite blocks; scalar queries and ``against`` pass non-finite values
 through, so a diverging caller sees its own non-finite values.
 
 Ground-truth helpers (``dense``, ``eigenvalues``, ``schatten_norm``) bypass
@@ -145,8 +152,9 @@ def _checked_spectrum(a: np.ndarray, spectrum,
 class SymmetricOperator:
     """A hidden dense symmetric matrix reachable only through counted queries.
 
-    Every query, scalar or block, and every read of a ``directions`` handle
-    is charged through ``_charge``, the one place the counters are written.
+    Every query, scalar or block, and every step charged on a
+    ``directions`` handle is charged through ``_charge``, the one place the
+    counters are written.
     Scalar queries check that their vectors have shape (dim,) and block
     queries that their blocks are (dim, n) and finite, both before any
     charge.  A block query costs one BLAS-3 product with the backing matrix.
@@ -266,14 +274,14 @@ class SymmetricOperator:
         return np.einsum("ij,ij->j", x, self._a @ y)
 
     def directions(self, u) -> "DirectionBlock":
-        """Handle for vmv queries along the columns of U; charges per read.
+        """Descent handle on the columns of U; see ``DirectionBlock``.
 
-        The simulator forms A U once, uncounted: every direction is fixed
+        The simulator forms U^T A once, uncounted: every direction is fixed
         before any answer is read, so the product reveals nothing a reader
-        could not get from the same reads asked one at a time.
+        could not get from the descent's reads asked one at a time.
         """
         u = _checked_block(u, self._dim, "directions")
-        return DirectionBlock(self, u, self._a @ u)
+        return DirectionBlock(self, u, u.T @ self._a)
 
     def compressed(self, g) -> "Compression":
         """Handle on B = G^T A G for a (dim, m) map G; see ``Compression``."""
@@ -322,15 +330,15 @@ def _checked_block(b, rows: int, name: str) -> np.ndarray:
 
 
 class Compression:
-    """The m x m form B = G^T A G of an operator A, read one vmv at a time.
+    """The m x m form B = G^T A G of an operator A, for an m-space descent.
 
     Built by ``SymmetricOperator.compressed``, which checks G like any
     block.  The first ``directions`` call forms B once, uncounted, and
     symmetrizes it the way the backing is; building the handle and forming
     B charge nothing.  G is fixed before any answer is read and B depends on
     nothing else, so forming it reveals nothing a reader could not get from
-    the same reads asked on A at images under G, and every read is charged
-    to A as that query.  The handle keeps its own copy of G.
+    the same reads asked on A at images under G, and every step is charged
+    to A as those queries.  The handle keeps its own copy of G.
     """
 
     def __init__(self, owner: SymmetricOperator, g):
@@ -349,54 +357,58 @@ class Compression:
         return b + b.T
 
     def directions(self, u) -> "DirectionBlock":
-        """Handle for vmv queries u_j^T B y along the columns of an (m, n) U.
+        """Descent handle on the columns of an (m, n) U, with B in A's place.
 
-        U is checked like any block before B is formed; each read of the
-        returned handle charges the operator behind B one ``vmv``.
+        U is checked like any block before B is formed; each step charged on
+        the returned handle costs the operator behind B two ``vmv``.
         """
         u = _checked_block(u, self._g.shape[1], "directions")
         if self._b is None:
             self._b = self._form()
-        return DirectionBlock(self._owner, u, self._b @ u)
+        return DirectionBlock(self._owner, u, u.T @ self._b)
 
 
 class DirectionBlock:
-    """Fixed directions u_j with their images A u_j, read one vmv at a time.
+    """Fixed directions u_j with their images A u_j, for one descent sweep.
 
     Built by ``SymmetricOperator.directions`` (u_j in R^dim, images A u_j)
-    and by ``Compression.directions`` (u_j in R^m, images B u_j); each read
-    charges the operator A one ``vmv`` query and costs O(len(u_j)) work.
-    A read checks that j names a column (0 <= j < n) and that y is an array
-    of u_j's shape before it charges; it leaves y's finiteness unchecked,
-    since the reads are the descent's inner loop.  The handle keeps no
-    reference to U, so mutating U later changes no answer.
+    and by ``Compression.directions`` (u_j in R^m, images B u_j).  ``gram``
+    and ``against`` hand the descent the products it solves its steps from,
+    uncounted; the descent pays for the steps it takes through
+    ``charge_steps``, two ``vmv`` per step, and never for more steps than
+    the handle has directions.  ``against`` checks that y is an array of
+    u_j's shape; it leaves y's finiteness unchecked, so a diverging descent
+    sees its own non-finite values.  The handle keeps no reference to U, so
+    mutating U later changes no answer.
     """
 
-    def __init__(self, owner: SymmetricOperator, u: np.ndarray, au: np.ndarray):
+    def __init__(self, owner: SymmetricOperator, u: np.ndarray,
+                 uta: np.ndarray):
         self._owner = owner
-        # Per-column lists: indexing a list costs less than indexing an
-        # array, which pays for the argument checks on this per-step path.
-        self._au = list(np.ascontiguousarray(au.T))
-        self._quad = np.einsum("ij,ij->j", u, au).tolist()
-        self._n = u.shape[1]
+        self._uta = uta
+        self._gram = uta @ u
+        self._gram.flags.writeable = False
+        self._steps_left = u.shape[1]
         self._y_shape = (u.shape[0],)
 
-    def quad_form(self, j: int) -> float:
-        """One vmv query: u_j^T A u_j."""
-        if not 0 <= j < self._n:
-            raise IndexError(f"direction {j} out of range for {self._n} columns")
-        self._owner._charge(0, 1)
-        return self._quad[j]
+    def gram(self) -> np.ndarray:
+        """The read-only (n, n) matrix of u_i^T A u_j, entry (i, j)."""
+        return self._gram
 
-    def bilinear(self, j: int, y: np.ndarray) -> float:
-        """One vmv query: u_j^T A y, answered as (A u_j)^T y."""
-        if not 0 <= j < self._n:
-            raise IndexError(f"direction {j} out of range for {self._n} columns")
+    def against(self, y: np.ndarray) -> np.ndarray:
+        """u_j^T A y for every direction j, answered as (U^T A) y."""
         if getattr(y, "shape", None) != self._y_shape:
-            raise ValueError(f"bilinear expects an array of shape "
+            raise ValueError(f"against expects an array of shape "
                              f"{self._y_shape}, got {np.shape(y)}")
-        self._owner._charge(0, 1)
-        return float(self._au[j] @ y)
+        return self._uta @ y
+
+    def charge_steps(self, steps: int) -> None:
+        """Charge the two vmv reads, t_j and s_j, of ``steps`` more steps."""
+        if not 0 <= steps <= self._steps_left:
+            raise ValueError(f"cannot charge {steps} steps on a handle with "
+                             f"{self._steps_left} directions left")
+        self._steps_left -= steps
+        self._owner._charge(0, 2 * steps)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -181,11 +182,20 @@ def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
 
 
 _DRAW_BATCH = 64
-# Column edges of the A.U products inside one drawn block.  Growing chunks
+# Column edges of the U^T A products inside one drawn block.  Growing chunks
 # let a run that stops early (a confirmed rejection, a blow-up) pay for a
 # few columns instead of the whole block.
 _CHUNK_EDGES = (0, 4, 12, 28, _DRAW_BATCH)
 _OJA_STREAM = 0x01A1
+# Strictly lower-triangular 0/1 mask; its leading n x n corner serves a
+# handle of n directions.
+_LOWER = np.tri(_DRAW_BATCH, k=-1)
+_EYE = np.eye(_DRAW_BATCH)
+_LOWER.flags.writeable = _EYE.flags.writeable = False
+# Up to this many directions, a handle's steps run faster as a loop over
+# Python floats than as array operations (the first two chunks have 4 and
+# 8 directions, an m-space block up to 64).
+_LOOP_STEPS_MAX = 8
 
 
 def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
@@ -202,76 +212,175 @@ def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
     drawn after x in blocks of at most 64 rows, and no further block is
     drawn once the run stops.
 
-    A drawn block is fixed before any of its answers is read, so both
-    queries of a step are read from a direction handle, at O(len(u)) work
-    per read, on one of two paths:
+    A drawn block is fixed before any of its answers is read, so the steps
+    along one direction handle are computed together from its products
+    (see ``_sweep``) and charged two vmv each, up to the step where the run
+    stops.  Handles come from one of two paths:
 
-      * images: the block is mapped through G by one product and read from
-        ``parent.directions``, which forms A U for the images in chunks of
+      * images: the block is mapped through G and asked on ``parent`` by
+        ``parent.directions``, which forms U^T A for the images in chunks of
         4, 8, 16 and 36 columns, each when the run first reaches it; the
         image xi = G x is kept alongside x (xi is x without G).
       * m-space: ``comp``, a ``parent.compressed(g)`` handle, answers the
-        whole block from B U, and x is kept in m dimensions only.
+        whole block from U^T B, and x is kept in m dimensions only.
 
     Without ``comp`` every block takes the image path.  With it, a run
     reads its first block on the image path unless the handle already
-    holds B, and every later block in m-space; so B is formed at the first
-    read of some run's second block, once per handle.  The rule exists
-    because rejections stop early: every one seen on the cluster families
-    stops inside its first block, often at the start query, and forming B
-    there (one A G product, dearer than a 4-column chunk) would only add
-    cost.
+    holds B, and every later block in m-space; so B is formed at some run's
+    second block, once per handle.  The rule exists because rejections
+    stop early: every one seen on the cluster families stops inside its
+    first block, often at the start query, and forming B there (one A G
+    product, dearer than a 4-column chunk) would only add cost.
 
     The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
-    is exact algebra; once it falls below -OJA_MARGIN * up * max(1, |x|^2),
-    one direct query on ``parent`` at xi confirms it (in m-space xi = G x is
-    built for it).  Returns (xi, value) for a confirmed negative value, xi
-    being the vector the confirming query saw, and None after ``iters``
-    steps or when the run blows up (the step size is far too large for the
-    scale ``up``).
+    is exact algebra, subtracted in step order; once it falls below
+    -OJA_MARGIN * up * max(1, |x|^2), one direct query on ``parent`` at xi
+    confirms it (in m-space xi = G x is built for it).  Returns (xi, value)
+    for a confirmed negative value, xi being the vector the confirming query
+    saw, and None after ``iters`` steps or when the run blows up (the step
+    size is far too large for the scale ``up``).
     """
     x = gen.standard_normal(parent.dim if g is None else g.shape[1])
     xi = x if g is None else g @ x
 
-    def shifted(raw: float, dot: float) -> float:
-        alpha, denom, shift = affine
-        return (raw - alpha * dot) / denom + shift * dot
-
     def direct() -> float:
         raw = parent.quad_form(xi)
-        return raw if affine is None else shifted(raw, float(x @ x))
+        return raw if affine is None else _shifted(affine, raw, float(x @ x))
 
     f = direct()
     if f < 0.0:
         return xi, f
     left = iters
-    while left > 0:
-        us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
-        first = left == iters
-        left -= len(us)
-        for block, rows, images in _read_blocks(parent, g, comp, us, first):
-            for j, u in enumerate(rows):
-                t = block.quad_form(j)
-                s = block.bilinear(j, x if images is None else xi)
-                if affine is not None:  # keep the two dots off the unshifted runs
-                    t = shifted(t, float(u @ u))
-                    s = shifted(s, float(u @ x))
-                es = eta * s
-                x = x - es * u
-                if images is not None:
-                    xi = x if g is None else xi - es * images[j]
-                f -= eta * s * s * (2.0 - eta * t)
-                norm_sq = float(x @ x)
-                if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
-                    return None
-                if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
-                    if images is None:
-                        xi = g @ x
+    # Steps after a blow-up may overflow; the stop tests below catch every
+    # non-finite value, so the warnings would only repeat them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while left > 0:
+            us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
+            first = left == iters
+            left -= len(us)
+            blocks = _read_blocks(parent, g, comp, us, first)
+            for block, rows, images in blocks:
+                x0, xi0 = x, xi
+                e, drops, go_norm, limit = _sweep(
+                    block, rows, x0 if images is None else xi0, x0, eta, up,
+                    affine)
+                lo = 0  # first step not yet taken
+                while lo < len(e):
+                    drops[lo] = f  # step lo - 1's drop is spent
+                    fs = np.subtract.accumulate(drops[lo:])[1:]
+                    # f_j >= limit_j also fails for a NaN f_j, and f_j < inf
+                    # for an infinite one of either sign.
+                    go = (fs >= limit[lo:]) & (fs < math.inf) & go_norm[lo:]
+                    if go.all():
+                        block.charge_steps(len(e) - lo)
+                        f = float(fs[-1])
+                        break
+                    stop = int(np.argmin(go))
+                    block.charge_steps(stop + 1)
+                    if not (math.isfinite(fs[stop]) and go_norm[lo + stop]):
+                        return None
+                    lo += stop + 1
+                    x = x0 - e[:lo] @ rows[:lo]
+                    xi = (x if g is None else g @ x if images is None
+                          else xi0 - e[:lo] @ images[:lo])
                     confirmed = direct()
                     if confirmed < 0.0:
                         return xi, confirmed
                     f = confirmed  # maintained value had drifted; resynchronize
+                x = x0 - e @ rows
+                if images is not None:
+                    xi = x if g is None else xi0 - e @ images
     return None
+
+
+def _shifted(affine: Tuple[float, float, float], raw, dot):
+    """The affine map (raw - alpha dot) / denom + shift dot of ``_descend``."""
+    alpha, denom, shift = affine
+    return (raw - alpha * dot) / denom + shift * dot
+
+
+def _sweep(block, rows: np.ndarray, y: np.ndarray, x: np.ndarray, eta: float,
+           up: float, affine) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       np.ndarray]:
+    """Every step along one handle at once, before any stop test.
+
+    With u_j the rows, x_0 = x and y its image on the handle's side, step j
+    reads t_j = m_jj and s_j = c_j - eta sum_{i<j} m_ji s_i, where
+    m = U^T B U and c = U^T B y come from the handle, after the affine map
+    when there is one (its dots are P = U U^T and q = U x, since
+    u_j . x_{j-1} = q_j - eta sum_{i<j} p_ji s_i).  So s solves the
+    unit lower-triangular (I + eta tril(m, -1)) s = c.  The drop of f at
+    step j is eta s_j^2 (2 - eta t_j), and
+    |x_j|^2 = |x_{j-1}|^2 - eta s_j (2 u_j . x_{j-1} - eta s_j p_jj).
+
+    Returns (eta s, drops, go_norm, limit): drops[j + 1] is step j's drop
+    of f, drops[0] a free slot; go_norm[j] says |x_j|^2 is within
+    ``OJA_BLOWUP``, and f_j below limit[j] = -OJA_MARGIN up max(1, |x_j|^2)
+    calls for a confirming query.  Steps after a blow-up may overflow;
+    their values are meaningless, and the caller silences the warnings.
+    A handle of at most ``_LOOP_STEPS_MAX`` directions runs the recurrence
+    as a loop (``_steps_by_loop``), a larger one as array operations around
+    one solve (``_steps_by_solve``).
+    """
+    m = block.gram()
+    c = block.against(y)
+    dots = rows @ rows.T
+    q = rows @ x
+    if affine is not None:
+        m = _shifted(affine, m, dots)
+        c = _shifted(affine, c, q)
+    steps = _steps_by_loop if len(c) <= _LOOP_STEPS_MAX else _steps_by_solve
+    return steps(m, c, dots, q, float(x @ x), eta, up)
+
+
+def _steps_by_solve(m, c, dots, q, norm, eta, up):
+    """``_sweep``'s steps from one forward solve and array operations;
+    ``norm`` is |x_0|^2."""
+    lower = _LOWER[:len(c), :len(c)]
+    s = _forward_solve(eta * m * lower, c)
+    e = eta * s
+    drops = np.empty(len(c) + 1)
+    np.multiply(e * s, 2.0 - eta * np.diagonal(m), out=drops[1:])
+    # A non-finite step only follows a blow-up; zeroing it keeps its
+    # 0 * inf out of the earlier steps' dot products.
+    e_ok = np.where(np.isfinite(e), e, 0.0)
+    along = q - (dots * lower) @ e_ok
+    norms = norm - np.cumsum(e_ok * (2.0 * along - e_ok * np.diagonal(dots)))
+    limit = -defaults.OJA_MARGIN * up * np.maximum(1.0, norms)
+    return e, drops, norms <= defaults.OJA_BLOWUP, limit
+
+
+def _steps_by_loop(m, c, dots, q, norm, eta, up):
+    """``_sweep``'s steps as a loop over Python floats, which costs less
+    than the array operations' set-up on a few directions."""
+    mm, pp = m.tolist(), dots.tolist()
+    e, drops, go_norm, limit = [], [0.0], [], []
+    for j, (cj, qj) in enumerate(zip(c.tolist(), q.tolist())):
+        sj = cj - sum(map(operator.mul, mm[j], e))
+        ej = eta * sj
+        along = qj - sum(map(operator.mul, pp[j], e))
+        norm -= ej * (2.0 * along - ej * pp[j][j])
+        e.append(ej)
+        drops.append(ej * sj * (2.0 - eta * mm[j][j]))
+        go_norm.append(norm <= defaults.OJA_BLOWUP)
+        limit.append(-defaults.OJA_MARGIN * up * max(1.0, norm))
+    return np.array(e), np.array(drops), np.array(go_norm), np.array(limit)
+
+
+def _forward_solve(el: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """s with (I + el) s = c, for a strictly lower-triangular el, by
+    forward substitution.
+
+    numpy's one dense solver is an LU with partial pivoting, which would
+    reorder the substitution wherever some |el_ij| > 1.  With rows and
+    columns reversed, I + el is upper triangular with a unit diagonal and
+    zeros below it, so the LU pivots nowhere, whatever the entries: it is
+    I times the matrix itself, and the solve is back substitution on the
+    reversed system, that is, forward substitution on the original.  Rows
+    after a non-finite one are non-finite.
+    """
+    n = len(c)
+    return np.linalg.solve((el + _EYE[:n, :n])[::-1, ::-1], c[::-1])[::-1]
 
 
 def _read_blocks(parent, g, comp, us, first):
@@ -280,16 +389,23 @@ def _read_blocks(parent, g, comp, us, first):
     ``images`` holds the rows' images under G (the rows themselves without
     G) on the image path, one handle per chunk, each built when the run
     first reaches it; it is None on the m-space path, one handle for the
-    whole block.  See ``_descend`` for which path a block takes.
+    whole block.  See ``_descend`` for which path a block takes.  A run's
+    first block maps its first chunk through G alone, since most
+    rejections stop inside it, and the rest in one product when the run
+    reaches it; a later block is mapped whole, since a few-row product
+    costs nearly as much as a 64-row one.
     """
     if comp is not None and (comp.formed or not first):
         yield comp.directions(us.T), us, None
         return
-    uis = us if g is None else us @ g.T
-    for lo, hi in zip(_CHUNK_EDGES, _CHUNK_EDGES[1:]):
-        if lo >= len(us):
-            return
-        yield parent.directions(uis[lo:hi].T), us[lo:hi], uis[lo:hi]
+    split = _CHUNK_EDGES[1] if first else 0
+    for start, stop in ((0, split), (split, len(us))):
+        part = us[start:stop]
+        images = part if g is None else part @ g.T
+        for lo, hi in zip(_CHUNK_EDGES, _CHUNK_EDGES[1:]):
+            if start <= lo < stop:
+                chunk = images[lo - start:hi - start]
+                yield parent.directions(chunk.T), us[lo:hi], chunk
 
 
 @_tester(ONE_SIDED)

@@ -85,8 +85,8 @@ def test_mutating_a_query_vector_never_changes_a_later_answer():
     block[:, 0] = y
     handle = op.directions(block)
     block[:] = 0.0
-    assert handle.quad_form(0) == pytest.approx(got[0], rel=1e-12)
-    assert handle.bilinear(0, y) == pytest.approx(got[0], rel=1e-12)
+    assert handle.gram()[0, 0] == pytest.approx(got[0], rel=1e-12)
+    assert handle.against(y)[0] == pytest.approx(got[0], rel=1e-12)
 
 
 def test_operator_rejects_bad_backing():
@@ -263,8 +263,10 @@ def test_block_queries_over_shapes(d, kx, ky, seed):
 
 
 def _check_directions(op, u, y, comp=None, g=None):
-    """Charges and values of every read of a directions handle on U: on A,
-    or on B = G^T A G through ``comp``, a compressed handle on g."""
+    """Products and charges of a directions handle on U: on A, or on
+    B = G^T A G through ``comp``, a compressed handle on g.  The products
+    charge nothing; each step charged costs two vmv, up to one step per
+    direction."""
     dense = op.dense()
     before = (op.mv_queries, op.vmv_queries)
     if comp is None:
@@ -274,23 +276,26 @@ def _check_directions(op, u, y, comp=None, g=None):
         handle = comp.directions(u)
         nrm = float(np.linalg.norm(dense, 2) * np.linalg.norm(g, 2) ** 2)
         dense = g.T @ dense @ g
+    n = u.shape[1]
+    sizes = np.linalg.norm(u, axis=0)
+    gram, against = handle.gram(), handle.against(y)
+    assert gram.shape == (n, n) and against.shape == (n,)
+    assert np.all(np.abs(gram - u.T @ dense @ u)
+                  <= 1e-12 * np.maximum(nrm * np.outer(sizes, sizes), 1e-300))
+    assert np.all(np.abs(against - u.T @ dense @ y)
+                  <= 1e-12 * np.maximum(nrm * sizes * np.linalg.norm(y),
+                                        1e-300))
     assert (op.mv_queries, op.vmv_queries) == before
-    reads = 0
-    for j in range(u.shape[1]):
-        uj = u[:, j]
-        for read, want, size in (
-                (lambda: handle.quad_form(j), uj @ dense @ uj, uj @ uj),
-                (lambda: handle.bilinear(j, y), uj @ dense @ y,
-                 np.linalg.norm(uj) * np.linalg.norm(y))):
-            got = read()
-            reads += 1
-            assert op.vmv_queries == before[1] + reads
-            assert isinstance(got, float)
-            assert abs(got - want) <= 1e-12 * max(nrm * size, 1e-300)
-    assert op.mv_queries == before[0]
+    half = n // 2
+    for taken, steps in ((half, half), (n, n - half)):
+        handle.charge_steps(steps)
+        assert op.vmv_queries == before[1] + 2 * taken
+    with pytest.raises(ValueError, match="cannot charge 1 steps"):
+        handle.charge_steps(1)
+    assert (op.mv_queries, op.vmv_queries) == (before[0], before[1] + 2 * n)
 
 
-def test_directions_charge_one_vmv_per_read_and_match_dense():
+def test_directions_charge_two_vmv_per_step_and_match_dense():
     rng = rng_from(34)
     a = rng.standard_normal((12, 12))
     op = SymmetricOperator(a + a.T)
@@ -311,22 +316,20 @@ def test_directions_reject_bad_blocks_and_charge_nothing():
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
-def test_direction_reads_check_their_arguments_before_charging():
+def test_direction_handles_check_their_arguments_before_charging():
     op = SymmetricOperator(np.eye(4))
     handle = op.directions(np.ones((4, 2)))
-    for j in (-1, 2, 5):
-        with pytest.raises(IndexError, match="out of range"):
-            handle.quad_form(j)
-        with pytest.raises(IndexError, match="out of range"):
-            handle.bilinear(j, np.ones(4))
+    for steps in (-1, 3, 5):
+        with pytest.raises(ValueError, match="cannot charge"):
+            handle.charge_steps(steps)
     for y in (np.ones(3), np.ones(5), np.ones((4, 1)), np.ones((1, 4)),
               [1.0] * 4):
-        with pytest.raises(ValueError, match="bilinear expects"):
-            handle.bilinear(0, y)
+        with pytest.raises(ValueError, match="against expects"):
+            handle.against(y)
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
-def test_compressed_reads_charge_one_vmv_each_and_match_dense():
+def test_compressed_steps_charge_two_vmv_each_and_match_dense():
     rng = rng_from(35)
     a = rng.standard_normal((12, 12))
     op = SymmetricOperator(a + a.T)
@@ -341,12 +344,9 @@ def test_compressed_reads_charge_one_vmv_each_and_match_dense():
         assert comp.formed
     # B is exactly symmetric, as the backing is: read entrywise through
     # unit directions, b_ij and b_ji are the same float.
-    eye = np.eye(4)
-    entries = comp.directions(eye)
-    for i in range(4):
-        for j in range(4):
-            assert entries.bilinear(i, eye[j]) == entries.bilinear(j, eye[i])
-    assert op.mv_queries == 0 and op.vmv_queries == 16 + 32
+    entries = comp.directions(np.eye(4)).gram()
+    np.testing.assert_array_equal(entries, entries.T)
+    assert op.mv_queries == 0 and op.vmv_queries == 2 * (3 + 5)
 
 
 def test_compressed_rejects_bad_maps_and_blocks_and_charges_nothing():
@@ -370,8 +370,8 @@ def test_compressed_rejects_bad_maps_and_blocks_and_charges_nothing():
             comp.directions(np.ones(shape))
     assert not comp.formed
     handle = comp.directions(np.ones((2, 1)))
-    with pytest.raises(ValueError, match="bilinear expects"):
-        handle.bilinear(0, np.ones(3))
+    with pytest.raises(ValueError, match="against expects"):
+        handle.against(np.ones(3))
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
