@@ -1,8 +1,8 @@
 """Output parity of two psdprobe checkouts, with the wall clock pinned.
 
 Runs a fixed set of seeded experiment configs -- every tester on at least
-two instance families, plus one rotated_diag, wishart, spiked and gap
-config -- through ``run_experiment`` with the clock pinned to 0, and records
+two instance families, the Oja descent with and without a Gaussian map,
+plus one rotated_diag, wishart, spiked and gap config -- through ``run_experiment`` with the clock pinned to 0, and records
 the SHA-1 and text of each CSV and summary file.
 
     python3 scripts/parity.py record --src OLD/src --out old.json
@@ -43,6 +43,13 @@ CONFIGS = {
                               amplification=2),
     "oja_l1/far": _cfg("oja_l1", _dim("far"), 0.3, 1.0),
     "oja_l1/cluster_l1": _cfg("oja_l1", _dim("cluster_l1"), 0.3, 1.0),
+    # At d > ceil(8 / eps) = 27 the descent runs through a Gaussian map G:
+    # first blocks on A at images G u, later blocks on the formed B.
+    "oja_l1/random_psd_d48": _cfg("oja_l1", _dim("random_psd", 48), 0.3, 1.0,
+                                  amplification=1),
+    "oja_l1/far_d48": _cfg("oja_l1", _dim("far", 48), 0.3, 1.0),
+    "oja_l1/cluster_l1_d128": _cfg("oja_l1", _dim("cluster_l1", 128), 0.3,
+                                   1.0),
     "bilinear_sketch/random_psd": _cfg("bilinear_sketch", _dim("random_psd"),
                                        0.5, 2.0),
     "bilinear_sketch/far": _cfg("bilinear_sketch", _dim("far"), 0.5, 2.0),

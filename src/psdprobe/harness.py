@@ -129,6 +129,13 @@ def _check_eps(eps, rule: str = "eps must be a number in (0, 1)") -> float:
     return float(eps)
 
 
+def _check_location(name: str, value) -> None:
+    """An output location is None or a non-empty str or ``os.PathLike``."""
+    if value is not None and not (isinstance(value, (str, os.PathLike))
+                                  and os.fspath(value)):
+        raise ConfigError(f"{name} must be a path, got {value!r}")
+
+
 def _check_p(tester: str, p) -> float:
     """``p`` as a Python float, once it is a number >= 1 the tester tests."""
     if not (_is_number(p) and p >= 1.0):
@@ -216,6 +223,7 @@ class ExperimentConfig:
     stored as floats), and p the one p of a one-p tester (``_TESTER_P``).
     A spectrum tester's k is at most the instance's d (2 dim for "spiked"),
     and a "cluster_l1" dim holds the family's positives at eps.
+    ``output_path`` is None or a non-empty str or ``os.PathLike``.
     All of it is checked when the config is built, before any work; the
     config keeps Python numbers only, each constant cast as its tester reads it.
     """
@@ -239,6 +247,7 @@ class ExperimentConfig:
                             ("eps", _check_eps(self.eps)),
                             ("p", _check_p(self.tester, self.p))):
             object.__setattr__(self, name, value)
+        _check_location("output_path", self.output_path)
         if not isinstance(self.constants, dict):
             raise ConfigError("constants must be a dict")
         reads = _TESTER_CONSTANTS[self.tester]
@@ -940,7 +949,8 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
     the CLI exits 3.  When ``out_dir`` is set the report is written there
     as <suite>.json; for c_psd and kappa_sketch that raises ConfigError,
     before any sweep runs, unless OPENBLAS_NUM_THREADS is "1", and an
-    ``out_dir`` that cannot be created raises ConfigError before the sweep.
+    ``out_dir`` that is not a path or cannot be created raises ConfigError
+    before the sweep.
     """
     if suite not in _SUITE_FNS:
         raise ConfigError(f"unknown calibration suite {suite!r}; expected one "
@@ -948,6 +958,7 @@ def calibrate(suite: str, *, seed0: int = 0, trials: Optional[int] = None,
     seed0 = _check_int("seed0", seed0)
     if trials is not None:
         trials = _check_int("trials", trials, 1)
+    _check_location("out_dir", out_dir)
     if (out_dir is not None and suite in _BLAS_BOUND_SUITES
             and os.environ.get("OPENBLAS_NUM_THREADS") != "1"):
         raise ConfigError(f"the {suite} report moves with the BLAS thread "
@@ -1107,8 +1118,8 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     are single digits the queries fit sits visibly below the knob fit; the
     two agree in the regime where the knob dominates the budget.  Exponent
     checks should read ``size_slopes``, capacity planning ``slopes``.  The
-    directory of ``out_path`` is created before the sweep; ConfigError if it
-    cannot be.
+    directory of ``out_path`` is created before the sweep; ConfigError if
+    ``out_path`` is not a path or the directory cannot be made.
     """
     if tester not in _SCALING_FAMILY:
         raise ConfigError(f"no size knob wired for tester {tester!r}; "
@@ -1121,6 +1132,7 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     p = _check_p(tester, p)
     trials = _check_int("trials", trials, 1)
     seed0 = _check_int("seed0", seed0)
+    _check_location("out_path", out_path)
     if out_path is not None:
         _make_dir(Path(out_path).parent)
     rows = [_scaling_cell(tester, p, eps, d, trials, seed0)

@@ -19,34 +19,33 @@ Each is charged exactly what the loop of scalar queries it replaces costs:
   * quad_forms(X, Y)     -> x_j^T A y_j per column  (X.cols ``vmv``; Y
                             defaults to X)
 
-A fixed-direction handle serves the Oja descent (``vmv_testers._descend``)
-along directions that were all fixed before any answer is read.  Step j of
-that descent reads two vmv queries, t_j = u_j^T A u_j and
-s_j = u_j^T A x_{j-1}, where x_{j-1} has moved from a start y along u_1 ..
-u_{j-1} only; so every answer of every step is a linear function of the
-products below, and the descent solves its steps from them:
+A compressed handle serves the Oja descent (``vmv_testers._descend``) on
+the form B = G^T A G of a (dim, m) map G fixed before any answer is read
+(B = A when G is None), along directions that were all fixed before any
+answer is read.  Step j of that descent reads two vmv queries,
+t_j = u_j^T B u_j and s_j = u_j^T B x_{j-1}, where x_{j-1} has moved from a
+start y along u_1 .. u_{j-1} only; so every answer of every step is a
+linear function of the products below, and the descent solves its steps
+from them:
 
-  * directions(U)        -> a handle on the columns u_j of U (no charge;
-                            the simulator forms U^T A once, uncounted)
-  * handle.gram()        -> U^T A U                  (no charge)
-  * handle.against(y)    -> U^T A y                  (no charge)
-  * handle.charge_steps(k) -> charges the two ``vmv`` reads of each of the
-                            next k steps, at most one step per direction
-
-A compressed handle serves the same descent on the m x m form B = G^T A G
-of a (dim, m) map G fixed before any answer is read, in m dimensions:
-
-  * compressed(G)         -> a handle on B (no charge; G is checked like
-                             any block)
-  * comp.directions(U)    -> a direction handle on the columns of an (m, n)
-                             U; the first call forms B once, uncounted; its
-                             products are U^T B U and U^T B y, and each step
-                             it charges costs A the two ``vmv`` queries
-                             (G u_j)^T A (G u_j) and (G u_j)^T A (G x_{j-1})
-                             it stands for
+  * compressed(G)          -> a handle on B (no charge; G, when given, is
+                              checked like any block and copied)
+  * comp.form()            -> forms B once, uncounted, when m < dim; a
+                              no-op otherwise, so B is never larger than A
+  * comp.lift(x)           -> G x, the vector of A's space x stands for
+                              (x itself when G is None)
+  * comp.directions(U)     -> a handle on the columns u_j of an (m, n) U
+                              (no charge; the simulator forms U^T B from B
+                              once it is formed, (G U)^T A before)
+  * handle.gram()          -> U^T B U                  (no charge)
+  * handle.against(y)      -> U^T B y                  (no charge)
+  * handle.charge_steps(k) -> charges A the two ``vmv`` queries
+                              (G u_j)^T A (G u_j) and (G u_j)^T A (G x_{j-1})
+                              of each of the next k steps, at most one step
+                              per direction
 
 A query with a wrongly shaped vector or block raises ValueError before it
-is charged.  Block queries, ``directions`` and ``compressed`` also reject
+is charged.  Block queries, ``compressed`` and ``directions`` also reject
 non-finite blocks; scalar queries and ``against`` pass non-finite values
 through, so a diverging caller sees its own non-finite values.
 
@@ -152,9 +151,9 @@ def _checked_spectrum(a: np.ndarray, spectrum,
 class SymmetricOperator:
     """A hidden dense symmetric matrix reachable only through counted queries.
 
-    Every query, scalar or block, and every step charged on a
-    ``directions`` handle is charged through ``_charge``, the one place the
-    counters are written.
+    Every query, scalar or block, and every step charged on a direction
+    handle is charged through ``_charge``, the one place the counters are
+    written.
     Scalar queries check that their vectors have shape (dim,) and block
     queries that their blocks are (dim, n) and finite, both before any
     charge.  A block query costs one BLAS-3 product with the backing matrix.
@@ -273,18 +272,9 @@ class SymmetricOperator:
         self._charge(0, x.shape[1])
         return np.einsum("ij,ij->j", x, self._a @ y)
 
-    def directions(self, u) -> "DirectionBlock":
-        """Descent handle on the columns of U; see ``DirectionBlock``.
-
-        The simulator forms U^T A once, uncounted: every direction is fixed
-        before any answer is read, so the product reveals nothing a reader
-        could not get from the descent's reads asked one at a time.
-        """
-        u = _checked_block(u, self._dim, "directions")
-        return DirectionBlock(self, u, u.T @ self._a)
-
     def compressed(self, g) -> "Compression":
-        """Handle on B = G^T A G for a (dim, m) map G; see ``Compression``."""
+        """Handle on B = G^T A G for a (dim, m) map G, or on A itself when G
+        is None; see ``Compression``."""
         return Compression(self, g)
 
     # -- uncounted ground-truth access -------------------------------------
@@ -330,77 +320,94 @@ def _checked_block(b, rows: int, name: str) -> np.ndarray:
 
 
 class Compression:
-    """The m x m form B = G^T A G of an operator A, for an m-space descent.
+    """The m x m form B = G^T A G of an operator A, for the Oja descent.
 
     Built by ``SymmetricOperator.compressed``, which checks G like any
-    block.  The first ``directions`` call forms B once, uncounted, and
-    symmetrizes it the way the backing is; building the handle and forming
-    B charge nothing.  G is fixed before any answer is read and B depends on
-    nothing else, so forming it reveals nothing a reader could not get from
-    the same reads asked on A at images under G, and every step is charged
-    to A as those queries.  The handle keeps its own copy of G.
+    block and keeps its own copy, so mutating G later changes no answer;
+    G None means A itself, with m = dim.  ``form`` forms B once, uncounted,
+    and symmetrizes it the way the backing is, but only when m < dim: B is
+    then smaller than A.  Until it is formed, a direction handle on U reads
+    its products on A at the images G U.  Building the handle and forming
+    B charge nothing.  G is fixed before any answer is read and B depends
+    on nothing else, so forming it reveals nothing a reader could not get
+    from the same reads asked on A at images under G, and every step is
+    charged to A as those queries.
     """
 
     def __init__(self, owner: SymmetricOperator, g):
-        self._owner = owner
-        self._g = np.array(_checked_block(g, owner.dim, "compressed"))
+        self.owner = owner
+        self._g = (None if g is None
+                   else np.array(_checked_block(g, owner.dim, "compressed")))
+        self.dim = owner.dim if g is None else self._g.shape[1]
         self._b: Optional[np.ndarray] = None
 
     @property
     def formed(self) -> bool:
-        """Whether B has been formed (by an earlier ``directions`` call)."""
+        """Whether B has been formed (by an earlier ``form`` call)."""
         return self._b is not None
 
-    def _form(self) -> np.ndarray:
-        b = self._g.T @ (self._owner._a @ self._g)
-        b *= 0.5
-        return b + b.T
+    def form(self) -> None:
+        """Form B, uncounted, unless it is formed already or m >= dim."""
+        if self._b is None and self.dim < self.owner.dim:
+            b = self._g.T @ (self.owner._a @ self._g)
+            b *= 0.5
+            self._b = b + b.T
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """G x, the vector of A's space that the m-space x stands for (x
+        itself without G)."""
+        return x if self._g is None else self._g @ x
 
     def directions(self, u) -> "DirectionBlock":
         """Descent handle on the columns of an (m, n) U, with B in A's place.
 
-        U is checked like any block before B is formed; each step charged on
-        the returned handle costs the operator behind B two ``vmv``.
+        U is checked like any block; each step charged on the returned
+        handle costs A two ``vmv``.
         """
-        u = _checked_block(u, self._g.shape[1], "directions")
-        if self._b is None:
-            self._b = self._form()
-        return DirectionBlock(self._owner, u, u.T @ self._b)
+        u = _checked_block(u, self.dim, "directions")
+        if self._b is not None:
+            return DirectionBlock(self.owner, u.T @ self._b, u, None)
+        images = self.lift(u)
+        return DirectionBlock(self.owner, images.T @ self.owner._a, images,
+                              self._g)
 
 
 class DirectionBlock:
-    """Fixed directions u_j with their images A u_j, for one descent sweep.
+    """Fixed directions u_j of B's space, for one descent sweep.
 
-    Built by ``SymmetricOperator.directions`` (u_j in R^dim, images A u_j)
-    and by ``Compression.directions`` (u_j in R^m, images B u_j).  ``gram``
-    and ``against`` hand the descent the products it solves its steps from,
-    uncounted; the descent pays for the steps it takes through
-    ``charge_steps``, two ``vmv`` per step, and never for more steps than
-    the handle has directions.  ``against`` checks that y is an array of
-    u_j's shape; it leaves y's finiteness unchecked, so a diverging descent
-    sees its own non-finite values.  The handle keeps no reference to U, so
-    mutating U later changes no answer.
+    Built by ``Compression.directions`` from ``uta``, the rows w_j^T M of
+    the images w_j of the u_j (w_j = u_j and M = B once B is formed,
+    w_j = G u_j and M = A before), and ``g``, the G that maps B's space to
+    M's (None when M is B).  ``gram`` and ``against`` hand the descent the
+    products it solves its steps from, uncounted; the descent pays for the
+    steps it takes through ``charge_steps``, two ``vmv`` per step, and never
+    for more steps than the handle has directions.  ``against`` checks that
+    y is an array of B's dimension; it leaves y's finiteness unchecked, so
+    a diverging descent sees its own non-finite values.  The handle keeps
+    no reference to U, so mutating U later changes no answer.
     """
 
-    def __init__(self, owner: SymmetricOperator, u: np.ndarray,
-                 uta: np.ndarray):
+    def __init__(self, owner: SymmetricOperator, uta: np.ndarray,
+                 images: np.ndarray, g: Optional[np.ndarray]):
         self._owner = owner
         self._uta = uta
-        self._gram = uta @ u
+        self._g = g
+        self._gram = uta @ images
         self._gram.flags.writeable = False
-        self._steps_left = u.shape[1]
-        self._y_shape = (u.shape[0],)
+        self._steps_left = images.shape[1]
+        self._y_shape = (images.shape[0] if g is None else g.shape[1],)
 
     def gram(self) -> np.ndarray:
-        """The read-only (n, n) matrix of u_i^T A u_j, entry (i, j)."""
+        """The read-only (n, n) matrix of u_i^T B u_j, entry (i, j)."""
         return self._gram
 
     def against(self, y: np.ndarray) -> np.ndarray:
-        """u_j^T A y for every direction j, answered as (U^T A) y."""
+        """u_j^T B y for every direction j, answered as (W^T M) (G y), with
+        G y read as y when M is B."""
         if getattr(y, "shape", None) != self._y_shape:
             raise ValueError(f"against expects an array of shape "
                              f"{self._y_shape}, got {np.shape(y)}")
-        return self._uta @ y
+        return self._uta @ (y if self._g is None else self._g @ y)
 
     def charge_steps(self, steps: int) -> None:
         """Charge the two vmv reads, t_j and s_j, of ``steps`` more steps."""

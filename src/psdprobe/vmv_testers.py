@@ -19,28 +19,29 @@ Every public tester, here and in ``mv_testers``, answers through one exit,
 ``_tester(mode)``, which checks eps and builds the ``Verdict``; a tester
 body returns only (is_psd, witness, statistic).
 
-Both Oja-based testers share one descent, ``_descend``: it runs on the
-operator the caller handed in, optionally through a Gaussian map G (so on
-the form x^T B x with B = G^T A G) and optionally under an affine shift of
-every answer.  Its steps read their two vmv queries from direction
-handles, and every query is charged to the operator handed in.  Through G
-a run reads its first drawn block at images G u on A, and later blocks
-from one ``compressed(G)`` handle that forms B once and keeps the iterate
-in m dimensions; runs that stop in their first block, as rejections
-usually do, never form B.  ``oja_l1_tester`` shares the handle across the
-runs of a repetition.  ``adaptive_l2_tester`` passes none, since its k
-exceeds d and B would be larger than A.
+Both Oja-based testers share one descent, ``_descend``: it runs on a
+``compressed`` handle of the operator the caller handed in, so on the form
+x^T B x with B = G^T A G for a Gaussian map G (B = A without one), and
+optionally under an affine shift of every answer.  The iterate lives in
+B's space, and its steps read their two vmv queries from the handle's
+direction handles; every query is charged to the operator handed in.  A
+run reads its first drawn block on A at images G u, in growing chunks,
+unless the handle already holds B; every later block is one handle, from
+B once the handle forms it, which it does only when G narrows A.  So runs
+that stop in their first block, as rejections usually do, never form B,
+and ``adaptive_l2_tester``, whose k exceeds d, never does.
+``oja_l1_tester`` shares the handle across the runs of a repetition.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import defaults
 from .kernels import frobenius_estimate, schatten1_scale_estimate, trace_estimate
@@ -182,72 +183,53 @@ def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
 
 
 _DRAW_BATCH = 64
-# Column edges of the U^T A products inside one drawn block.  Growing chunks
-# let a run that stops early (a confirmed rejection, a blow-up) pay for a
-# few columns instead of the whole block.
+# Column edges of the U^T A products inside a run's first drawn block.
+# Growing chunks let a run that stops early (a confirmed rejection, a
+# blow-up) pay for a few columns instead of the whole block.
 _CHUNK_EDGES = (0, 4, 12, 28, _DRAW_BATCH)
 _OJA_STREAM = 0x01A1
 # Strictly lower-triangular 0/1 mask; its leading n x n corner serves a
 # handle of n directions.
 _LOWER = np.tri(_DRAW_BATCH, k=-1)
-_EYE = np.eye(_DRAW_BATCH)
-_LOWER.flags.writeable = _EYE.flags.writeable = False
-# Up to this many directions, a handle's steps run faster as a loop over
-# Python floats than as array operations (the first two chunks have 4 and
-# 8 directions, an m-space block up to 64).
-_LOOP_STEPS_MAX = 8
+_LOWER.flags.writeable = False
 
 
-def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
-             gen: np.random.Generator, up: float,
-             affine: Optional[Tuple[float, float, float]] = None,
-             comp=None) -> Optional[Tuple[np.ndarray, float]]:
+def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
+             up: float, affine: Optional[Tuple[float, float, float]] = None
+             ) -> Optional[Tuple[np.ndarray, float]]:
     """One Oja descent run x <- x - eta (u^T B x) u on the form x^T B x.
 
-    B is ``parent`` itself when ``g`` is None and G^T A G otherwise;
+    B is the form of ``comp``, a ``compressed`` handle on the operator A
+    the tester was handed: G^T A G, or A itself when the handle has no G.
     ``affine = (alpha, denom, shift)`` further maps every answer q(u, v) to
-    (q - alpha u.v) / denom + shift u.v.  The iterate x lives in B's space.
-    Each step asks two vmv queries, t = u^T B u, then s = u^T B x, and every
-    query is charged to ``parent``.  Directions u are standard Gaussian,
+    (q - alpha u.v) / denom + shift u.v.  The iterate x lives in B's space
+    only.  Each step asks two vmv queries, t = u^T B u, then s = u^T B x,
+    and every query is charged to A.  Directions u are standard Gaussian,
     drawn after x in blocks of at most 64 rows, and no further block is
     drawn once the run stops.
 
     A drawn block is fixed before any of its answers is read, so the steps
-    along one direction handle are computed together from its products
-    (see ``_sweep``) and charged two vmv each, up to the step where the run
-    stops.  Handles come from one of two paths:
-
-      * images: the block is mapped through G and asked on ``parent`` by
-        ``parent.directions``, which forms U^T A for the images in chunks of
-        4, 8, 16 and 36 columns, each when the run first reaches it; the
-        image xi = G x is kept alongside x (xi is x without G).
-      * m-space: ``comp``, a ``parent.compressed(g)`` handle, answers the
-        whole block from U^T B, and x is kept in m dimensions only.
-
-    Without ``comp`` every block takes the image path.  With it, a run
-    reads its first block on the image path unless the handle already
-    holds B, and every later block in m-space; so B is formed at some run's
-    second block, once per handle.  The rule exists because rejections
-    stop early: every one seen on the cluster families stops inside its
-    first block, often at the start query, and forming B there (one A G
-    product, dearer than a 4-column chunk) would only add cost.
+    along one direction handle (see ``_read_blocks``) are computed together
+    from its products (see ``_sweep``) and charged two vmv each, up to the
+    step where the run stops.
 
     The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
     is exact algebra, subtracted in step order; once it falls below
-    -OJA_MARGIN * up * max(1, |x|^2), one direct query on ``parent`` at xi
-    confirms it (in m-space xi = G x is built for it).  Returns (xi, value)
-    for a confirmed negative value, xi being the vector the confirming query
-    saw, and None after ``iters`` steps or when the run blows up (the step
-    size is far too large for the scale ``up``).
+    -OJA_MARGIN * up * max(1, |x|^2), one direct query on A at xi = G x
+    confirms it.  Returns (xi, value) for a confirmed negative value, xi
+    being the vector the confirming query saw, and None after ``iters``
+    steps or when the run blows up (the step size is far too large for the
+    scale ``up``).
     """
-    x = gen.standard_normal(parent.dim if g is None else g.shape[1])
-    xi = x if g is None else g @ x
+    x = gen.standard_normal(comp.dim)
 
-    def direct() -> float:
-        raw = parent.quad_form(xi)
-        return raw if affine is None else _shifted(affine, raw, float(x @ x))
+    def direct() -> Tuple[np.ndarray, float]:
+        xi = comp.lift(x)
+        raw = comp.owner.quad_form(xi)
+        return xi, (raw if affine is None
+                    else _shifted(affine, raw, float(x @ x)))
 
-    f = direct()
+    xi, f = direct()
     if f < 0.0:
         return xi, f
     left = iters
@@ -258,12 +240,10 @@ def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
             us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
             first = left == iters
             left -= len(us)
-            blocks = _read_blocks(parent, g, comp, us, first)
-            for block, rows, images in blocks:
-                x0, xi0 = x, xi
-                e, drops, go_norm, limit = _sweep(
-                    block, rows, x0 if images is None else xi0, x0, eta, up,
-                    affine)
+            for block, rows in _read_blocks(comp, us, first):
+                x0 = x
+                e, drops, go_norm, limit = _sweep(block, rows, x0, eta, up,
+                                                  affine)
                 lo = 0  # first step not yet taken
                 while lo < len(e):
                     drops[lo] = f  # step lo - 1's drop is spent
@@ -281,15 +261,11 @@ def _descend(parent, g: Optional[np.ndarray], eta: float, iters: int,
                         return None
                     lo += stop + 1
                     x = x0 - e[:lo] @ rows[:lo]
-                    xi = (x if g is None else g @ x if images is None
-                          else xi0 - e[:lo] @ images[:lo])
-                    confirmed = direct()
+                    xi, confirmed = direct()
                     if confirmed < 0.0:
                         return xi, confirmed
                     f = confirmed  # maintained value had drifted; resynchronize
                 x = x0 - e @ rows
-                if images is not None:
-                    xi = x if g is None else xi0 - e @ images
     return None
 
 
@@ -299,18 +275,39 @@ def _shifted(affine: Tuple[float, float, float], raw, dot):
     return (raw - alpha * dot) / denom + shift * dot
 
 
-def _sweep(block, rows: np.ndarray, y: np.ndarray, x: np.ndarray, eta: float,
-           up: float, affine) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       np.ndarray]:
+def _read_blocks(comp, us, first):
+    """Direction handles for one drawn block of ``_descend``, as (handle,
+    rows), each built when the run first reaches it.
+
+    A run's first block is read in the ``_CHUNK_EDGES`` chunks unless the
+    handle already holds B, since most rejections stop inside its first
+    chunk; any other block is one handle, read from B once ``comp`` forms
+    it (see ``Compression.form``), since a few-row product costs nearly as
+    much as a 64-row one.  So B is formed at some run's second block, once
+    per handle: forming it in a run that stops early (one A G product,
+    dearer than a 4-column chunk) would only add cost.
+    """
+    if first and not comp.formed:
+        edges = _CHUNK_EDGES
+    else:
+        comp.form()
+        edges = (0, len(us))
+    for lo, hi in zip(edges, edges[1:]):
+        if lo < len(us):
+            yield comp.directions(us[lo:hi].T), us[lo:hi]
+
+
+def _sweep(block, rows: np.ndarray, x: np.ndarray, eta: float, up: float,
+           affine) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every step along one handle at once, before any stop test.
 
-    With u_j the rows, x_0 = x and y its image on the handle's side, step j
-    reads t_j = m_jj and s_j = c_j - eta sum_{i<j} m_ji s_i, where
-    m = U^T B U and c = U^T B y come from the handle, after the affine map
-    when there is one (its dots are P = U U^T and q = U x, since
-    u_j . x_{j-1} = q_j - eta sum_{i<j} p_ji s_i).  So s solves the
-    unit lower-triangular (I + eta tril(m, -1)) s = c.  The drop of f at
-    step j is eta s_j^2 (2 - eta t_j), and
+    With u_j the rows and x_0 = x, step j reads t_j = m_jj and
+    s_j = c_j - eta sum_{i<j} m_ji s_i, where m = U^T B U and c = U^T B x
+    come from the handle, after the affine map when there is one (its dots
+    are P = U U^T and q = U x, since u_j . x_{j-1} = q_j - eta
+    sum_{i<j} p_ji s_i).  So s solves the unit lower-triangular
+    (I + eta tril(m, -1)) s = c.  The drop of f at step j is
+    eta s_j^2 (2 - eta t_j), and
     |x_j|^2 = |x_{j-1}|^2 - eta s_j (2 u_j . x_{j-1} - eta s_j p_jj).
 
     Returns (eta s, drops, go_norm, limit): drops[j + 1] is step j's drop
@@ -318,94 +315,50 @@ def _sweep(block, rows: np.ndarray, y: np.ndarray, x: np.ndarray, eta: float,
     ``OJA_BLOWUP``, and f_j below limit[j] = -OJA_MARGIN up max(1, |x_j|^2)
     calls for a confirming query.  Steps after a blow-up may overflow;
     their values are meaningless, and the caller silences the warnings.
-    A handle of at most ``_LOOP_STEPS_MAX`` directions runs the recurrence
-    as a loop (``_steps_by_loop``), a larger one as array operations around
-    one solve (``_steps_by_solve``).
     """
     m = block.gram()
-    c = block.against(y)
+    c = block.against(x)
     dots = rows @ rows.T
     q = rows @ x
     if affine is not None:
         m = _shifted(affine, m, dots)
         c = _shifted(affine, c, q)
-    steps = _steps_by_loop if len(c) <= _LOOP_STEPS_MAX else _steps_by_solve
-    return steps(m, c, dots, q, float(x @ x), eta, up)
+    return _steps(m, c, dots, q, float(x @ x), eta, up)
 
 
-def _steps_by_solve(m, c, dots, q, norm, eta, up):
-    """``_sweep``'s steps from one forward solve and array operations;
-    ``norm`` is |x_0|^2."""
-    lower = _LOWER[:len(c), :len(c)]
-    s = _forward_solve(eta * m * lower, c)
+def _steps(m, c, dots, q, norm, eta, up):
+    """``_sweep``'s steps from one forward solve; ``norm`` is |x_0|^2.
+
+    numpy's one dense solver is an LU with partial pivoting, which would
+    reorder the substitution wherever some |eta m_ij| > 1.  With rows and
+    columns reversed, I + eta tril(m, -1) is upper triangular with a unit
+    diagonal and zeros below it, so the LU pivots nowhere, whatever the
+    entries: it is I times the matrix itself, and the solve is back
+    substitution on the reversed system, that is, forward substitution on
+    the original.  Rows after a non-finite one are non-finite.  The solver
+    is called as the gufunc behind ``np.linalg.solve``, which skips that
+    wrapper's checks and copies.
+    """
+    n = len(c)
+    lower = _LOWER[:n, :n]
+    el = m * lower
+    el *= eta
+    el.flat[::n + 1] = 1.0
+    s = _umath_linalg.solve1(el[::-1, ::-1], c[::-1], signature="dd->d")[::-1]
     e = eta * s
-    drops = np.empty(len(c) + 1)
-    np.multiply(e * s, 2.0 - eta * np.diagonal(m), out=drops[1:])
+    drops = np.empty(n + 1)
+    np.multiply(e * s, 2.0 - eta * m.diagonal(), out=drops[1:])
     # A non-finite step only follows a blow-up; zeroing it keeps its
     # 0 * inf out of the earlier steps' dot products.
     e_ok = np.where(np.isfinite(e), e, 0.0)
-    along = q - (dots * lower) @ e_ok
-    norms = norm - np.cumsum(e_ok * (2.0 * along - e_ok * np.diagonal(dots)))
+    norms = (dots * lower) @ e_ok
+    np.subtract(q, norms, out=norms)
+    norms *= 2.0
+    norms -= e_ok * dots.diagonal()
+    norms *= e_ok
+    norms = norm - np.add.accumulate(norms)
     limit = -defaults.OJA_MARGIN * up * np.maximum(1.0, norms)
     return e, drops, norms <= defaults.OJA_BLOWUP, limit
-
-
-def _steps_by_loop(m, c, dots, q, norm, eta, up):
-    """``_sweep``'s steps as a loop over Python floats, which costs less
-    than the array operations' set-up on a few directions."""
-    mm, pp = m.tolist(), dots.tolist()
-    e, drops, go_norm, limit = [], [0.0], [], []
-    for j, (cj, qj) in enumerate(zip(c.tolist(), q.tolist())):
-        sj = cj - sum(map(operator.mul, mm[j], e))
-        ej = eta * sj
-        along = qj - sum(map(operator.mul, pp[j], e))
-        norm -= ej * (2.0 * along - ej * pp[j][j])
-        e.append(ej)
-        drops.append(ej * sj * (2.0 - eta * mm[j][j]))
-        go_norm.append(norm <= defaults.OJA_BLOWUP)
-        limit.append(-defaults.OJA_MARGIN * up * max(1.0, norm))
-    return np.array(e), np.array(drops), np.array(go_norm), np.array(limit)
-
-
-def _forward_solve(el: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """s with (I + el) s = c, for a strictly lower-triangular el, by
-    forward substitution.
-
-    numpy's one dense solver is an LU with partial pivoting, which would
-    reorder the substitution wherever some |el_ij| > 1.  With rows and
-    columns reversed, I + el is upper triangular with a unit diagonal and
-    zeros below it, so the LU pivots nowhere, whatever the entries: it is
-    I times the matrix itself, and the solve is back substitution on the
-    reversed system, that is, forward substitution on the original.  Rows
-    after a non-finite one are non-finite.
-    """
-    n = len(c)
-    return np.linalg.solve((el + _EYE[:n, :n])[::-1, ::-1], c[::-1])[::-1]
-
-
-def _read_blocks(parent, g, comp, us, first):
-    """Direction handles for one drawn block, as (handle, rows, images).
-
-    ``images`` holds the rows' images under G (the rows themselves without
-    G) on the image path, one handle per chunk, each built when the run
-    first reaches it; it is None on the m-space path, one handle for the
-    whole block.  See ``_descend`` for which path a block takes.  A run's
-    first block maps its first chunk through G alone, since most
-    rejections stop inside it, and the rest in one product when the run
-    reaches it; a later block is mapped whole, since a few-row product
-    costs nearly as much as a 64-row one.
-    """
-    if comp is not None and (comp.formed or not first):
-        yield comp.directions(us.T), us, None
-        return
-    split = _CHUNK_EDGES[1] if first else 0
-    for start, stop in ((0, split), (split, len(us))):
-        part = us[start:stop]
-        images = part if g is None else part @ g.T
-        for lo, hi in zip(_CHUNK_EDGES, _CHUNK_EDGES[1:]):
-            if start <= lo < stop:
-                chunk = images[lo - start:hi - start]
-                yield parent.directions(chunk.T), us[lo:hi], chunk
 
 
 @_tester(ONE_SIDED)
@@ -424,8 +377,8 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     share one ``op.compressed(g)`` handle: a run's first drawn block is
     asked on ``op`` at images under G, and once any run reads a second
     block the simulator forms B, uncounted, and every later step reads from
-    it in m dimensions (see ``_descend``).  Every read is still charged to
-    ``op`` as the query it stands for.
+    it in m dimensions (see ``_read_blocks``).  Every read is still charged
+    to ``op`` as the query it stands for.
 
     The maintained f = x^T B x can only go negative when some quadratic
     form is genuinely negative; before rejecting, the current iterate is
@@ -442,13 +395,12 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     for _ in range(cfg.amplification):
         g = (gen.standard_normal((op.dim, m)) / math.sqrt(op.dim)
              if m < op.dim else None)
-        comp = None if g is None else op.compressed(g)
+        comp = op.compressed(g)
         lo, up = schatten1_scale_estimate(op, g, gen)
         if up <= 0.0:
             continue  # probe says B p = 0; nothing to descend on
         for trial_norm in _scale_grid(lo, up, cfg.eta_scales):
-            hit = _descend(op, g, cfg.eta / trial_norm, cfg.max_iters, gen, up,
-                           comp=comp)
+            hit = _descend(comp, cfg.eta / trial_norm, cfg.max_iters, gen, up)
             if hit is not None:
                 witness, value = hit
                 return False, witness, value
@@ -608,14 +560,14 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
         return True, None, None
 
     c_far = c_far_curve(k, eps)
-    g = gen.standard_normal((op.dim, k))
+    comp = op.compressed(gen.standard_normal((op.dim, k)))
     # The shifted sketch (G^T A G - alpha I) / (beta sqrt(k) ln k)
     # + (C_far - 1) I has trace (C_far - 1) k, which sets the one step size.
     affine = (alpha, beta * math.sqrt(k) * math.log(max(k, 2)), c_far - 1.0)
     trace_gamma = (c_far - 1.0) * k
     eta = defaults.GAMMA_ETA_C / trace_gamma
     n_iters = math.ceil(defaults.GAMMA_GROWTH_LOG / eta)
-    is_psd = all(_descend(op, g, eta, n_iters, gen, trace_gamma, affine) is None
+    is_psd = all(_descend(comp, eta, n_iters, gen, trace_gamma, affine) is None
                  for _ in range(defaults.GAMMA_AMP))
     return is_psd, None, None
 

@@ -2,15 +2,15 @@
 
 ``_descend`` solves every step along one direction handle at once, as one
 unit lower-triangular system.  This module keeps the step-at-a-time loop
-it replaced: each step reads t = u^T M u and then s = u^T M x, updates x,
+it replaced: each step reads t = u^T B u and then s = u^T B x, updates x,
 and runs the blow-up and margin tests before the next step is read.  It
-draws the same directions in the same order, takes the same image and
-m-space paths (see ``_descend``) and charges every step on the handle
-``_descend`` would use, so a tester run with it in ``_descend``'s place
-asks the same queries; the tests check that the two agree trial for
-trial.  No tester calls it.
+draws the same directions in the same order, takes its handles from
+``_read_blocks`` as ``_descend`` does and charges every step on them, so a
+tester run with it in ``_descend``'s place asks the same queries; the
+tests check that the two agree trial for trial.  No tester calls it.
 
   * sequential_descend -- drop-in for ``_descend``, one step at a time
+  * steps_loop         -- ``_steps`` as a loop over Python floats
 """
 
 import math
@@ -19,82 +19,86 @@ from typing import Optional, Tuple
 import numpy as np
 
 from psdprobe import defaults
-from psdprobe.vmv_testers import _CHUNK_EDGES, _DRAW_BATCH
+from psdprobe.vmv_testers import _DRAW_BATCH, _read_blocks
 
 
-def sequential_descend(parent, g: Optional[np.ndarray], eta: float,
-                       iters: int, gen: np.random.Generator, up: float,
-                       affine: Optional[Tuple[float, float, float]] = None,
-                       comp=None) -> Optional[Tuple[np.ndarray, float]]:
+def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
+                       up: float,
+                       affine: Optional[Tuple[float, float, float]] = None
+                       ) -> Optional[Tuple[np.ndarray, float]]:
     """``_descend`` with its steps read and taken one at a time.
 
-    M is A on the image path, whose directions are the images G u (u
-    itself without G), and B = G^T A G, formed as ``Compression`` forms
-    it, on the m-space path.  Each step charges its two reads on the
-    handle and computes them from M U: t_j = u_j . (M u_j) and
-    s_j = (M u_j) . x, x being xi = G x on the image path.
+    Each step charges its two reads on the handle and computes them from
+    the dense matrices: from B = G^T A G, formed as ``Compression`` forms
+    it, once the handle holds B, and on A at the images G u and G x before.
     """
-    x = gen.standard_normal(parent.dim if g is None else g.shape[1])
-    xi = x if g is None else g @ x
+    op = comp.owner
+    x = gen.standard_normal(comp.dim)
 
     def shifted(raw: float, dot: float) -> float:
         alpha, denom, shift = affine
         return (raw - alpha * dot) / denom + shift * dot
 
-    def direct() -> float:
-        raw = parent.quad_form(xi)
-        return raw if affine is None else shifted(raw, float(x @ x))
+    def direct():
+        xi = comp.lift(x)
+        raw = op.quad_form(xi)
+        return xi, raw if affine is None else shifted(raw, float(x @ x))
 
-    f = direct()
+    xi, f = direct()
     if f < 0.0:
         return xi, f
-    a = parent.dense()
+    a = op.dense()
+    g = comp.lift(np.eye(comp.dim))
+    b = g.T @ (a @ g)
+    b *= 0.5
+    b = b + b.T
     left = iters
     while left > 0:
         us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
         first = left == iters
         left -= len(us)
-        for block, rows, images, images_m in _blocks(parent, a, g, comp, us,
-                                                     first):
-            dirs = rows if images is None else images
-            for j, u in enumerate(rows):
+        for block, rows in _read_blocks(comp, us, first):
+            for u in rows:
                 block.charge_steps(1)
-                t = float(dirs[j] @ images_m[j])
-                s = float(images_m[j] @ (x if images is None else xi))
+                if comp.formed:
+                    bu = b @ u
+                    t, s = float(u @ bu), float(bu @ x)
+                else:
+                    w = comp.lift(u)
+                    aw = a @ w
+                    t, s = float(w @ aw), float(aw @ comp.lift(x))
                 if affine is not None:
                     t = shifted(t, float(u @ u))
                     s = shifted(s, float(u @ x))
-                es = eta * s
-                x = x - es * u
-                if images is not None:
-                    xi = x if g is None else xi - es * images[j]
+                x = x - (eta * s) * u
                 f -= eta * s * s * (2.0 - eta * t)
                 norm_sq = float(x @ x)
                 if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
                     return None
                 if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
-                    if images is None:
-                        xi = g @ x
-                    confirmed = direct()
+                    xi, confirmed = direct()
                     if confirmed < 0.0:
                         return xi, confirmed
                     f = confirmed  # maintained value had drifted
     return None
 
 
-def _blocks(parent, a, g, comp, us, first):
-    """(handle, rows, images, images times M) for one drawn block, on the
-    path and with the chunks ``_descend`` uses; images is None in
-    m-space, where the directions are the rows themselves."""
-    if comp is not None and (comp.formed or not first):
-        block = comp.directions(us.T)
-        b = g.T @ (a @ g)
-        b *= 0.5
-        yield block, us, None, us @ (b + b.T)
-        return
-    uis = us if g is None else us @ g.T
-    for lo, hi in zip(_CHUNK_EDGES, _CHUNK_EDGES[1:]):
-        if lo >= len(us):
-            return
-        images = uis[lo:hi]
-        yield parent.directions(images.T), us[lo:hi], images, images @ a
+def steps_loop(m, c, dots, q, norm, eta, up):
+    """``vmv_testers._steps`` as a loop over Python floats: s_j by forward
+    substitution, subtracting eta m_ji s_i from c_j in order of i, then
+    each step's drop, |x_j|^2 and margin limit."""
+    mm, pp = m.tolist(), dots.tolist()
+    s, e, drops, go_norm, limit = [], [], [0.0], [], []
+    for j, (cj, qj) in enumerate(zip(c.tolist(), q.tolist())):
+        sj, along = cj, qj
+        for i in range(j):
+            sj -= eta * mm[j][i] * s[i]
+            along -= pp[j][i] * e[i]
+        ej = eta * sj
+        norm -= ej * (2.0 * along - ej * pp[j][j])
+        s.append(sj)
+        e.append(ej)
+        drops.append(ej * sj * (2.0 - eta * mm[j][j]))
+        go_norm.append(norm <= defaults.OJA_BLOWUP)
+        limit.append(-defaults.OJA_MARGIN * up * max(1.0, norm))
+    return np.array(e), np.array(drops), np.array(go_norm), np.array(limit)

@@ -936,6 +936,23 @@ def test_cli_bad_output_location_exits_2_before_any_work(tmp_path, capsys,
         assert str(blocker) in err
 
 
+@pytest.mark.parametrize("location", [5, True, ["out.csv"], {"a": 1}, ""])
+def test_output_location_that_is_not_a_path_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, location):
+    monkeypatch.setattr(harness, "_run_trial", _never)
+    monkeypatch.setitem(harness._SUITE_FNS, "embed_rows", _never)
+    monkeypatch.setattr(harness, "_scaling_cell", _never)
+    config = write_config(tmp_path, output_path=location)
+    assert main(["run", "--config", config]) == 2
+    assert capsys.readouterr().err == \
+        f"error: output_path must be a path, got {location!r}\n"
+    with pytest.raises(ConfigError, match="out_dir must be a path"):
+        harness.calibrate("embed_rows", out_dir=location)
+    with pytest.raises(ConfigError, match="out_path must be a path"):
+        harness.scaling_report("krylov", 2.0, [0.2], [32], out_path=location)
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_cli_run_adaptive_l2_past_the_sketch_search_exits_2_before_queries(
         tmp_path, capsys):
     op = instance_operator({"kind": "far", "dim": 8}, 1e-7, 2.0, 0)

@@ -83,7 +83,7 @@ def test_mutating_a_query_vector_never_changes_a_later_answer():
     np.testing.assert_allclose(op.quad_forms(block)[1:], got[1:], rtol=1e-12)
     assert op.quad_forms(block)[0] == 0.0
     block[:, 0] = y
-    handle = op.directions(block)
+    handle = op.compressed(None).directions(block)
     block[:] = 0.0
     assert handle.gram()[0, 0] == pytest.approx(got[0], rel=1e-12)
     assert handle.against(y)[0] == pytest.approx(got[0], rel=1e-12)
@@ -263,18 +263,17 @@ def test_block_queries_over_shapes(d, kx, ky, seed):
 
 
 def _check_directions(op, u, y, comp=None, g=None):
-    """Products and charges of a directions handle on U: on A, or on
-    B = G^T A G through ``comp``, a compressed handle on g.  The products
-    charge nothing; each step charged costs two vmv, up to one step per
+    """Products and charges of a directions handle on U from ``comp``, a
+    compressed handle on g (on A itself when comp is None): they match the
+    dense (G U)^T A (G y) within 1e-12 of ||A||_2 ||G||_2^2 |u| |y|, charge
+    nothing, and each step charged costs two vmv, up to one step per
     direction."""
     dense = op.dense()
     before = (op.mv_queries, op.vmv_queries)
-    if comp is None:
-        handle = op.directions(u)
-        nrm = float(np.linalg.norm(dense, 2))
-    else:
-        handle = comp.directions(u)
-        nrm = float(np.linalg.norm(dense, 2) * np.linalg.norm(g, 2) ** 2)
+    nrm = float(np.linalg.norm(dense, 2))
+    handle = (op.compressed(None) if comp is None else comp).directions(u)
+    if g is not None:
+        nrm *= float(np.linalg.norm(g, 2)) ** 2
         dense = g.T @ dense @ g
     n = u.shape[1]
     sizes = np.linalg.norm(u, axis=0)
@@ -309,16 +308,16 @@ def test_directions_reject_bad_blocks_and_charge_nothing():
     for value in (np.nan, np.inf, -np.inf):
         bad[1, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
-            op.directions(bad)
+            op.compressed(None).directions(bad)
     for shape in ((3,), (2, 2), (4, 1), (3, 1, 1)):
         with pytest.raises(ValueError, match="directions expects"):
-            op.directions(np.ones(shape))
+            op.compressed(None).directions(np.ones(shape))
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
 def test_direction_handles_check_their_arguments_before_charging():
     op = SymmetricOperator(np.eye(4))
-    handle = op.directions(np.ones((4, 2)))
+    handle = op.compressed(None).directions(np.ones((4, 2)))
     for steps in (-1, 3, 5):
         with pytest.raises(ValueError, match="cannot charge"):
             handle.charge_steps(steps)
@@ -335,13 +334,13 @@ def test_compressed_steps_charge_two_vmv_each_and_match_dense():
     op = SymmetricOperator(a + a.T)
     g = rng.standard_normal((12, 4))
     comp = op.compressed(g)
-    assert not comp.formed and op.vmv_queries == 0
+    comp.form()
+    assert comp.formed and op.vmv_queries == 0
     g_copy = g.copy()
     g[:] = 0.0  # the handle keeps its own G
     for n in (3, 5):  # the second block is read from the same B
         _check_directions(op, rng.standard_normal((4, n)),
                           rng.standard_normal(4), comp, g_copy)
-        assert comp.formed
     # B is exactly symmetric, as the backing is: read entrywise through
     # unit directions, b_ij and b_ji are the same float.
     entries = comp.directions(np.eye(4)).gram()
@@ -373,6 +372,36 @@ def test_compressed_rejects_bad_maps_and_blocks_and_charges_nothing():
     with pytest.raises(ValueError, match="against expects"):
         handle.against(np.ones(3))
     assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
+@pytest.mark.parametrize("m", [None, 3, 6, 9])
+def test_compression_forms_b_only_when_it_narrows_a(m):
+    # On a d = 6 operator: B is formed only for m < d, and only when
+    # asked; unformed reads go to A at images G U.  Either way the reads
+    # match the dense (G U)^T A (G y), each step costs two vmv, and
+    # mutating G after the handle is built changes no answer.
+    rng = rng_from(36)
+    a = rng.standard_normal((6, 6))
+    op = SymmetricOperator(a + a.T)
+    g = None if m is None else rng.standard_normal((6, m))
+    comp = op.compressed(g)
+    g_copy = None if g is None else g.copy()
+    width = 6 if m is None else m
+    u, y = rng.standard_normal((width, 4)), rng.standard_normal(width)
+    for ask in (False, True):
+        if ask:
+            comp.form()
+        assert comp.formed == (ask and width < 6)
+        handle = comp.directions(u)
+        gram, against = handle.gram().copy(), handle.against(y)
+        if g is not None:
+            g[:] = 0.0
+        _check_directions(op, u, y, comp, g_copy)
+        np.testing.assert_array_equal(handle.gram(), gram)
+        np.testing.assert_array_equal(handle.against(y), against)
+    np.testing.assert_array_equal(comp.lift(y),
+                                  y if g is None else g_copy @ y)
+    assert op.mv_queries == 0 and op.vmv_queries == 2 * 2 * 4
 
 
 @settings(max_examples=60, deadline=None)
