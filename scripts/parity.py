@@ -2,8 +2,9 @@
 
 Runs a fixed set of seeded experiment configs -- every tester on at least
 two instance families, the Oja descent with and without a Gaussian map,
-plus one rotated_diag, wishart, spiked and gap config -- through ``run_experiment`` with the clock pinned to 0, and records
-the SHA-1 and text of each CSV and summary file.
+plus rotated_diag, wishart, spiked and gap configs, and two at p = inf --
+through ``run_experiment`` with the clock pinned to 0, and records the
+SHA-1 and text of each CSV and summary file.
 
     python3 scripts/parity.py record --src OLD/src --out old.json
     python3 scripts/parity.py record --src NEW/src --out new.json
@@ -66,6 +67,7 @@ CONFIGS = {
                                trials=4),
     "krylov/identity": _cfg("krylov", _dim("identity", 32), 0.2, 2.0),
     "krylov/hard_l1": _cfg("krylov", _dim("hard_l1", 32), 0.2, 1.0),
+    "krylov/far_pinf": _cfg("krylov", _dim("far", 32), 0.2, float("inf")),
     "krylov/rotated_diag": _cfg("krylov", {"kind": "rotated_diag",
                                            "eigenvalues": [2.0, -1.0, 0.5, 3]},
                                 0.2, 2.0),
@@ -74,6 +76,9 @@ CONFIGS = {
     "nonadaptive_mv/random_psd": _cfg("nonadaptive_mv", _dim("random_psd", 32),
                                       0.3, 2.0),
     "nonadaptive_mv/far": _cfg("nonadaptive_mv", _dim("far", 32), 0.3, 2.0),
+    # A gap instance is labelled by the middle branch of truth_label.
+    "nonadaptive_mv/gap_pinf": _cfg("nonadaptive_mv", _dim("gap", 32), 0.2,
+                                    float("inf"), trials=4),
     "spectrum/spike_pos": _cfg("spectrum", {"kind": "rotated_diag",
                                             "eigenvalues": _SPIKE},
                                0.2, 2.0, k=1),

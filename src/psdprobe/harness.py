@@ -23,9 +23,10 @@ starts all are -- which keeps instance construction at O(d^2) instead of a
 d^3 QR per trial.  ``run_experiment`` hides its spectrum families from a
 tester that would read coordinates under one Haar rotation per dimension,
 whose QR is paid once per process; by the same invariance, sharing it
-across trials leaves every tester's distributions unchanged.  Either way
-the operator carries the spectrum it was built from, so none of these
-instances is eigendecomposed to be labelled.
+across trials leaves every tester's distributions unchanged.  The harness
+owns the labelling spectrum: ``_instance`` hands each trial the eigenvalues
+its backing was built from, so no rotated instance is eigendecomposed to be
+labelled, and the sweeps label nothing.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import numpy as np
 from . import defaults
 from .mv_testers import (krylov_tester, nonadaptive_mv_tester,
                          unrounded_krylov_degree)
-from .oracle import (SpectrumInstance, SymmetricOperator, gen_rotated_diag,
-                     gen_spiked_sym, gen_wishart, rng_from)
+from .oracle import (MAX_DENSE_DIM, SpectrumInstance, SymmetricOperator,
+                     gen_rotated_diag, gen_spiked_sym, gen_wishart, rng_from)
 from .spectrum import top_eigs_signed, top_eigs_signed_adaptive
 from .vmv_testers import (OjaConfig, adaptive_l2_tester,
                           bilinear_sketch_tester, build_sketch,
@@ -183,9 +184,10 @@ def _check_instance(desc) -> dict:
     else:
         out["dim"] = _check_int(f"instance kind {kind!r} dim", out["dim"], 2)
     for name in ("s", "shift", "depth"):
-        if name in out and not _is_number(out[name]):
-            raise ConfigError(f"instance field {name!r} must be a number, "
-                              f"got {out[name]!r}")
+        if name in out and not (_is_number(out[name])
+                                and math.isfinite(out[name])):
+            raise ConfigError(f"instance field {name!r} must be a finite "
+                              f"number, got {out[name]!r}")
     if kind == "gap" and not 0.0 < out.get("depth", 0.5) < 1.0:
         raise ConfigError(f"gap depth must be in (0, 1), got {out['depth']}")
     return out
@@ -203,16 +205,16 @@ class ExperimentConfig:
     nine kinds ``instance_operator`` builds, each from the per-trial seed
     (a seed in the descriptor is ignored) and, for every kind but "wishart"
     and "spiked", under the one Haar rotation of its dimension:
-    "rotated_diag" (needs
-    "eigenvalues", a list of at least 2 finite numbers), "wishart", "spiked"
-    (also needs numbers "s" and "shift"; see ``gen_spiked_sym``), and the
-    rotated spectrum families "identity", "random_psd" (uniform spectrum in
-    [0, 1]), "far" (one negative eigenvalue at exactly -eps times the
-    Schatten-p norm), "hard_l1" (the negative eigenvalue hidden under
-    ~eps^(-2/3) taller positive spikes), "cluster_l1" (positives clustered
-    at the negative eigenvalue's scale) and "gap" (strictly inside the
-    promise gap, at "depth" in (0, 1), default 0.5; excluded from rate
-    denominators).  All but "rotated_diag" need "dim", an integer >= 2.
+    "rotated_diag" (needs "eigenvalues", a list of at least 2 finite
+    numbers), "wishart", "spiked" (also needs finite numbers "s" and
+    "shift"; see ``gen_spiked_sym``), and the rotated spectrum families
+    "identity", "random_psd" (uniform spectrum in [0, 1]), "far" (one
+    negative eigenvalue at exactly -eps times the Schatten-p norm),
+    "hard_l1" (the negative eigenvalue hidden under ~eps^(-2/3) taller
+    positive spikes), "cluster_l1" (positives clustered at the negative
+    eigenvalue's scale) and "gap" (strictly inside the promise gap, at
+    "depth" in (0, 1), default 0.5; excluded from rate denominators).  All
+    but "rotated_diag" need "dim", an integer >= 2.
 
     ``constants`` overrides named calibration constants.  Each tester reads
     its own set (``_TESTER_CONSTANTS``): kappa, c_psd, repeats,
@@ -221,8 +223,9 @@ class ExperimentConfig:
     number, and a whole number where the tester reads an integer.  eps, p
     and the constants must be numbers, not strings or bools (eps and p are
     stored as floats), and p the one p of a one-p tester (``_TESTER_P``).
-    A spectrum tester's k is at most the instance's d (2 dim for "spiked"),
-    and a "cluster_l1" dim holds the family's positives at eps.
+    The instance's operator dimension d (2 dim for "spiked") is at most
+    ``oracle.MAX_DENSE_DIM``, a spectrum tester's k is at most d, and a
+    "cluster_l1" dim holds the family's positives at eps.
     ``output_path`` is None or a non-empty str or ``os.PathLike``.
     All of it is checked when the config is built, before any work; the
     config keeps Python numbers only, each constant cast as its tester reads it.
@@ -264,10 +267,14 @@ class ExperimentConfig:
                                   f"number, got {value!r}")
         object.__setattr__(self, "constants", {
             name: reads[name](value) for name, value in self.constants.items()})
-        # The checks that join fields: k within d, a cluster that fits.
+        # The checks that join fields: d within the dense cap, k within d, a
+        # cluster that fits.
         kind = self.instance["kind"]
         d = (len(self.instance["eigenvalues"]) if kind == "rotated_diag"
              else self.instance["dim"] * (2 if kind == "spiked" else 1))
+        if d > MAX_DENSE_DIM:
+            raise ConfigError(f"instance {kind!r} has operator dimension {d}, "
+                              f"above the dense cap {MAX_DENSE_DIM}")
         if self.constants.get("k", 1) > d:
             raise ConfigError(f"constant 'k' must be in [1, d] for a d={d} "
                               f"operator, got k={self.constants['k']}")
@@ -402,24 +409,28 @@ def family_spectrum(kind: str, d: int, eps: float, p: float,
     raise ConfigError(f"unknown instance kind {kind!r}")
 
 
-def instance_operator(desc: dict, eps: float, p: float,
-                      seed: int) -> SymmetricOperator:
-    """Fresh operator for one trial of any kind ``ExperimentConfig`` lists.
+def _instance(desc: dict, eps: float, p: float,
+              seed: int) -> Tuple[SymmetricOperator, np.ndarray]:
+    """One trial's operator and its ascending eigenvalues.
 
     The trial seed overrides any seed field; it draws the Wishart and spiked
     matrices and every spectrum.  Spectra are hidden under the one Haar
     rotation of their dimension (``_ROTATION_SEED``), whose QR is paid once
     per process: every tester draws Gaussian sketches, payloads and starts,
     so its distributions on Q^T diag(lam) Q are the same for every
-    orthogonal Q.  The descriptor goes through ``_check_instance`` first, so
+    orthogonal Q.  Their eigenvalues are the drawn lam, sorted, with no
+    decomposition; a Wishart or spiked backing is decomposed with
+    ``eigvalsh``.  The descriptor goes through ``_check_instance`` first, so
     a bad one raises ConfigError.
     """
     desc = _check_instance(desc)
     kind, d = desc["kind"], desc.get("dim")
     if kind == "wishart":
-        return gen_wishart(d, seed)
+        op = gen_wishart(d, seed)
+        return op, op.eigenvalues()
     if kind == "spiked":
-        return gen_spiked_sym(d, float(desc["s"]), float(desc["shift"]), seed)
+        op = gen_spiked_sym(d, float(desc["s"]), float(desc["shift"]), seed)
+        return op, op.eigenvalues()
     if kind == "rotated_diag":
         lam = desc["eigenvalues"]
     elif kind == "gap":
@@ -427,33 +438,42 @@ def instance_operator(desc: dict, eps: float, p: float,
         lam = family_spectrum("far", d, depth * eps, p, seed)
     else:
         lam = family_spectrum(kind, d, eps, p, seed)
-    return gen_rotated_diag(SpectrumInstance(eigenvalues=lam,
-                                             rotation_seed=_ROTATION_SEED))
+    inst = SpectrumInstance(eigenvalues=lam, rotation_seed=_ROTATION_SEED)
+    return gen_rotated_diag(inst), np.sort(inst.eigenvalues)
 
 
-# Relative slack at the two boundaries.  Carried spectra are exact; only
+def instance_operator(desc: dict, eps: float, p: float,
+                      seed: int) -> SymmetricOperator:
+    """Fresh operator for one trial of any kind ``ExperimentConfig`` lists;
+    see ``_instance``, which also returns the eigenvalues that label it (so
+    a Wishart or spiked operator comes back with its eigenvalues cached)."""
+    return _instance(desc, eps, p, seed)[0]
+
+
+# Relative slack at the two boundaries.  Drawn spectra are exact; only
 # Wishart and spiked instances are decomposed, and eigvalsh puts a PSD one at
 # lambda_min ~ -1e-13 ||A||_2 (backward error O(d u ||A||)).
 _PSD_TOL = 1e-10   # slack below zero still labelled PSD
 _FAR_TOL = 1e-9    # slack for families built exactly on the far boundary
 
 
-def truth_label(op: SymmetricOperator, eps: float, p: float) -> Optional[bool]:
+def truth_label(eigs: np.ndarray, eps: float, p: float) -> Optional[bool]:
     """True for PSD, False for eps-far, None inside the promise gap.
 
-    Reads ``op.eigenvalues()``: the spectrum a rotated or diagonal instance
-    was built from, with no decomposition, or ``eigvalsh`` of any other
-    backing.  A hair of relative tolerance sits at both boundaries: a
-    decomposed PSD construction (a Wishart product) lands at
-    lambda_min ~ -1e-13 ||A||_2 in floating point, and the far families sit
-    exactly on the promise boundary.
+    ``eigs`` are the instance's eigenvalues in ascending order, as
+    ``_instance`` returns them: the drawn spectrum of a rotated instance or
+    ``eigvalsh`` of any other backing.  The far test compares lambda_min
+    with -eps ||A||_p, the Schatten p-norm of ``eigs``.  A hair of relative
+    tolerance sits at both boundaries: a decomposed PSD construction (a
+    Wishart product) lands at lambda_min ~ -1e-13 ||A||_2 in floating point,
+    and the far families sit exactly on the promise boundary.
     """
-    eigs = op.eigenvalues()
     lam_min = float(eigs[0])
-    scale = float(max(abs(eigs[0]), abs(eigs[-1])))
-    if lam_min >= -_PSD_TOL * scale:
+    w = np.abs(eigs)
+    if lam_min >= -_PSD_TOL * float(max(w[0], w[-1])):
         return True
-    if lam_min <= -eps * op.schatten_norm(p) * (1.0 - _FAR_TOL):
+    norm = float(w.max() if math.isinf(p) else (w ** p).sum() ** (1.0 / p))
+    if lam_min <= -eps * norm * (1.0 - _FAR_TOL):
         return False
     return None
 
@@ -507,19 +527,18 @@ def _spectrum_guarantee(values: Sequence[float], eigs: np.ndarray, k: int,
     return stat <= 1.0, stat, signs_ok
 
 
-def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator, seed: int,
-                    k: int = 1) -> _TesterOutput:
+def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator,
+                    eigs: np.ndarray, seed: int, k: int = 1) -> _TesterOutput:
     estimator = (top_eigs_signed_adaptive if cfg.tester == "spectrum_adaptive"
                  else top_eigs_signed)
     est = estimator(op, k, cfg.eps, rng=seed)
-    eigs = op.eigenvalues()
     radius = cfg.eps * float(np.sqrt((eigs ** 2).sum()))
     held, stat, signs_ok = _spectrum_guarantee(est.values, eigs, k, radius)
     return _TesterOutput(verdict=held, statistic=stat, witness=None,
                          declared=None, witness_valid=signs_ok)
 
 
-def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
+def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator, eigs: np.ndarray,
               seed: int) -> _TesterOutput:
     if cfg.tester == "oja_l1":
         v = oja_l1_tester(op, cfg.eps, OjaConfig.from_eps(
@@ -534,7 +553,7 @@ def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
         v = _MV_TESTERS[cfg.tester](op, cfg.eps, cfg.p, rng=seed,
                                     **cfg.constants)
     else:
-        return _spectrum_trial(cfg, op, seed, **cfg.constants)
+        return _spectrum_trial(cfg, op, eigs, seed, **cfg.constants)
     return _TesterOutput(verdict=v.is_psd, statistic=v.statistic,
                          witness=v.witness, declared=v.queries_used,
                          witness_valid=None)
@@ -542,11 +561,11 @@ def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
 
 def _run_trial(cfg: ExperimentConfig, seed: int,
                clock: Callable[[], float]) -> TrialRecord:
-    op = instance_operator(cfg.instance, cfg.eps, cfg.p, seed)
-    truth = truth_label(op, cfg.eps, cfg.p)
+    op, eigs = _instance(cfg.instance, cfg.eps, cfg.p, seed)
+    truth = truth_label(eigs, cfg.eps, cfg.p)
     mv0, vmv0 = op.mv_queries, op.vmv_queries
     t0 = clock()
-    out = _dispatch(cfg, op, seed)
+    out = _dispatch(cfg, op, eigs, seed)
     wall = (clock() - t0) * 1000.0
     queries_mv = op.mv_queries - mv0
     queries_vmv = op.vmv_queries - vmv0
@@ -713,9 +732,8 @@ _TARGET = 0.9
 
 def _diag_instance(kind: str, d: int, eps: float, p: float,
                    seed: int) -> SymmetricOperator:
-    """An unrotated operator on ``family_spectrum``, carrying that spectrum."""
-    lam = family_spectrum(kind, d, eps, p, seed)
-    return SymmetricOperator(np.diag(lam), spectrum=lam)
+    """An unrotated operator on ``family_spectrum``."""
+    return SymmetricOperator(np.diag(family_spectrum(kind, d, eps, p, seed)))
 
 
 def _sweep(kind: str, d: int, eps: float, p: float, seeds: Sequence[int],
@@ -1129,6 +1147,9 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     eps_list = [_check_eps(eps, "eps values must be in (0, 1)")
                 for eps in eps_list]
     d_list = [_check_int("every dim", d, 8) for d in d_list]
+    if max(d_list) > MAX_DENSE_DIM:
+        raise ConfigError(f"every dim must be at most the dense cap "
+                          f"{MAX_DENSE_DIM}, got {max(d_list)}")
     p = _check_p(tester, p)
     trials = _check_int("trials", trials, 1)
     seed0 = _check_int("seed0", seed0)

@@ -49,13 +49,12 @@ is charged.  Block queries, ``compressed`` and ``directions`` also reject
 non-finite blocks; scalar queries and ``against`` pass non-finite values
 through, so a diverging caller sees its own non-finite values.
 
-Ground-truth helpers (``dense``, ``eigenvalues``, ``schatten_norm``) bypass
-the counters and are reserved for tests and for the experiment harness when
-it labels instances.  An operator built from a known spectrum (rotated
-diagonal instances, the harness's diagonal sweeps) carries that spectrum and
-answers ``eigenvalues`` from it after O(d^2) trace and Frobenius checks;
-any other operator (Wishart, spiked, a raw backing) is decomposed once with
-``eigvalsh``.
+Ground-truth helpers (``dense``, ``eigenvalues``) bypass the counters and
+are reserved for tests and for the experiment harness when it labels
+instances.  An operator holds its backing and nothing else; ``eigenvalues``
+decomposes it once with ``eigvalsh``.  The spectrum a backing was built
+from stays with the caller that drew it: the harness labels its rotated
+instances from the eigenvalues it drew, with no decomposition.
 
 Generators build rotated diagonal spectra, Wishart matrices and spiked
 asymmetric embeddings; ``harness.instance_operator`` builds the instance
@@ -68,7 +67,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -105,49 +104,6 @@ def rng_from(seed: SeedLike, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-_SPECTRUM_TOL = 1e-9  # relative slack of the trace and Frobenius checks
-
-
-def _checked_spectrum(a: np.ndarray, spectrum,
-                      scratch: np.ndarray) -> np.ndarray:
-    """The claimed eigenvalues of ``a``, after O(d^2) consistency checks.
-
-    Length d, every entry finite, and the two spectral invariants that need
-    no decomposition -- tr(A) = sum(lam) and ||A||_F^2 = sum(lam^2) -- agree
-    to ``_SPECTRUM_TOL`` relative to ||lam||_1 and ||lam||_2^2.  Both sides
-    are divided by max|lam| first, so the sums stay finite from 1e-300 to
-    1e300; ``scratch``, an array of a's shape that the caller no longer
-    needs, holds A / max|lam|.  The checks catch a spectrum paired with the
-    wrong backing; they cannot prove the eigenvalues exact.
-    """
-    lam = np.asarray(spectrum, dtype=float)
-    if lam.shape != (a.shape[0],):
-        raise ValueError(f"spectrum must have shape ({a.shape[0]},), "
-                         f"got {lam.shape}")
-    if not np.isfinite(lam).all():
-        raise ValueError("spectrum holds non-finite entries")
-    top = float(np.abs(lam).max())
-    if top == 0.0:
-        if a.any():
-            raise ValueError("spectrum is zero but the backing is not")
-        return lam
-    unit = lam / top
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = np.divide(a, top, out=scratch)
-        trace = float(np.trace(b))
-        frob_sq = float(np.vdot(b, b))
-    want_trace = float(unit.sum())
-    want_frob_sq = float(unit @ unit)
-    if not abs(trace - want_trace) <= _SPECTRUM_TOL * float(np.abs(unit).sum()):
-        raise ValueError(f"spectrum inconsistent with backing: trace "
-                         f"{trace * top:.17g} vs sum {want_trace * top:.17g}")
-    if not abs(frob_sq - want_frob_sq) <= _SPECTRUM_TOL * want_frob_sq:
-        raise ValueError(f"spectrum inconsistent with backing: squared "
-                         f"Frobenius norm {frob_sq:.17g} vs sum of squares "
-                         f"{want_frob_sq:.17g} (both over max|lam|^2)")
-    return lam
-
-
 class SymmetricOperator:
     """A hidden dense symmetric matrix reachable only through counted queries.
 
@@ -160,14 +116,11 @@ class SymmetricOperator:
     Operators are not thread-safe: the counters are plain integers, so use
     one operator per tester and never share one between concurrent testers.
 
-    ``spectrum``, when given, holds the eigenvalues the backing was built
-    from (lam, for a backing Q^T diag(lam) Q); ``eigenvalues`` then answers
-    from it instead of decomposing the backing.  It is checked against the
-    backing's trace and Frobenius norm, and a mismatch raises ValueError.
+    The operator knows only its backing: a caller that built the backing
+    from a spectrum keeps that spectrum itself.
     """
 
-    def __init__(self, matrix: np.ndarray, *, validate: bool = True,
-                 spectrum=None):
+    def __init__(self, matrix: np.ndarray, *, validate: bool = True):
         a = np.array(matrix, dtype=float, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"operator backing must be square, got {a.shape}")
@@ -189,9 +142,6 @@ class SymmetricOperator:
         a *= 0.5
         self._a = a + a.T
         self._eigs: Optional[np.ndarray] = None
-        if spectrum is not None:
-            # The halved copy is dead now; the check reuses it as scratch.
-            self._eigs = np.sort(_checked_spectrum(self._a, spectrum, a))
 
     @property
     def dim(self) -> int:
@@ -284,24 +234,10 @@ class SymmetricOperator:
         return self._a.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (uncounted; cached).
-
-        The spectrum the operator was built with, sorted, when one was
-        given; otherwise ``eigvalsh`` of the backing, whose backward error
-        is O(d u ||A||_2) with u the unit roundoff.  A generated backing
-        differs from the exact Q^T diag(lam) Q by rounding of the same
-        order, so the two answers agree to that order.
-        """
+        """Ascending ``eigvalsh`` of the backing (uncounted; cached, copied)."""
         if self._eigs is None:
             self._eigs = np.linalg.eigvalsh(self._a)
         return self._eigs.copy()
-
-    def schatten_norm(self, p: float) -> float:
-        """Uncounted Schatten p-norm of the hidden matrix."""
-        w = np.abs(self.eigenvalues())
-        if np.isinf(p):
-            return float(w.max()) if w.size else 0.0
-        return float((w ** p).sum() ** (1.0 / p))
 
     def __repr__(self) -> str:
         return (f"SymmetricOperator(dim={self._dim}, mv={self._mv}, "
@@ -454,10 +390,11 @@ def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
     """Hide a prescribed spectrum inside a Haar-rotated dense matrix.
 
     Every spectrum built with one rotation seed at one d shares one
-    memoized Q, so only the first pays the QR.  An isotropic spectrum commutes with any rotation, so that case returns
-    the exact scaled identity rather than a numerically rotated copy.  The
-    operator carries ``lam`` as its spectrum, so labelling it needs no
-    eigendecomposition.
+    memoized Q, so only the first pays the QR.  An isotropic spectrum
+    commutes with any rotation, so that case returns the exact scaled
+    identity rather than a numerically rotated copy.  The operator holds
+    the backing only; a caller that labels it from ``instance.eigenvalues``
+    needs no eigendecomposition.
     """
     lam = np.array(instance.eigenvalues, dtype=float)
     d = lam.size
@@ -468,7 +405,7 @@ def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
     else:
         s = _haar_orthogonal(d, instance.rotation_seed)
         a = (s.T * lam) @ s
-    return SymmetricOperator(a, validate=False, spectrum=lam)
+    return SymmetricOperator(a, validate=False)
 
 
 def gen_wishart(d: int, seed: int) -> SymmetricOperator:

@@ -75,16 +75,16 @@ def test_instance_operator_families():
     np.testing.assert_array_equal(op.dense(), np.eye(12))
 
     far = instance_operator({"kind": "far", "dim": 16}, 0.2, 1.0, 3)
-    assert truth_label(far, 0.2, 1.0) is False
+    assert truth_label(far.eigenvalues(), 0.2, 1.0) is False
 
     gap = instance_operator({"kind": "gap", "dim": 16}, 0.2, 1.0, 3)
-    assert truth_label(gap, 0.2, 1.0) is None
+    assert truth_label(gap.eigenvalues(), 0.2, 1.0) is None
 
     psd = instance_operator({"kind": "random_psd", "dim": 16}, 0.2, 1.0, 3)
-    assert truth_label(psd, 0.2, 1.0) is True
+    assert truth_label(psd.eigenvalues(), 0.2, 1.0) is True
 
     wis = instance_operator({"kind": "wishart", "dim": 16}, 0.2, 1.0, 3)
-    assert wis.dim == 16 and truth_label(wis, 0.2, 1.0) is True
+    assert wis.dim == 16 and truth_label(wis.eigenvalues(), 0.2, 1.0) is True
 
     rot = instance_operator({"kind": "rotated_diag",
                              "eigenvalues": [1.0, 2.0, 3.0]}, 0.2, 1.0, 3)
@@ -154,6 +154,10 @@ def test_descriptor_round_trip(desc):
     ({"kind": "spiked", "dim": 8, "s": "3", "shift": 0.0}, "'s'"),
     ({"kind": "spiked", "dim": 8, "s": 3.0, "shift": None}, "'shift'"),
     ({"kind": "gap", "dim": 8, "depth": "x"}, "'depth'"),
+    ({"kind": "spiked", "dim": 8, "s": math.nan, "shift": 0.0}, "'s'"),
+    ({"kind": "spiked", "dim": 8, "s": 3.0, "shift": math.inf}, "'shift'"),
+    ({"kind": "spiked", "dim": 8, "s": 3.0, "shift": -math.inf}, "'shift'"),
+    ({"kind": "gap", "dim": 8, "depth": math.nan}, "'depth'"),
 ])
 def test_descriptor_dim_and_number_fields_are_checked_for_every_kind(desc,
                                                                      field):
@@ -190,37 +194,53 @@ def test_rotated_diag_eigenvalues_must_be_finite_numbers(tmp_path, capsys,
 
 def test_truth_label_tolerates_eigensolver_noise():
     op = SymmetricOperator(np.diag([1.0, -1e-14]))
-    assert truth_label(op, 0.2, 1.0) is True
+    assert truth_label(op.eigenvalues(), 0.2, 1.0) is True
 
 
-_LABEL_FAMILIES = (
+@pytest.mark.parametrize("p,norm", [(1.0, 8.0), (2.0, math.sqrt(26.0)),
+                                    (math.inf, 4.0)])
+def test_truth_label_reads_the_schatten_norm_of_the_eigenvalues(p, norm):
+    # lambda_min = -4 is eps-far exactly when eps <= 4 / ||A||_p; just above
+    # that it sits in the promise gap.
+    eigs = np.array([-4.0, 0.0, 1.0, 3.0])
+    op = oracle.gen_rotated_diag(oracle.SpectrumInstance(
+        eigenvalues=(3.0, -4.0, 0.0, 1.0), rotation_seed=5))
+    for lam in (eigs, op.eigenvalues()):
+        assert truth_label(lam, 4.0 / norm * (1.0 - 1e-6), p) is False
+        assert truth_label(lam, 4.0 / norm * (1.0 + 1e-6), p) is None
+    assert truth_label(np.sort(np.abs(eigs)), 0.2, p) is True
+
+
+_LABEL_KINDS = (
     {"kind": "identity", "dim": 32},
     {"kind": "random_psd", "dim": 32},
     {"kind": "far", "dim": 32},
     {"kind": "hard_l1", "dim": 32},
     {"kind": "cluster_l1", "dim": 32},
     {"kind": "gap", "dim": 32},
+    {"kind": "wishart", "dim": 16},
+    {"kind": "spiked", "dim": 8, "s": 3.0, "shift": 6.5},
 )
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_carried_spectrum_labels_match_eigvalsh_of_the_backing(p):
-    # The reference operator gets the same backing and no spectrum, so it
-    # labels through eigvalsh of the dense matrix.
+    # The eigenvalues a trial is labelled from are those its backing holds:
+    # the drawn spectrum of every rotated kind matches eigvalsh of the dense
+    # matrix, and both give one label.
     eps = 0.2
     labels = set()
     for seed in range(5):
         lam = far_spectrum(32, eps, p, rng_from(seed, 0x7E57))
         rotated = {"kind": "rotated_diag", "eigenvalues": list(lam)}
-        for desc in _LABEL_FAMILIES + (rotated,):
-            op = instance_operator(desc, eps, p, seed)
-            ref = SymmetricOperator(op.dense())
-            assert truth_label(op, eps, p) == truth_label(ref, eps, p), \
-                (desc["kind"], seed)
-            labels.add(truth_label(op, eps, p))
-            for q in (1.0, 2.0, math.inf):
-                assert op.schatten_norm(q) == pytest.approx(
-                    ref.schatten_norm(q), rel=1e-12, abs=0.0)
+        for desc in _LABEL_KINDS + (rotated,):
+            op, eigs = harness._instance(desc, eps, p, seed)
+            ref = np.linalg.eigvalsh(op.dense())
+            np.testing.assert_allclose(
+                eigs, ref, rtol=0.0, atol=1e-9 * float(np.abs(ref).max()))
+            label = truth_label(eigs, eps, p)
+            assert label == truth_label(ref, eps, p), (desc["kind"], seed)
+            labels.add(label)
     assert labels == {True, False, None}
 
 
@@ -239,7 +259,7 @@ def test_rotated_and_diagonal_instances_are_never_eigendecomposed(
         tester="spectrum", eps=0.25, trials=2, constants={"k": 1},
         instance={"kind": "rotated_diag", "eigenvalues": [3.0] + [1.0] * 7}))
     assert all(r.truth is True for r in records)
-    # Calibration labels its diagonal instances through schatten_norm.
+    # Calibration builds diagonal instances and labels none of them.
     assert calibrate("kappa_krylov", seed0=0, trials=1)[1]["separated"]
     # An instance built without a spectrum still reaches the decomposition.
     with pytest.raises(AssertionError, match="eigvalsh called"):
@@ -353,6 +373,56 @@ def test_config_refuses_a_cluster_dim_too_small_for_its_eps(tmp_path):
     records, _ = run_experiment(ExperimentConfig(
         tester="krylov", eps=0.05, instance={"kind": "cluster_l1", "dim": 16}))
     assert records[0].truth is False
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "random_psd", "dim": 5000},
+    {"kind": "spiked", "dim": 3000, "s": 3.0, "shift": 6.5},
+    {"kind": "rotated_diag", "eigenvalues": [1.0] * 5000},
+])
+def test_config_refuses_an_operator_above_the_dense_cap(tmp_path, capsys,
+                                                        monkeypatch, desc):
+    out = tmp_path / "cap" / "r.csv"
+    with pytest.raises(ConfigError, match="above the dense cap 4096"):
+        far_config(instance=desc, output_path=str(out))
+    monkeypatch.setattr(harness, "_run_trial", _never)
+    config = write_config(tmp_path, instance=desc, output_path=str(out))
+    assert main(["run", "--config", config]) == 2
+    assert "above the dense cap 4096" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_config_dense_cap_counts_the_spiked_embedding_twice():
+    spiked = {"kind": "spiked", "dim": 2048, "s": 3.0, "shift": 6.5}
+    assert far_config(instance=spiked).instance == spiked
+    with pytest.raises(ConfigError, match="operator dimension 4098"):
+        far_config(instance={**spiked, "dim": 2049})
+
+
+@pytest.mark.parametrize("field,value", [("s", math.nan),
+                                         ("shift", math.inf)])
+def test_cli_run_non_finite_spiked_field_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, field, value):
+    # json.load reads NaN and Infinity, so the descriptor check must.
+    monkeypatch.setattr(harness, "_run_trial", _never)
+    out = tmp_path / "out" / "r.csv"
+    desc = {"kind": "spiked", "dim": 8, "s": 3.0, "shift": 6.5, field: value}
+    config = write_config(tmp_path, tester="krylov", eps=0.2, instance=desc,
+                          output_path=str(out))
+    assert main(["run", "--config", config]) == 2
+    assert f"instance field {field!r} must be a finite number" in \
+        capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_scaling_report_refuses_a_dim_above_the_dense_cap(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(harness, "_scaling_cell", _never)
+    out = tmp_path / "sc" / "r.json"
+    with pytest.raises(ConfigError, match="at most the dense cap 4096, "
+                                          "got 5000"):
+        scaling_report("krylov", 1.0, (0.2,), (32, 5000), out_path=out)
+    assert not out.parent.exists()
 
 
 def test_run_experiment_rejects_non_config():

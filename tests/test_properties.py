@@ -4,9 +4,7 @@ Each example hides a non-negative spectrum under a seeded Haar rotation --
 scaled to 1e-150, 1 or 1e150, of low rank, with condition number 1e12, or
 identically zero -- and runs the four one-sided testers on it.  A one-sided
 tester may never reject a PSD input, whatever the floating-point range, and
-every statistic it reports must be finite or None.  Building the instance
-also runs the scale-safe trace and Frobenius check of the carried spectrum,
-which must accept every one of these.
+every statistic it reports must be finite or None.
 """
 
 import math
@@ -48,7 +46,6 @@ def test_one_sided_testers_accept_rotated_psd_inputs(shape, log_scale, d,
     lam = psd_spectrum(shape, d, 10.0 ** log_scale, seed)
     op = gen_rotated_diag(SpectrumInstance(eigenvalues=tuple(lam),
                                            rotation_seed=seed))
-    np.testing.assert_array_equal(op.eigenvalues(), np.sort(lam))
     oja_cfg = OjaConfig.from_eps(EPS, dim=d, amplification=1,
                                  iter_scale=0.05)
     verdicts = {
