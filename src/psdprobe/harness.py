@@ -16,17 +16,15 @@ serialized through repr, so identical configs reproduce the output files byte
 for byte.  Wall-clock timing is the one exception: the clock is injectable
 (determinism tests pin it to a constant) and defaults to real time.
 
-The calibration and scaling sweeps store their instances unrotated
-(diagonal), since the consuming tester's query distribution is rotation
-invariant -- Gaussian sketches, Gaussian descent payloads, Gaussian Krylov
-starts all are -- which keeps instance construction at O(d^2) instead of a
-d^3 QR per trial.  ``run_experiment`` hides its spectrum families from a
-tester that would read coordinates under one Haar rotation per dimension,
-whose QR is paid once per process; by the same invariance, sharing it
-across trials leaves every tester's distributions unchanged.  The harness
-owns the labelling spectrum: ``_instance`` hands each trial the eigenvalues
-its backing was built from, so no rotated instance is eigendecomposed to be
-labelled, and the sweeps label nothing.
+Every spectrum instance, in a trial or a sweep, is the diagonal matrix of
+its drawn spectrum, built by ``_instance``.  No rotation hides it: the
+testers see A only through Gaussian sketches, Gaussian descent directions
+and Gaussian Krylov starts, so their query and verdict distributions are the
+same on Q^T diag(lam) Q for every orthogonal Q (``tests/test_invariance.py``
+holds each tester to that).  The harness owns the labelling spectrum:
+``_instance`` hands each trial the eigenvalues its backing was built from,
+so no spectrum instance is eigendecomposed to be labelled, and the sweeps
+label nothing.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ import numpy as np
 from . import defaults
 from .mv_testers import (krylov_tester, nonadaptive_mv_tester,
                          unrounded_krylov_degree)
-from .oracle import (MAX_DENSE_DIM, SpectrumInstance, SymmetricOperator,
-                     gen_rotated_diag, gen_spiked_sym, gen_wishart, rng_from)
+from .oracle import (MAX_DENSE_DIM, SymmetricOperator, gen_spiked_sym,
+                     gen_wishart, rng_from)
 from .spectrum import top_eigs_signed, top_eigs_signed_adaptive
 from .vmv_testers import (OjaConfig, adaptive_l2_tester,
                           bilinear_sketch_tester, build_sketch,
@@ -101,7 +99,6 @@ CSV_FIELDS = ("seed", "truth", "verdict", "queries_mv", "queries_vmv",
               "statistic", "witness_valid", "wall_time_ms")
 
 _SPECTRUM_STREAM = 0x1A57  # per-trial instance spectra
-_ROTATION_SEED = 0         # the one Haar rotation per dimension
 
 
 class ConfigError(ValueError):
@@ -204,10 +201,10 @@ class ExperimentConfig:
     ``instance`` is a JSON-friendly dict whose ``kind`` names one of the
     nine kinds ``instance_operator`` builds, each from the per-trial seed
     (a seed in the descriptor is ignored) and, for every kind but "wishart"
-    and "spiked", under the one Haar rotation of its dimension:
-    "rotated_diag" (needs "eigenvalues", a list of at least 2 finite
-    numbers), "wishart", "spiked" (also needs finite numbers "s" and
-    "shift"; see ``gen_spiked_sym``), and the rotated spectrum families
+    and "spiked", as the diagonal of its spectrum: "rotated_diag" (needs
+    "eigenvalues", a list of at least 2 finite numbers; a historical name,
+    no rotation is applied), "wishart", "spiked" (also needs finite numbers
+    "s" and "shift"; see ``gen_spiked_sym``), and the spectrum families
     "identity", "random_psd" (uniform spectrum in [0, 1]), "far" (one
     negative eigenvalue at exactly -eps times the Schatten-p norm),
     "hard_l1" (the negative eigenvalue hidden under ~eps^(-2/3) taller
@@ -414,14 +411,12 @@ def _instance(desc: dict, eps: float, p: float,
     """One trial's operator and its ascending eigenvalues.
 
     The trial seed overrides any seed field; it draws the Wishart and spiked
-    matrices and every spectrum.  Spectra are hidden under the one Haar
-    rotation of their dimension (``_ROTATION_SEED``), whose QR is paid once
-    per process: every tester draws Gaussian sketches, payloads and starts,
-    so its distributions on Q^T diag(lam) Q are the same for every
-    orthogonal Q.  Their eigenvalues are the drawn lam, sorted, with no
-    decomposition; a Wishart or spiked backing is decomposed with
-    ``eigvalsh``.  The descriptor goes through ``_check_instance`` first, so
-    a bad one raises ConfigError.
+    matrices and every spectrum.  A spectrum lam is built as diag(lam),
+    exactly symmetric, and labelled by lam sorted, with no decomposition
+    (see the module docstring); the calibration and scaling sweeps build
+    theirs here too.  A Wishart or spiked backing is decomposed with
+    ``eigvalsh``.  The descriptor goes through ``_check_instance`` first,
+    so a bad one raises ConfigError.
     """
     desc = _check_instance(desc)
     kind, d = desc["kind"], desc.get("dim")
@@ -432,14 +427,13 @@ def _instance(desc: dict, eps: float, p: float,
         op = gen_spiked_sym(d, float(desc["s"]), float(desc["shift"]), seed)
         return op, op.eigenvalues()
     if kind == "rotated_diag":
-        lam = desc["eigenvalues"]
+        lam = np.array(desc["eigenvalues"], dtype=float)
     elif kind == "gap":
         depth = float(desc.get("depth", 0.5))
         lam = family_spectrum("far", d, depth * eps, p, seed)
     else:
         lam = family_spectrum(kind, d, eps, p, seed)
-    inst = SpectrumInstance(eigenvalues=lam, rotation_seed=_ROTATION_SEED)
-    return gen_rotated_diag(inst), np.sort(inst.eigenvalues)
+    return SymmetricOperator(np.diag(lam), validate=False), np.sort(lam)
 
 
 def instance_operator(desc: dict, eps: float, p: float,
@@ -461,7 +455,7 @@ def truth_label(eigs: np.ndarray, eps: float, p: float) -> Optional[bool]:
     """True for PSD, False for eps-far, None inside the promise gap.
 
     ``eigs`` are the instance's eigenvalues in ascending order, as
-    ``_instance`` returns them: the drawn spectrum of a rotated instance or
+    ``_instance`` returns them: the drawn spectrum of a diagonal instance,
     ``eigvalsh`` of any other backing.  The far test compares lambda_min
     with -eps ||A||_p, the Schatten p-norm of ``eigs``.  A hair of relative
     tolerance sits at both boundaries: a decomposed PSD construction (a
@@ -599,7 +593,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1,
     their directory is created before the first trial (ConfigError if it
     cannot be).
 
-    ``workers`` > 1 fans the trials over a process pool; records are merged
+    ``workers`` > 1 fans the trials over a process pool (ConfigError before
+    any directory is made unless it is an integer >= 1); records are merged
     by seed, so the worker count never changes the output files.  ``clock``
     replaces time.perf_counter in the wall_time_ms column (pool workers
     cannot inherit an injected clock, so one forces serial execution).
@@ -607,6 +602,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1,
     if not isinstance(cfg, ExperimentConfig):
         raise ConfigError(f"expected an ExperimentConfig, "
                           f"got {type(cfg).__name__}")
+    workers = _check_int("workers", workers, 1)
     if cfg.output_path:
         _make_dir(Path(cfg.output_path).parent)
     seeds = range(cfg.seed0, cfg.seed0 + cfg.trials)
@@ -730,12 +726,6 @@ def write_records_csv(path, records: Sequence[TrialRecord]) -> None:
 _TARGET = 0.9
 
 
-def _diag_instance(kind: str, d: int, eps: float, p: float,
-                   seed: int) -> SymmetricOperator:
-    """An unrotated operator on ``family_spectrum``."""
-    return SymmetricOperator(np.diag(family_spectrum(kind, d, eps, p, seed)))
-
-
 def _sweep(kind: str, d: int, eps: float, p: float, seeds: Sequence[int],
            run: Callable[[SymmetricOperator, int], bool]
            ) -> Tuple[float, float, int]:
@@ -744,7 +734,7 @@ def _sweep(kind: str, d: int, eps: float, p: float, seeds: Sequence[int],
     rejects = 0
     budgets = []
     for seed in seeds:
-        op = _diag_instance(kind, d, eps, p, seed)
+        op = instance_operator({"kind": kind, "dim": d}, eps, p, seed)
         rejects += not run(op, seed)
         budgets.append(op.mv_queries + op.vmv_queries)
     return rejects / len(seeds), float(np.mean(budgets)), int(max(budgets))
@@ -784,10 +774,11 @@ def _gamma_grid(kappa: float, n: int, seed0: int
         for i in range(n):
             seed = seed0 + 100_000 * ci + 2 * i
             kind = _PSD_KINDS[i % len(_PSD_KINDS)]
-            op = (gen_wishart(d, seed) if kind == "wishart"
-                  else _diag_instance(kind, d, eps, 2.0, seed))
+            op = (gen_wishart(d, seed) if kind == "wishart" else
+                  instance_operator({"kind": kind, "dim": d}, eps, 2.0, seed))
             psd_g[i] = build_sketch(op, k, seed).gamma
-            far_op = _diag_instance("far", d, eps, 2.0, seed + 1)
+            far_op = instance_operator({"kind": "far", "dim": d}, eps, 2.0,
+                                       seed + 1)
             far_g[i] = build_sketch(far_op, k, seed + 1).gamma
         cells.append({"d": d, "eps": eps, "k": k,
                       "psd_q99": float(np.percentile(psd_g, 99.0)),

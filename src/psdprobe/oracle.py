@@ -53,12 +53,12 @@ Ground-truth helpers (``dense``, ``eigenvalues``) bypass the counters and
 are reserved for tests and for the experiment harness when it labels
 instances.  An operator holds its backing and nothing else; ``eigenvalues``
 decomposes it once with ``eigvalsh``.  The spectrum a backing was built
-from stays with the caller that drew it: the harness labels its rotated
-instances from the eigenvalues it drew, with no decomposition.
+from stays with the caller that drew it: the harness builds diag(lam) and
+labels it from the lam it drew, with no decomposition.
 
-Generators build rotated diagonal spectra, Wishart matrices and spiked
-asymmetric embeddings; ``harness.instance_operator`` builds the instance
-kinds an experiment config can name, these three among them.
+Generators build Wishart matrices and spiked asymmetric embeddings, which
+``harness.instance_operator`` uses, and Haar-rotated diagonal spectra,
+which only tests use (the harness builds every spectrum as a diagonal).
 All randomness comes from explicitly seeded counter-based Philox streams; there
 is no module-level RNG state anywhere in this package.
 """
@@ -389,12 +389,12 @@ def _haar_orthogonal(d: int, rotation_seed: int) -> np.ndarray:
 def gen_rotated_diag(instance: SpectrumInstance) -> SymmetricOperator:
     """Hide a prescribed spectrum inside a Haar-rotated dense matrix.
 
-    Every spectrum built with one rotation seed at one d shares one
-    memoized Q, so only the first pays the QR.  An isotropic spectrum
-    commutes with any rotation, so that case returns the exact scaled
-    identity rather than a numerically rotated copy.  The operator holds
-    the backing only; a caller that labels it from ``instance.eigenvalues``
-    needs no eigendecomposition.
+    Tests use it to check that every tester reads a rotated spectrum as it
+    reads the harness's diagonal one.  Every spectrum built with one
+    rotation seed at one d shares one memoized Q, so only the first pays
+    the QR.  An isotropic spectrum commutes with any rotation, so that case
+    returns the exact scaled identity rather than a numerically rotated
+    copy.
     """
     lam = np.array(instance.eigenvalues, dtype=float)
     d = lam.size

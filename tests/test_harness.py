@@ -1,6 +1,5 @@
 """Tests for the experiment harness and its CLI front end."""
 
-import hashlib
 import json
 import math
 
@@ -100,26 +99,36 @@ def test_instance_operator_trial_seed_controls_the_draw():
     assert np.abs(a - c).max() > 1e-3
 
 
-def test_instance_operator_shares_one_rotation_per_dimension():
-    # Trials at one d differ in their spectra only: every rotated instance
-    # reuses one memoized Haar Q, so a second seed pays no QR and the two
-    # backings share an eigenbasis.
-    oracle._haar_orthogonal.cache_clear()
-    a = instance_operator({"kind": "far", "dim": 40}, 0.2, 1.0, 1).dense()
-    b = instance_operator({"kind": "random_psd", "dim": 40}, 0.2, 1.0, 2).dense()
-    info = oracle._haar_orthogonal.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert np.abs(a @ b - b @ a).max() < 1e-12
-    assert np.abs(a - b).max() > 1e-3
+# The seven kinds built from a spectrum: every one is diag(lam) exactly.
+_SPECTRUM_KINDS = ("identity", "random_psd", "far", "hard_l1", "cluster_l1",
+                   "gap", "rotated_diag")
 
 
-def test_instance_operator_rotation_is_pinned():
-    # The bytes of one rotated backing, so that the shared rotation (its
-    # seed, stream and sign fix) cannot drift silently.  They pin float bit
-    # patterns, so they hold for one numpy/BLAS build.
-    a = instance_operator({"kind": "random_psd", "dim": 24}, 0.3, 1.0, 5).dense()
-    assert hashlib.sha1(a.tobytes()).hexdigest() == \
-        "1a8aa6ac6b99e0811d13be9c354ffb36bb165b43"
+@pytest.mark.parametrize("kind", _SPECTRUM_KINDS)
+def test_spectrum_instances_are_the_exact_diagonal_of_their_spectrum(kind):
+    d, eps, p, seed = 24, 0.3, 1.0, 5
+    if kind == "rotated_diag":
+        lam = np.array([2.0, -1.0, 0.5, 3.0, 0.0, 1.25])
+        desc = {"kind": kind, "eigenvalues": list(lam)}
+    else:  # a gap draw is a far draw at the default depth, eps / 2
+        lam = harness.family_spectrum("far" if kind == "gap" else kind, d,
+                                      eps / 2 if kind == "gap" else eps, p,
+                                      seed)
+        desc = {"kind": kind, "dim": d}
+    op, eigs = harness._instance(desc, eps, p, seed)
+    assert op.dense().tobytes() == np.diag(lam).tobytes()
+    assert eigs.tobytes() == np.sort(lam).tobytes()
+    if kind == "rotated_diag":
+        return
+    # The calibration and scaling sweeps build the same bytes.
+    swept = []
+
+    def keep(op, seed):
+        swept.append(op.dense())
+        return True
+
+    harness._sweep(kind, d, eps, p, [seed], keep)
+    assert swept[0].tobytes() == np.diag(lam).tobytes()
 
 
 def test_instance_operator_validates():
@@ -226,7 +235,7 @@ _LABEL_KINDS = (
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_carried_spectrum_labels_match_eigvalsh_of_the_backing(p):
     # The eigenvalues a trial is labelled from are those its backing holds:
-    # the drawn spectrum of every rotated kind matches eigvalsh of the dense
+    # the drawn spectrum of every spectrum kind matches eigvalsh of the dense
     # matrix, and both give one label.
     eps = 0.2
     labels = set()
@@ -244,8 +253,7 @@ def test_carried_spectrum_labels_match_eigvalsh_of_the_backing(p):
     assert labels == {True, False, None}
 
 
-def test_rotated_and_diagonal_instances_are_never_eigendecomposed(
-        monkeypatch):
+def test_spectrum_instances_are_never_eigendecomposed(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
@@ -579,6 +587,16 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a.summary.json").read_bytes() == \
         (tmp_path / "b.summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+def test_run_experiment_checks_workers_before_making_the_directory(
+        tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(harness, "_run_trial", _never)
+    out = tmp_path / "w" / "r.csv"
+    with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+        run_experiment(far_config(output_path=str(out)), workers=workers)
+    assert not out.parent.exists()
 
 
 def test_run_experiment_worker_count_never_changes_records(tmp_path):

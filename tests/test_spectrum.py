@@ -737,7 +737,7 @@ def test_spectrum_outputs_match_byte_table(name, instance, k, eps, seed,
                                            expected):
     # The spike rows keep the rotation they were recorded under, seeded by
     # the trial seed, so the table pins estimator arithmetic rather than the
-    # harness's one rotation per dimension.
+    # harness's diagonal instance build.
     if instance["kind"] == "rotated_diag":
         op = rotated_spectrum(instance["eigenvalues"], seed)
     else:

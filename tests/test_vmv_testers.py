@@ -55,7 +55,7 @@ def family_op(kind, d, eps, p, seed):
     """A family draw rotated by its own seed's Haar Q, as every trial was
     before the harness shared one rotation per dimension.  The byte pins
     below pin tester arithmetic on these fixed matrices, not the harness's
-    rotation."""
+    instance build."""
     lam = family_spectrum(kind, d, eps, p, seed)
     return gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=seed))
 
