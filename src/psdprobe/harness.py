@@ -1,10 +1,9 @@
 """Seeded experiment loops, calibration sweeps, and query-scaling fits.
 
 ``run_experiment`` drives one tester over freshly generated instances (trial i
-uses seed0 + i), labels every instance from its eigenvalues (the spectrum it
-was built from, or ``eigvalsh`` of a Wishart or spiked backing), and emits
-one CSV row per trial plus a JSON summary.  ``calibrate`` resolves the
-absolute constants the testers' guarantees leave unnamed by sweeping seeded
+uses seed0 + i), labels every instance from its operator's ``eigenvalues``,
+and emits one CSV row per trial plus a JSON summary.  ``calibrate`` resolves
+the absolute constants the testers' guarantees leave unnamed by sweeping seeded
 PSD instances against matched eps-far ones.  ``scaling_report`` bisects each
 tester's size knob for the minimal query budget reaching a target success
 rate and fits log-log slopes against 1/eps and d.  Both sweeps reach the
@@ -17,14 +16,11 @@ for byte.  Wall-clock timing is the one exception: the clock is injectable
 (determinism tests pin it to a constant) and defaults to real time.
 
 Every spectrum instance, in a trial or a sweep, is the diagonal matrix of
-its drawn spectrum, built by ``_instance``.  No rotation hides it: the
-testers see A only through Gaussian sketches, Gaussian descent directions
-and Gaussian Krylov starts, so their query and verdict distributions are the
-same on Q^T diag(lam) Q for every orthogonal Q (``tests/test_invariance.py``
-holds each tester to that).  The harness owns the labelling spectrum:
-``_instance`` hands each trial the eigenvalues its backing was built from,
-so no spectrum instance is eigendecomposed to be labelled, and the sweeps
-label nothing.
+its drawn spectrum, built by ``instance_operator`` on a diagonal backing.
+No rotation hides it: the testers see A only through Gaussian sketches,
+Gaussian descent directions and Gaussian Krylov starts, so their query and
+verdict distributions are the same on Q^T diag(lam) Q for every orthogonal
+Q (``tests/test_invariance.py`` holds each tester to that).
 """
 
 from __future__ import annotations
@@ -406,42 +402,26 @@ def family_spectrum(kind: str, d: int, eps: float, p: float,
     raise ConfigError(f"unknown instance kind {kind!r}")
 
 
-def _instance(desc: dict, eps: float, p: float,
-              seed: int) -> Tuple[SymmetricOperator, np.ndarray]:
-    """One trial's operator and its ascending eigenvalues.
-
-    The trial seed overrides any seed field; it draws the Wishart and spiked
-    matrices and every spectrum.  A spectrum lam is built as diag(lam),
-    exactly symmetric, and labelled by lam sorted, with no decomposition
-    (see the module docstring); the calibration and scaling sweeps build
-    theirs here too.  A Wishart or spiked backing is decomposed with
-    ``eigvalsh``.  The descriptor goes through ``_check_instance`` first,
-    so a bad one raises ConfigError.
-    """
+def instance_operator(desc: dict, eps: float, p: float,
+                      seed: int) -> SymmetricOperator:
+    """Fresh operator for one trial of any kind ``ExperimentConfig`` lists,
+    a spectrum lam as the diagonal backing lam (see the module docstring),
+    drawn from the trial seed, not any seed field; the sweeps build theirs
+    here too.  ConfigError on a bad descriptor (see ``_check_instance``)."""
     desc = _check_instance(desc)
     kind, d = desc["kind"], desc.get("dim")
     if kind == "wishart":
-        op = gen_wishart(d, seed)
-        return op, op.eigenvalues()
+        return gen_wishart(d, seed)
     if kind == "spiked":
-        op = gen_spiked_sym(d, float(desc["s"]), float(desc["shift"]), seed)
-        return op, op.eigenvalues()
+        return gen_spiked_sym(d, float(desc["s"]), float(desc["shift"]), seed)
     if kind == "rotated_diag":
-        lam = np.array(desc["eigenvalues"], dtype=float)
+        lam = desc["eigenvalues"]
     elif kind == "gap":
         depth = float(desc.get("depth", 0.5))
         lam = family_spectrum("far", d, depth * eps, p, seed)
     else:
         lam = family_spectrum(kind, d, eps, p, seed)
-    return SymmetricOperator(np.diag(lam), validate=False), np.sort(lam)
-
-
-def instance_operator(desc: dict, eps: float, p: float,
-                      seed: int) -> SymmetricOperator:
-    """Fresh operator for one trial of any kind ``ExperimentConfig`` lists;
-    see ``_instance``, which also returns the eigenvalues that label it (so
-    a Wishart or spiked operator comes back with its eigenvalues cached)."""
-    return _instance(desc, eps, p, seed)[0]
+    return SymmetricOperator(lam)
 
 
 # Relative slack at the two boundaries.  Drawn spectra are exact; only
@@ -454,9 +434,8 @@ _FAR_TOL = 1e-9    # slack for families built exactly on the far boundary
 def truth_label(eigs: np.ndarray, eps: float, p: float) -> Optional[bool]:
     """True for PSD, False for eps-far, None inside the promise gap.
 
-    ``eigs`` are the instance's eigenvalues in ascending order, as
-    ``_instance`` returns them: the drawn spectrum of a diagonal instance,
-    ``eigvalsh`` of any other backing.  The far test compares lambda_min
+    ``eigs`` are the instance's eigenvalues in ascending order, as its
+    operator's ``eigenvalues`` returns them.  The far test compares lambda_min
     with -eps ||A||_p, the Schatten p-norm of ``eigs``.  A hair of relative
     tolerance sits at both boundaries: a decomposed PSD construction (a
     Wishart product) lands at lambda_min ~ -1e-13 ||A||_2 in floating point,
@@ -522,17 +501,18 @@ def _spectrum_guarantee(values: Sequence[float], eigs: np.ndarray, k: int,
 
 
 def _spectrum_trial(cfg: ExperimentConfig, op: SymmetricOperator,
-                    eigs: np.ndarray, seed: int, k: int = 1) -> _TesterOutput:
+                    seed: int, k: int = 1) -> _TesterOutput:
     estimator = (top_eigs_signed_adaptive if cfg.tester == "spectrum_adaptive"
                  else top_eigs_signed)
     est = estimator(op, k, cfg.eps, rng=seed)
+    eigs = op.eigenvalues()
     radius = cfg.eps * float(np.sqrt((eigs ** 2).sum()))
     held, stat, signs_ok = _spectrum_guarantee(est.values, eigs, k, radius)
     return _TesterOutput(verdict=held, statistic=stat, witness=None,
                          declared=None, witness_valid=signs_ok)
 
 
-def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator, eigs: np.ndarray,
+def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator,
               seed: int) -> _TesterOutput:
     if cfg.tester == "oja_l1":
         v = oja_l1_tester(op, cfg.eps, OjaConfig.from_eps(
@@ -547,7 +527,7 @@ def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator, eigs: np.ndarray,
         v = _MV_TESTERS[cfg.tester](op, cfg.eps, cfg.p, rng=seed,
                                     **cfg.constants)
     else:
-        return _spectrum_trial(cfg, op, eigs, seed, **cfg.constants)
+        return _spectrum_trial(cfg, op, seed, **cfg.constants)
     return _TesterOutput(verdict=v.is_psd, statistic=v.statistic,
                          witness=v.witness, declared=v.queries_used,
                          witness_valid=None)
@@ -555,11 +535,11 @@ def _dispatch(cfg: ExperimentConfig, op: SymmetricOperator, eigs: np.ndarray,
 
 def _run_trial(cfg: ExperimentConfig, seed: int,
                clock: Callable[[], float]) -> TrialRecord:
-    op, eigs = _instance(cfg.instance, cfg.eps, cfg.p, seed)
-    truth = truth_label(eigs, cfg.eps, cfg.p)
+    op = instance_operator(cfg.instance, cfg.eps, cfg.p, seed)
+    truth = truth_label(op.eigenvalues(), cfg.eps, cfg.p)
     mv0, vmv0 = op.mv_queries, op.vmv_queries
     t0 = clock()
-    out = _dispatch(cfg, op, eigs, seed)
+    out = _dispatch(cfg, op, seed)
     wall = (clock() - t0) * 1000.0
     queries_mv = op.mv_queries - mv0
     queries_vmv = op.vmv_queries - vmv0
@@ -774,8 +754,7 @@ def _gamma_grid(kappa: float, n: int, seed0: int
         for i in range(n):
             seed = seed0 + 100_000 * ci + 2 * i
             kind = _PSD_KINDS[i % len(_PSD_KINDS)]
-            op = (gen_wishart(d, seed) if kind == "wishart" else
-                  instance_operator({"kind": kind, "dim": d}, eps, 2.0, seed))
+            op = instance_operator({"kind": kind, "dim": d}, eps, 2.0, seed)
             psd_g[i] = build_sketch(op, k, seed).gamma
             far_op = instance_operator({"kind": "far", "dim": d}, eps, 2.0,
                                        seed + 1)

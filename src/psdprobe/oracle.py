@@ -2,8 +2,8 @@
 
 The testers in this package never touch matrix entries directly.  They go
 through one counted operator class, ``SymmetricOperator``, which hides a
-dense symmetric matrix behind two query types.  Every query is charged
-through its one ``_charge`` method.  Scalar queries:
+symmetric matrix, held dense or as its diagonal, behind two query types.
+Every query is charged through its one ``_charge`` method.  Scalar queries:
 
   * mat_vec(v)      -> A @ v          (one ``mv`` query)
   * bilinear(x, y)  -> x^T A y        (one ``vmv`` query)
@@ -50,11 +50,9 @@ non-finite blocks; scalar queries and ``against`` pass non-finite values
 through, so a diverging caller sees its own non-finite values.
 
 Ground-truth helpers (``dense``, ``eigenvalues``) bypass the counters and
-are reserved for tests and for the experiment harness when it labels
-instances.  An operator holds its backing and nothing else; ``eigenvalues``
-decomposes it once with ``eigvalsh``.  The spectrum a backing was built
-from stays with the caller that drew it: the harness builds diag(lam) and
-labels it from the lam it drew, with no decomposition.
+are reserved for tests and for the experiment harness, which labels every
+instance from ``eigenvalues``: a diagonal backing's sorted entries, or
+``eigvalsh`` of a dense one.
 
 Generators build Wishart matrices and spiked asymmetric embeddings, which
 ``harness.instance_operator`` uses, and Haar-rotated diagonal spectra,
@@ -105,42 +103,47 @@ def rng_from(seed: SeedLike, *stream: int) -> np.random.Generator:
 
 
 class SymmetricOperator:
-    """A hidden dense symmetric matrix reachable only through counted queries.
+    """A hidden symmetric matrix reachable only through counted queries.
 
+    The backing is a square matrix, held dense (at most ``MAX_DENSE_DIM``
+    rows), or a vector lam, held as itself and standing for diag(lam).
     Every query, scalar or block, and every step charged on a direction
     handle is charged through ``_charge``, the one place the counters are
-    written.
+    written, and every answer is read from ``_product``, the one product
+    with the backing.
     Scalar queries check that their vectors have shape (dim,) and block
     queries that their blocks are (dim, n) and finite, both before any
-    charge.  A block query costs one BLAS-3 product with the backing matrix.
-    Operators are not thread-safe: the counters are plain integers, so use
-    one operator per tester and never share one between concurrent testers.
-
-    The operator knows only its backing: a caller that built the backing
-    from a spectrum keeps that spectrum itself.
+    charge.  Operators are not thread-safe: the counters are plain
+    integers, so use one operator per tester and never share one between
+    concurrent testers.
     """
 
-    def __init__(self, matrix: np.ndarray, *, validate: bool = True):
-        a = np.array(matrix, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"operator backing must be square, got {a.shape}")
-        if a.shape[0] > MAX_DENSE_DIM:
+    def __init__(self, backing: np.ndarray, *, validate: bool = True):
+        a = np.array(backing, dtype=float, copy=True)
+        if not (a.ndim == 1 or a.ndim == 2 and a.shape[0] == a.shape[1]):
+            raise ValueError(f"operator backing must be a vector or a square "
+                             f"matrix, got shape {a.shape}")
+        if a.shape[0] == 0:
+            raise ValueError("operator backing is empty (dim 0)")
+        if a.ndim == 2 and a.shape[0] > MAX_DENSE_DIM:
             raise ValueError(
                 f"dense backing capped at {MAX_DENSE_DIM}, got dim {a.shape[0]}")
         if not np.isfinite(a).all():
             raise ValueError("operator backing holds non-finite entries")
-        if validate:
+        if a.ndim == 2 and validate:
             scale = max(float(np.abs(a).max()), 1.0)
             asym = float(np.abs(a - a.T).max())
             if asym > 1e-9 * scale:
                 raise ValueError(f"backing not symmetric (max asym {asym:.3e})")
+        if a.ndim == 2:
+            # Exact symmetry from here on; generators may hand us tiny float
+            # skew.  Halving first keeps entries near the float maximum finite.
+            a *= 0.5
+            a = a + a.T
+        self._a = a
         self._dim = a.shape[0]
         self._mv = 0
         self._vmv = 0
-        # Exact symmetry from here on; generators may hand us tiny float skew.
-        # Halving before adding keeps entries near the float maximum finite.
-        a *= 0.5
-        self._a = a + a.T
         self._eigs: Optional[np.ndarray] = None
 
     @property
@@ -159,6 +162,20 @@ class SymmetricOperator:
         self._mv += mv
         self._vmv += vmv
 
+    def _product(self, v: np.ndarray, *, left: bool = False) -> np.ndarray:
+        """A v for a (dim,) vector or (dim, n) block v, or v^T A when ``left``.
+
+        A diagonal backing answers bit for bit as the dense diag(lam) does:
+        C-ordered, as a BLAS product is, so later products sum in the same
+        order, and +0.0 where lam_i v_i is zero, as a BLAS sum of zeros is.
+        """
+        if self._a.ndim == 2:
+            return v.T @ self._a if left else self._a @ v
+        lam = self._a if left or v.ndim == 1 else self._a[:, None]
+        out = np.multiply(v.T if left else v, lam, order="C")
+        out += 0.0  # -0.0 + 0.0 is +0.0; every other entry keeps its bits
+        return out
+
     def _vector(self, v, name: str) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self._dim,):
@@ -169,33 +186,33 @@ class SymmetricOperator:
         """One mv query: the full vector A @ v."""
         v = self._vector(v, "mat_vec")
         self._charge(1, 0)
-        return self._a @ v
+        return self._product(v)
 
     def bilinear(self, x: np.ndarray, y: np.ndarray) -> float:
         """One vmv query: the scalar x^T A y."""
         x = self._vector(x, "bilinear")
         y = self._vector(y, "bilinear")
         self._charge(0, 1)
-        return float(x @ (self._a @ y))
+        return float(x @ self._product(y))
 
     def quad_form(self, x: np.ndarray) -> float:
         """One vmv query: the scalar x^T A x."""
         x = self._vector(x, "quad_form")
         self._charge(0, 1)
-        return float(x @ (self._a @ x))
+        return float(x @ self._product(x))
 
     def mat_vecs(self, v) -> np.ndarray:
         """A V, one ``mv`` query per column of V."""
         v = _checked_block(v, self._dim, "mat_vecs")
         self._charge(v.shape[1], 0)
-        return self._a @ v
+        return self._product(v)
 
     def bilinear_block(self, x, y) -> np.ndarray:
         """X^T A Y, one ``vmv`` query per entry of the result."""
         x = _checked_block(x, self._dim, "bilinear_block")
         y = _checked_block(y, self._dim, "bilinear_block")
         self._charge(0, x.shape[1] * y.shape[1])
-        return x.T @ (self._a @ y)
+        return x.T @ self._product(y)
 
     def sym_block(self, g) -> np.ndarray:
         """G^T A G, one ``vmv`` query per entry on or above the diagonal.
@@ -206,7 +223,7 @@ class SymmetricOperator:
         g = _checked_block(g, self._dim, "sym_block")
         k = g.shape[1]
         self._charge(0, k * (k + 1) // 2)
-        upper = np.triu(g.T @ (self._a @ g))
+        upper = np.triu(g.T @ self._product(g))
         return upper + np.triu(upper, 1).T
 
     def quad_forms(self, x, y=None) -> np.ndarray:
@@ -220,7 +237,7 @@ class SymmetricOperator:
                 raise ValueError(f"quad_forms blocks differ in shape: "
                                  f"{x.shape} vs {y.shape}")
         self._charge(0, x.shape[1])
-        return np.einsum("ij,ij->j", x, self._a @ y)
+        return np.einsum("ij,ij->j", x, self._product(y))
 
     def compressed(self, g) -> "Compression":
         """Handle on B = G^T A G for a (dim, m) map G, or on A itself when G
@@ -230,13 +247,15 @@ class SymmetricOperator:
     # -- uncounted ground-truth access -------------------------------------
 
     def dense(self) -> np.ndarray:
-        """Copy of the hidden matrix.  Test and labeling use only."""
-        return self._a.copy()
+        """Copy of the hidden matrix (diag(lam) for a vector backing)."""
+        return np.diag(self._a) if self._a.ndim == 1 else self._a.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending ``eigvalsh`` of the backing (uncounted; cached, copied)."""
+        """Ascending eigenvalues: a diagonal backing's entries sorted, or
+        ``eigvalsh`` of a dense one (uncounted; cached, copied)."""
         if self._eigs is None:
-            self._eigs = np.linalg.eigvalsh(self._a)
+            self._eigs = (np.sort(self._a) if self._a.ndim == 1
+                          else np.linalg.eigvalsh(self._a))
         return self._eigs.copy()
 
     def __repr__(self) -> str:
@@ -285,7 +304,7 @@ class Compression:
     def form(self) -> None:
         """Form B, uncounted, unless it is formed already or m >= dim."""
         if self._b is None and self.dim < self.owner.dim:
-            b = self._g.T @ (self.owner._a @ self._g)
+            b = self._g.T @ self.owner._product(self._g)
             b *= 0.5
             self._b = b + b.T
 
@@ -304,8 +323,8 @@ class Compression:
         if self._b is not None:
             return DirectionBlock(self.owner, u.T @ self._b, u, None)
         images = self.lift(u)
-        return DirectionBlock(self.owner, images.T @ self.owner._a, images,
-                              self._g)
+        uta = self.owner._product(images, left=True)
+        return DirectionBlock(self.owner, uta, images, self._g)
 
 
 class DirectionBlock:

@@ -115,9 +115,9 @@ def test_spectrum_instances_are_the_exact_diagonal_of_their_spectrum(kind):
                                       eps / 2 if kind == "gap" else eps, p,
                                       seed)
         desc = {"kind": kind, "dim": d}
-    op, eigs = harness._instance(desc, eps, p, seed)
+    op = instance_operator(desc, eps, p, seed)
     assert op.dense().tobytes() == np.diag(lam).tobytes()
-    assert eigs.tobytes() == np.sort(lam).tobytes()
+    assert op.eigenvalues().tobytes() == np.sort(lam).tobytes()
     if kind == "rotated_diag":
         return
     # The calibration and scaling sweeps build the same bytes.
@@ -243,7 +243,8 @@ def test_carried_spectrum_labels_match_eigvalsh_of_the_backing(p):
         lam = far_spectrum(32, eps, p, rng_from(seed, 0x7E57))
         rotated = {"kind": "rotated_diag", "eigenvalues": list(lam)}
         for desc in _LABEL_KINDS + (rotated,):
-            op, eigs = harness._instance(desc, eps, p, seed)
+            op = instance_operator(desc, eps, p, seed)
+            eigs = op.eigenvalues()
             ref = np.linalg.eigvalsh(op.dense())
             np.testing.assert_allclose(
                 eigs, ref, rtol=0.0, atol=1e-9 * float(np.abs(ref).max()))
@@ -274,6 +275,57 @@ def test_spectrum_instances_are_never_eigendecomposed(monkeypatch):
         run_experiment(far_config(tester="krylov",
                                   instance={"kind": "wishart", "dim": 16},
                                   trials=1))
+
+
+def test_wishart_and_spiked_builds_run_no_decomposition(monkeypatch):
+    # Building an instance decomposes nothing; labelling a dense one does.
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    wishart = instance_operator({"kind": "wishart", "dim": 16}, 0.2, 1.0, 3)
+    spiked = instance_operator({"kind": "spiked", "dim": 8, "s": 3.0,
+                                "shift": 6.5}, 0.2, 1.0, 3)
+    assert (wishart.dim, spiked.dim) == (16, 16)
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        wishart.eigenvalues()
+
+
+# One cell per tester; the Oja cells descend on A (d16) and through a
+# Gaussian map G (d48), whose form B the accept runs build.
+_BACKING_CELLS = [
+    ("oja_l1", "far", 16, 0.3, 1.0, {}),
+    ("oja_l1", "far", 48, 0.3, 1.0, {}),
+    ("oja_l1", "random_psd", 48, 0.3, 1.0, {"amplification": 1}),
+    ("bilinear_sketch", "far", 16, 0.5, 2.0, {}),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, {}),
+    ("nonadaptive_l1", "far", 24, 0.3, 1.0, {}),
+    ("krylov", "far", 32, 0.2, 1.0, {}),
+    ("nonadaptive_mv", "random_psd", 32, 0.3, 2.0, {}),
+    ("spectrum", "far", 8, 0.5, 2.0, {"k": 1}),
+    ("spectrum_adaptive", "far", 8, 0.5, 2.0, {"k": 1}),
+]
+
+
+@pytest.mark.parametrize("cell", _BACKING_CELLS,
+                         ids=[f"{c[0]}-{c[1]}-d{c[2]}" for c in _BACKING_CELLS])
+def test_testers_answer_alike_on_the_diagonal_and_dense_backings(cell):
+    # The vector backing lam and the dense diag(lam) give every tester the
+    # same bytes: verdict, statistic, witness and queries, seed by seed.
+    tester, kind, d, eps, p, constants = cell
+    cfg = ExperimentConfig(tester=tester, instance={"kind": kind, "dim": d},
+                           eps=eps, p=p, constants=constants)
+    for seed in range(3):
+        diagonal = instance_operator(cfg.instance, eps, p, seed)
+        records = []
+        for op in (diagonal, SymmetricOperator(diagonal.dense())):
+            out = harness._dispatch(cfg, op, seed)
+            records.append((out.verdict, repr(out.statistic),
+                            None if out.witness is None
+                            else out.witness.tobytes(),
+                            out.declared, out.witness_valid,
+                            op.mv_queries, op.vmv_queries))
+        assert records[0] == records[1], seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Every tester reads a rotated spectrum as it reads the diagonal one.
 
-The harness builds each spectrum instance as diag(lam) and hides it under no
-rotation.  That is sound because the testers see A only through Gaussian
-sketches, Gaussian descent directions and Gaussian Krylov starts, so their
-query and verdict distributions are the same on Q^T diag(lam) Q for every
-orthogonal Q.  This file holds each tester to that: per seed, the diagonal
-instance comes from ``harness._instance`` and the rotated one hides the same
-lam under a Haar Q drawn from the seed; both run through
-``harness._dispatch`` with one tester seed.  Verdicts are compared with
+The harness builds each spectrum instance as diag(lam), held as its
+diagonal, and hides it under no rotation.  That is sound because the testers
+see A only through Gaussian sketches, Gaussian descent directions and
+Gaussian Krylov starts, so their query and verdict distributions are the
+same on Q^T diag(lam) Q for every orthogonal Q.  This file holds each tester
+to that: per seed, the diagonal instance comes from
+``harness.instance_operator`` on its diagonal backing, and the rotated one
+is a dense backing that hides the same lam under a Haar Q drawn from the
+seed; both run through ``harness._dispatch`` with one tester seed.  Verdicts are compared with
 Fisher's exact test, and queries and the statistic (where a tester sets it)
 with a two-sample Kolmogorov-Smirnov test, each at ``ALPHA``; the KS
 p-values are asymptotic, since the exact method can fail on tied query
@@ -54,13 +55,13 @@ def _trials(cfg, seeds):
     d = cfg.instance["dim"]
     sides = {"diagonal": [], "rotated": []}
     for seed in seeds:
-        op, eigs = harness._instance(cfg.instance, cfg.eps, cfg.p, seed)
+        op = harness.instance_operator(cfg.instance, cfg.eps, cfg.p, seed)
         lam = harness.family_spectrum(cfg.instance["kind"], d, cfg.eps,
                                       cfg.p, seed)
         rotated = gen_rotated_diag(SpectrumInstance(eigenvalues=lam,
                                                     rotation_seed=seed))
         for side, inst in (("diagonal", op), ("rotated", rotated)):
-            out = harness._dispatch(cfg, inst, eigs, seed)
+            out = harness._dispatch(cfg, inst, seed)
             sides[side].append((out.verdict, inst.mv_queries
                                 + inst.vmv_queries, out.statistic))
     return sides["diagonal"], sides["rotated"]

@@ -101,6 +101,11 @@ def test_operator_rejects_bad_backing():
                                rotation_seed=0)
     with pytest.raises(ValueError):
         gen_rotated_diag(too_big)
+    # Dim 0 is refused in both forms, with or without the symmetry check.
+    for empty in (np.zeros((0, 0)), np.zeros(0), []):
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="empty"):
+                SymmetricOperator(empty, validate=validate)
 
 
 def test_operator_rejects_non_finite_backing():
@@ -112,6 +117,18 @@ def test_operator_rejects_non_finite_backing():
         SymmetricOperator(backing)
     with pytest.raises(ValueError, match="non-finite"):
         SymmetricOperator(backing, validate=False)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymmetricOperator(np.array([1.0, value, 2.0]))
+
+
+def test_diagonal_backing_is_not_capped():
+    # The dense cap bounds d x d storage; a vector backing stores d floats.
+    lam = np.arange(MAX_DENSE_DIM + 1, dtype=float)
+    op = SymmetricOperator(lam)
+    assert op.dim == MAX_DENSE_DIM + 1
+    np.testing.assert_array_equal(op.mat_vec(np.ones(op.dim)), lam)
+    assert op.mv_queries == 1
 
 
 def test_backing_near_the_float_maximum_stays_finite():
@@ -248,6 +265,54 @@ def test_block_queries_match_the_scalar_loops_they_replace():
     loop = np.column_stack([op.mat_vec(c) for c in v.T])
     np.testing.assert_allclose(op.mat_vecs(v), loop, rtol=1e-12,
                                atol=1e-12 * np.abs(loop).max())
+
+
+def test_diagonal_backing_answers_bit_for_bit_like_diag_lam():
+    # A vector backing lam answers every query with the bytes and the
+    # memory order that the dense diag(lam) gives, for C- and F-ordered
+    # (transposed) blocks alike: its products are C-ordered, as BLAS
+    # products are, so the products that read them sum in the same order.
+    rng = rng_from(37)
+    d = 40
+    lam = rng.standard_normal(d)
+    lam[::7] = 0.0
+    ops = SymmetricOperator(lam), SymmetricOperator(np.diag(lam))
+    x, y = rng.standard_normal(d), rng.standard_normal(d)
+    g, h = rng.standard_normal((6, d)), rng.standard_normal((6, d))
+    queries = [lambda op: op.mat_vec(x), lambda op: op.bilinear(x, y),
+               lambda op: op.quad_form(x)]
+    for a, b in ((g.T, h.T), (np.ascontiguousarray(g.T), h.T),
+                 (np.ascontiguousarray(g.T), np.ascontiguousarray(h.T))):
+        queries += [lambda op, a=a: op.mat_vecs(a),
+                    lambda op, a=a, b=b: op.bilinear_block(a, b),
+                    lambda op, a=a, b=b: op.bilinear_block(b, a),
+                    lambda op, a=a: op.sym_block(a),
+                    lambda op, a=a: op.quad_forms(a),
+                    lambda op, a=a, b=b: op.quad_forms(a, b)]
+    for ask in queries:
+        got, want = (np.asarray(ask(op)) for op in ops)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+    # The descent's handles, on A (U F-ordered, as the descent draws it)
+    # and through a map G, before and after B is formed.
+    u = rng.standard_normal((5, d)).T
+    gmap = rng.standard_normal((d, 12))
+    um, ym = rng.standard_normal((5, 12)).T, rng.standard_normal(12)
+    reads = []
+    for op in ops:
+        read = []
+        for comp, uu, yy in ((op.compressed(None), u, y),
+                             (op.compressed(gmap), um, ym)):
+            for form in (False, True):
+                if form:
+                    comp.form()
+                handle = comp.directions(uu)
+                read += [handle.gram().tobytes(), handle.against(yy).tobytes()]
+            assert comp.formed == (comp.dim < d)
+        reads.append(read)
+    assert reads[0] == reads[1]
+    assert ((ops[0].mv_queries, ops[0].vmv_queries)
+            == (ops[1].mv_queries, ops[1].vmv_queries))
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,6 +489,13 @@ def test_uncounted_access_leaves_counters_alone():
     op.eigenvalues()[0] = 99.0
     np.testing.assert_array_equal(op.eigenvalues(), eigs)
     assert op.mv_queries == 0 and op.vmv_queries == 0
+    # A diagonal backing answers with its entries sorted, also a copy.
+    lam = np.array([2.0, -1.0, 0.5])
+    diagonal = SymmetricOperator(lam)
+    np.testing.assert_array_equal(diagonal.dense(), np.diag(lam))
+    diagonal.eigenvalues()[0] = 99.0
+    np.testing.assert_array_equal(diagonal.eigenvalues(), np.sort(lam))
+    assert diagonal.mv_queries == 0 and diagonal.vmv_queries == 0
 
 
 def test_rng_from_is_deterministic_and_stream_separated():
