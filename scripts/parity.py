@@ -56,9 +56,15 @@ CONFIGS = {
     "bilinear_sketch/far": _cfg("bilinear_sketch", _dim("far"), 0.5, 2.0),
     "bilinear_sketch/wishart": _cfg("bilinear_sketch", _dim("wishart"), 0.5,
                                     2.0),
+    # k = 664 at eps 0.5: past d the sketch is simulated through its d x d
+    # Bartlett factor, and past d + 65 so are the null rows of each block.
     "adaptive_l2/random_psd": _cfg("adaptive_l2", _dim("random_psd"), 0.5,
                                    2.0),
     "adaptive_l2/far": _cfg("adaptive_l2", _dim("far"), 0.5, 2.0),
+    # k = 116 at eps 0.9: 52 null dimensions, whose block rows are plain
+    # Gaussians, at d = 64; an explicit G at d = 128.
+    "adaptive_l2/far_d64": _cfg("adaptive_l2", _dim("far", 64), 0.9, 2.0),
+    "adaptive_l2/far_d128": _cfg("adaptive_l2", _dim("far", 128), 0.9, 2.0),
     "nonadaptive_l1/random_psd": _cfg("nonadaptive_l1", _dim("random_psd", 24),
                                       0.3, 1.0),
     "nonadaptive_l1/hard_l1": _cfg("nonadaptive_l1", _dim("hard_l1", 24), 0.3,
@@ -67,6 +73,10 @@ CONFIGS = {
                                trials=4),
     "krylov/identity": _cfg("krylov", _dim("identity", 32), 0.2, 2.0),
     "krylov/hard_l1": _cfg("krylov", _dim("hard_l1", 32), 0.2, 1.0),
+    # The degree is capped at k = d - 1, so each accepted build spans R^d
+    # and the first one decides.
+    "krylov/random_psd_spanning": _cfg("krylov", _dim("random_psd"), 0.2,
+                                       2.0),
     "krylov/far_pinf": _cfg("krylov", _dim("far", 32), 0.2, float("inf")),
     "krylov/rotated_diag": _cfg("krylov", {"kind": "rotated_diag",
                                            "eigenvalues": [2.0, -1.0, 0.5, 3]},

@@ -58,9 +58,11 @@ OJA_MARGIN = 1e-12        # relative f threshold before the confirming query
 OJA_BLOWUP = 1e120        # abandon a step-size scale once ||x||^2 passes this
 
 # --- memory guard of the sketch testers -----------------------------------
-# bilinear_sketch holds G (d x k) and G^T A G (k x k), adaptive_l2 its G
-# (d x k), all float64; a sketch past this many bytes is refused before any
-# query.  The largest one benched, adaptive_l2 at d=256 and eps 0.3, is 5.4 MB.
+# bilinear_sketch holds G (d x k) and G^T A G (k x k), all float64, and a
+# sketch past this many bytes is refused before any query.  adaptive_l2 is
+# refused at the same d x k G, although past k = d it holds only a d x d
+# factor of it (2637 x 256 at eps 0.3 would be 5.4 MB; it holds 0.5 MB):
+# its run length grows with k, so the cap bounds that too.
 SKETCH_MAX_BYTES = 2 ** 30
 
 # --- bilinear sketch (two-sided l2 tester) --------------------------------

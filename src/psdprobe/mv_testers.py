@@ -117,9 +117,11 @@ def krylov_tester(op, eps: float, p: float, *,
     eigenvalue of the projected matrix T; a PSD input keeps T PSD
     (congruence), so rejection needs ``_lowest(T)`` to put it below the
     floor, relative to ||T||_F, and one direct confirming quad-form query
-    at basis v, which becomes the witness.  A is read only through counted
-    queries; A = 0 gives T = 0, floor 0 and an accept.  Eps and p are
-    checked before any query.
+    at basis v, which becomes the witness.  A repetition that does not
+    reject with a basis of d columns ends the accept: that space is all of
+    R^d, so T holds A's exact spectrum, and any further build would find
+    the same one.  A is read only through counted queries; A = 0 gives
+    T = 0, floor 0 and an accept.  Eps and p are checked before any query.
     """
     repeats = defaults.KRYLOV_REPEATS if repeats is None else repeats
     gen = rng_from(rng, 0x4B70)
@@ -134,6 +136,8 @@ def krylov_tester(op, eps: float, p: float, *,
             cand = space.basis @ v
             if op.quad_form(cand) < 0.0:
                 return False, cand, lam
+        if space.basis.shape[1] == op.dim:
+            break
     return True, None, lam_seen
 
 

@@ -29,8 +29,10 @@ run reads its first drawn block on A at images G u, in growing chunks,
 unless the handle already holds B; every later block is one handle, from
 B once the handle forms it, which it does only when G narrows A.  So runs
 that stop in their first block, as rejections usually do, never form B,
-and ``adaptive_l2_tester``, whose k exceeds d, never does.
-``oja_l1_tester`` shares the handle across the runs of a repetition.
+and neither does ``adaptive_l2_tester`` once its k passes d: it then
+simulates G = L Q through the square d x d Bartlett factor L (see
+``_descend``).  ``oja_l1_tester`` shares the handle across the runs of a
+repetition.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class Verdict:
     their other outcomes; for nonadaptive_l1 and nonadaptive_mv, lambda_min of the last
     repetition's G^T A G (the rejecting one on a rejection); for krylov,
     lambda_min of the rejecting repetition's projected matrix, or on an
-    accept the minimum of lambda_min over all repetitions.
+    accept the minimum of lambda_min over the repetitions it ran.
     """
 
     is_psd: bool
@@ -195,8 +197,8 @@ _LOWER.flags.writeable = False
 
 
 def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
-             up: float, affine: Optional[Tuple[float, float, float]] = None
-             ) -> Optional[Tuple[np.ndarray, float]]:
+             up: float, affine: Optional[Tuple[float, float, float]] = None,
+             null: int = 0) -> Optional[Tuple[np.ndarray, float]]:
     """One Oja descent run x <- x - eta (u^T B x) u on the form x^T B x.
 
     B is the form of ``comp``, a ``compressed`` handle on the operator A
@@ -207,6 +209,17 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     and every query is charged to A.  Directions u are standard Gaussian,
     drawn after x in blocks of at most 64 rows, and no further block is
     drawn once the run stops.
+
+    ``null = D > 0`` runs the descent of a d x (d + D) Gaussian G = L Q on
+    the handle of its d x d Bartlett factor L, Q being Haar with
+    orthonormal rows and independent of L (Muirhead, Aspects of
+    Multivariate Statistical Theory, Thm 3.2.14).  Every value the run
+    reads depends on Q x, Q u and the parts of x and u in Q's null space
+    only through their dot products, so x is kept as [Q x, |x_perp|] and
+    each block's directions as ``_draw_rows`` draws them, which is exact
+    in distribution.  Within a block x carries the block's null
+    coordinates, and after it only |x_perp| is kept, since the next
+    block's null parts are drawn afresh from a rotation-invariant law.
 
     A drawn block is fixed before any of its answers is read, so the steps
     along one direction handle (see ``_read_blocks``) are computed together
@@ -221,10 +234,13 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     steps or when the run blows up (the step size is far too large for the
     scale ``up``).
     """
-    x = gen.standard_normal(comp.dim)
+    d = comp.dim
+    x = gen.standard_normal(d)
+    if null:
+        x = np.append(x, math.sqrt(gen.chisquare(null)))
 
     def direct() -> Tuple[np.ndarray, float]:
-        xi = comp.lift(x)
+        xi = comp.lift(x[:d])
         raw = comp.owner.quad_form(xi)
         return xi, (raw if affine is None
                     else _shifted(affine, raw, float(x @ x)))
@@ -237,13 +253,15 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     # non-finite value, so the warnings would only repeat them.
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0:
-            us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
+            us = _draw_rows(gen, min(_DRAW_BATCH, left), d, null)
             first = left == iters
             left -= len(us)
+            if null:  # x = [Q x, |x_perp|] takes the block's null axes
+                x = np.concatenate([x, np.zeros(us.shape[1] - x.size)])
             for block, rows in _read_blocks(comp, us, first):
                 x0 = x
-                e, drops, go_norm, limit = _sweep(block, rows, x0, eta, up,
-                                                  affine)
+                e, drops, go_norm, limit = _sweep(block, rows, x0, d, eta,
+                                                  up, affine)
                 lo = 0  # first step not yet taken
                 while lo < len(e):
                     drops[lo] = f  # step lo - 1's drop is spent
@@ -266,7 +284,39 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
                         return xi, confirmed
                     f = confirmed  # maintained value had drifted; resynchronize
                 x = x0 - e @ rows
+            if null:
+                x = np.append(x[:d], np.linalg.norm(x[d:]))
     return None
+
+
+def _bartlett(gen: np.random.Generator, n: int, df: int) -> np.ndarray:
+    """The n x n Bartlett factor T of a Wishart_n(df, I) draw T T^T, for
+    df >= n: lower triangular, T_jj = sqrt(chi^2_{df - j}) for j = 0..n-1,
+    and N(0, 1) entries below the diagonal."""
+    t = np.zeros((n, n))
+    t[np.tri(n, k=-1, dtype=bool)] = gen.standard_normal(n * (n - 1) // 2)
+    t.flat[::n + 1] = np.sqrt(gen.chisquare(df - np.arange(n)))
+    return t
+
+
+def _draw_rows(gen: np.random.Generator, n: int, d: int,
+               null: int) -> np.ndarray:
+    """One drawn block of ``_descend``: n directions as the rows [a | z | T].
+
+    a ~ N(0, I_d) is each direction's Q u, the only part the handle sees.
+    With ``null = D > 0``, z ~ N(0, 1) is its part along x_perp at the
+    block's start and T stands for its other D - 1 null coordinates: only
+    their dot products are ever read, and those of an n x (D - 1) Gaussian
+    are those of its n x n Bartlett factor, so T is that factor once
+    D - 1 > n, and the plain Gaussian otherwise.
+    """
+    a = gen.standard_normal((n, d))
+    if not null:
+        return a
+    z = gen.standard_normal((n, 1))
+    t = (gen.standard_normal((n, null - 1)) if null - 1 <= n
+         else _bartlett(gen, n, null - 1))
+    return np.hstack([a, z, t])
 
 
 def _shifted(affine: Tuple[float, float, float], raw, dot):
@@ -294,18 +344,21 @@ def _read_blocks(comp, us, first):
         edges = (0, len(us))
     for lo, hi in zip(edges, edges[1:]):
         if lo < len(us):
-            yield comp.directions(us[lo:hi].T), us[lo:hi]
+            yield comp.directions(us[lo:hi, :comp.dim].T), us[lo:hi]
 
 
-def _sweep(block, rows: np.ndarray, x: np.ndarray, eta: float, up: float,
-           affine) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sweep(block, rows: np.ndarray, x: np.ndarray, d: int, eta: float,
+           up: float, affine
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every step along one handle at once, before any stop test.
 
     With u_j the rows and x_0 = x, step j reads t_j = m_jj and
     s_j = c_j - eta sum_{i<j} m_ji s_i, where m = U^T B U and c = U^T B x
     come from the handle, after the affine map when there is one (its dots
     are P = U U^T and q = U x, since u_j . x_{j-1} = q_j - eta
-    sum_{i<j} p_ji s_i).  So s solves the unit lower-triangular
+    sum_{i<j} p_ji s_i).  The handle sees the first d coordinates of the
+    rows and of x; the rest, ``_descend``'s null coordinates, enter only
+    the dots.  So s solves the unit lower-triangular
     (I + eta tril(m, -1)) s = c.  The drop of f at step j is
     eta s_j^2 (2 - eta t_j), and
     |x_j|^2 = |x_{j-1}|^2 - eta s_j (2 u_j . x_{j-1} - eta s_j p_jj).
@@ -317,7 +370,7 @@ def _sweep(block, rows: np.ndarray, x: np.ndarray, eta: float, up: float,
     their values are meaningless, and the caller silences the warnings.
     """
     m = block.gram()
-    c = block.against(x)
+    c = block.against(x[:d])
     dots = rows @ rows.T
     q = rows @ x
     if affine is not None:
@@ -539,8 +592,15 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     trace is (C_far - 1) k by construction, so the descent runs at a single
     analytic step-size scale, with no norm probe.  A negative value found
     in the shifted space proves nothing about A, so that rejection carries
-    no witness.  An eps whose d x k G would pass
-    ``defaults.SKETCH_MAX_BYTES`` raises ValueError before any query.
+    no witness.
+
+    Past k = d the sketch is simulated in d dimensions: the handle is
+    built on the d x d Bartlett factor L of G G^T ~ Wishart_d(k, I), drawn
+    in place of G, and ``_descend`` keeps the k - d null dimensions of
+    G = L Q as one norm; at k <= d G is drawn as it stands.  An eps whose
+    d x k G would pass ``defaults.SKETCH_MAX_BYTES`` raises ValueError
+    before any query, simulated or not: the cap also bounds the run
+    length, which grows with k.
     """
     if c_psd is None:
         c_psd = defaults.C_PSD
@@ -560,15 +620,17 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
         return True, None, None
 
     c_far = c_far_curve(k, eps)
-    comp = op.compressed(gen.standard_normal((op.dim, k)))
+    null = max(0, k - op.dim)
+    comp = op.compressed(_bartlett(gen, op.dim, k) if null
+                         else gen.standard_normal((op.dim, k)))
     # The shifted sketch (G^T A G - alpha I) / (beta sqrt(k) ln k)
     # + (C_far - 1) I has trace (C_far - 1) k, which sets the one step size.
     affine = (alpha, beta * math.sqrt(k) * math.log(max(k, 2)), c_far - 1.0)
     trace_gamma = (c_far - 1.0) * k
     eta = defaults.GAMMA_ETA_C / trace_gamma
     n_iters = math.ceil(defaults.GAMMA_GROWTH_LOG / eta)
-    is_psd = all(_descend(comp, eta, n_iters, gen, trace_gamma, affine) is None
-                 for _ in range(defaults.GAMMA_AMP))
+    is_psd = all(_descend(comp, eta, n_iters, gen, trace_gamma, affine, null)
+                 is None for _ in range(defaults.GAMMA_AMP))
     return is_psd, None, None
 
 

@@ -19,28 +19,33 @@ from typing import Optional, Tuple
 import numpy as np
 
 from psdprobe import defaults
-from psdprobe.vmv_testers import _DRAW_BATCH, _read_blocks
+from psdprobe.vmv_testers import _DRAW_BATCH, _draw_rows, _read_blocks
 
 
 def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
                        up: float,
-                       affine: Optional[Tuple[float, float, float]] = None
-                       ) -> Optional[Tuple[np.ndarray, float]]:
+                       affine: Optional[Tuple[float, float, float]] = None,
+                       null: int = 0) -> Optional[Tuple[np.ndarray, float]]:
     """``_descend`` with its steps read and taken one at a time.
 
     Each step charges its two reads on the handle and computes them from
     the dense matrices: from B = G^T A G, formed as ``Compression`` forms
     it, once the handle holds B, and on A at the images G u and G x before.
+    With ``null`` > 0 it keeps x and the rows in ``_descend``'s simulated
+    coordinates, [Q x, null part], and reads B through the first d.
     """
     op = comp.owner
-    x = gen.standard_normal(comp.dim)
+    d = comp.dim
+    x = gen.standard_normal(d)
+    if null:
+        x = np.append(x, math.sqrt(gen.chisquare(null)))
 
     def shifted(raw: float, dot: float) -> float:
         alpha, denom, shift = affine
         return (raw - alpha * dot) / denom + shift * dot
 
     def direct():
-        xi = comp.lift(x)
+        xi = comp.lift(x[:d])
         raw = op.quad_form(xi)
         return xi, raw if affine is None else shifted(raw, float(x @ x))
 
@@ -54,9 +59,11 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
     b = b + b.T
     left = iters
     while left > 0:
-        us = gen.standard_normal((min(_DRAW_BATCH, left), x.size))
+        us = _draw_rows(gen, min(_DRAW_BATCH, left), d, null)
         first = left == iters
         left -= len(us)
+        if null:
+            x = np.concatenate([x, np.zeros(us.shape[1] - x.size)])
         for block, rows in _read_blocks(comp, us, first):
             for u in rows:
                 block.charge_steps(1)
@@ -64,9 +71,9 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
                     bu = b @ u
                     t, s = float(u @ bu), float(bu @ x)
                 else:
-                    w = comp.lift(u)
+                    w = comp.lift(u[:d])
                     aw = a @ w
-                    t, s = float(w @ aw), float(aw @ comp.lift(x))
+                    t, s = float(w @ aw), float(aw @ comp.lift(x[:d]))
                 if affine is not None:
                     t = shifted(t, float(u @ u))
                     s = shifted(s, float(u @ x))
@@ -80,6 +87,8 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
                     if confirmed < 0.0:
                         return xi, confirmed
                     f = confirmed  # maintained value had drifted
+        if null:
+            x = np.append(x[:d], np.linalg.norm(x[d:]))
     return None
 
 

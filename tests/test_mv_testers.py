@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from krylov_certificate import deflation_poly_certificate
+from psdprobe import defaults
 from psdprobe.harness import instance_operator
 from psdprobe.mv_testers import (
     KrylovSpace,
@@ -22,6 +23,7 @@ from psdprobe.oracle import (
     gen_wishart,
     rng_from,
 )
+from psdprobe.vmv_testers import _lowest
 
 
 def far_op_l1(d, depth, rot_seed):
@@ -171,6 +173,51 @@ def test_krylov_verdict_and_queries_do_not_move_with_the_scale(kind, accepts):
     for c in (1e-150, 1e150):
         assert runs[c][:2] == runs[1.0][:2]
         assert runs[c][2] == pytest.approx(runs[1.0][2], rel=1e-9)
+
+
+def _krylov_every_repetition(op, eps, p, rng):
+    """``krylov_tester``'s verdict with every repetition built, as before a
+    spanning accept ended the loop; its queries are charged to op."""
+    gen = rng_from(rng, 0x4B70)
+    k = min(krylov_degree(eps, p, op.dim), op.dim - 1)
+    for _ in range(defaults.KRYLOV_REPEATS):
+        space = build_krylov(op, k, gen)
+        v = _lowest(space.projected)[1]
+        if v is not None and op.quad_form(space.basis @ v) < 0.0:
+            return False
+    return True
+
+
+# (kind, d, eps, p, seeds): every cell caps the degree at k = d - 1.  A
+# build from a generic start then spans R^d, except on identity and
+# hard_l1, whose spaces are invariant early and keep every repetition.
+SPANNING_CELLS = [
+    ("random_psd", 16, 0.2, 2.0, range(80)),
+    ("far", 16, 0.2, 2.0, range(80)),
+    ("hard_l1", 8, 0.2, 1.0, range(60)),
+    ("identity", 16, 0.2, 2.0, range(40)),
+    ("random_psd", 48, 0.05, 2.0, range(40)),
+]
+
+
+def test_krylov_stops_once_an_accepted_space_spans_the_dimension():
+    # 300 trials: the verdict is the one every repetition would give, no
+    # trial asks more queries, and a spanning accept asks d mv where five
+    # builds asked 5 d (random_psd d48, eps 0.05, p = 2: 48 against 240).
+    saved = 0
+    for kind, d, eps, p, seeds in SPANNING_CELLS:
+        assert krylov_degree(eps, p, d) >= d - 1
+        for seed in seeds:
+            a = instance_operator({"kind": kind, "dim": d}, eps, p, seed).dense()
+            op, ref = SymmetricOperator(a), SymmetricOperator(a)
+            v = krylov_tester(op, eps, p, rng=seed)
+            assert v.is_psd == _krylov_every_repetition(ref, eps, p, seed)
+            ref_queries = ref.mv_queries + ref.vmv_queries
+            assert v.queries_used <= ref_queries, (kind, d, seed)
+            saved += v.queries_used < ref_queries
+            if v.is_psd and kind == "random_psd":
+                assert (op.mv_queries, ref.mv_queries) == (d, 5 * d)
+    assert saved >= 100
 
 
 def test_krylov_tester_validates():

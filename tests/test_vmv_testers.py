@@ -206,8 +206,8 @@ def record_steps(monkeypatch):
     the handle, for its log; they come back as eta s_j, divided here."""
     sweep = vmv_testers._sweep
 
-    def recording(block, rows, x, eta, up, affine):
-        out = sweep(block, rows, x, eta, up, affine)
+    def recording(block, rows, x, d, eta, up, affine):
+        out = sweep(block, rows, x, d, eta, up, affine)
         block.s = out[0] / eta
         return out
 
@@ -553,7 +553,7 @@ def test_descend_resynchronizes_after_drift_and_keeps_running():
         assert op.vmv_queries == 1 + 2 * 150 + 1
 
 
-# (tester, kind, dim, eps, p, seeds, OjaConfig overrides): 207 seeded trials.
+# (tester, kind, dim, eps, p, seeds, OjaConfig overrides): 231 seeded trials.
 # In the d16 random_psd accepts, 11 of the 90 runs blow up inside a handle
 # at their large step sizes; the rejections stop at the start query,
 # inside the first chunk or a few chunks in.
@@ -567,6 +567,12 @@ PARITY_TRIALS = [
     ("oja_l1", "far", 48, 0.3, 1.0, range(40), {}),
     ("adaptive_l2", "random_psd", 16, 0.5, 2.0, range(6), {}),
     ("adaptive_l2", "far", 16, 0.5, 2.0, range(40), {}),
+    # k = 116: 52 null dimensions, plain Gaussian null rows, at d64 (9 of
+    # the far trials reach the descent, the rest reject on a probe); an
+    # explicit G, read on the formed B after the first block, at d128.
+    ("adaptive_l2", "far", 64, 0.9, 2.0, range(20), {}),
+    ("adaptive_l2", "random_psd", 64, 0.9, 2.0, range(2), {}),
+    ("adaptive_l2", "random_psd", 128, 0.9, 2.0, range(2), {}),
 ]
 
 
@@ -734,11 +740,16 @@ def test_oja_forms_b_once_per_repetition_and_adaptive_l2_never():
 # steps moved to A.U products, again when each handle's steps came to be
 # solved together, and again (eight of them) when every handle's steps came
 # to be solved alike and the witness to be G x, all of which round
-# differently.  Covers
+# differently.  The six adaptive_l2 descent rejections at d16 and d32 (k =
+# 664) were re-recorded when its sketch past k = d came to be simulated in
+# d dimensions, which draws other numbers; its two probe rejections did
+# not move.  Covers
 # Oja without reduction (far d24), with reduction (far d48, cluster_l1 d128),
 # an Oja accept whose large step sizes blow up and leave draws unused
-# (random_psd d16), and the adaptive l2 descent (far d16, d32).  The hashes
-# pin float bit patterns, so they hold for one numpy/BLAS build.
+# (random_psd d16), the adaptive l2 descent past k = d (far d16, d32) and
+# with an explicit G at k = 116 <= d (d128 at eps 0.9, recorded before the
+# simulation and unmoved by it).  The hashes pin float bit patterns, so
+# they hold for one numpy/BLAS build.
 BYTE_TABLE = [
     ("oja_l1", "far", 24, 0.3, 1.0, 5, (False, 36, "-0x1.4b36e01e68080p+23", "348a686b8273317939e74f79c86835f6f6a217e6")),
     ("oja_l1", "far", 24, 0.3, 1.0, 6, (False, 34, "-0x1.39152d1368292p+39", "663a44b368ee5bfd7aa09d186c0f6910c388ad70")),
@@ -756,14 +767,16 @@ BYTE_TABLE = [
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 6, (True, 51594, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 7, (True, 51684, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 8, (True, 51546, None, None)),
-    ("adaptive_l2", "far", 16, 0.5, 2.0, 5, (False, 1548, None, None)),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 5, (False, 1166, None, None)),
     ("adaptive_l2", "far", 16, 0.5, 2.0, 6, (False, 1, "-0x1.3ec808a9a6d2cp+1", "cf35e6e3ebb2c5b74e1660893074e4b40a7ae98b")),
-    ("adaptive_l2", "far", 16, 0.5, 2.0, 7, (False, 1212, None, None)),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 7, (False, 1224, None, None)),
     ("adaptive_l2", "far", 16, 0.5, 2.0, 8, (False, 2, "-0x1.00ae0870ca6dap+4", "5ff01d114a56c0edb49ac5ea3d05ce9317b77174")),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 5, (False, 1180, None, None)),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 6, (False, 1302, None, None)),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 7, (False, 1294, None, None)),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 8, (False, 1460, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 5, (False, 1214, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 6, (False, 1404, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 7, (False, 1200, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 8, (False, 1144, None, None)),
+    ("adaptive_l2", "random_psd", 128, 0.9, 2.0, 5, (True, 1465, None, None)),
+    ("adaptive_l2", "far", 128, 0.9, 2.0, 5, (False, 794, None, None)),
 ]
 
 
