@@ -44,8 +44,8 @@ CONFIGS = {
                               amplification=2),
     "oja_l1/far": _cfg("oja_l1", _dim("far"), 0.3, 1.0),
     "oja_l1/cluster_l1": _cfg("oja_l1", _dim("cluster_l1"), 0.3, 1.0),
-    # At d > ceil(8 / eps) = 27 the descent runs through a Gaussian map G:
-    # first blocks on A at images G u, later blocks on the formed B.
+    # At d > ceil(8 / eps) = 27 the descent runs through a Gaussian map G,
+    # every block read from B = G^T A G, formed when the handle is built.
     "oja_l1/random_psd_d48": _cfg("oja_l1", _dim("random_psd", 48), 0.3, 1.0,
                                   amplification=1),
     "oja_l1/far_d48": _cfg("oja_l1", _dim("far", 48), 0.3, 1.0),

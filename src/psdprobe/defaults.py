@@ -61,8 +61,9 @@ OJA_BLOWUP = 1e120        # abandon a step-size scale once ||x||^2 passes this
 # bilinear_sketch holds G (d x k) and G^T A G (k x k), all float64, and a
 # sketch past this many bytes is refused before any query.  adaptive_l2 is
 # refused at the same d x k G, although past k = d it holds only a d x d
-# factor of it (2637 x 256 at eps 0.3 would be 5.4 MB; it holds 0.5 MB):
-# its run length grows with k, so the cap bounds that too.
+# factor L of it and its d x d form L^T A L (2637 x 256 at eps 0.3 would be
+# 5.4 MB; it holds 1 MB): its run length grows with k, so the cap bounds
+# that too.
 SKETCH_MAX_BYTES = 2 ** 30
 
 # --- bilinear sketch (two-sided l2 tester) --------------------------------

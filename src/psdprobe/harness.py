@@ -1094,9 +1094,8 @@ def scaling_report(tester: str, p: float, eps_list: Sequence[float],
     Per cell, the tester's size knob (Oja iterations, sketch columns, Krylov
     degree, matvec columns) is bisected for the smallest value whose reject
     rate on freshly drawn far instances reaches ``_TARGET``; the reported
-    budget is the measured oracle query count at that knob.  The instances
-    are the hard trace-norm family for the l1 testers and the Frobenius
-    boundary family for nonadaptive_mv (see the spectrum builders above).
+    budget is the measured oracle query count at that knob.  Each tester's
+    instance family is its entry in ``_SCALING_FAMILY``.
 
     Two slope fits come back: ``slopes`` on the measured query counts and
     ``size_slopes`` on the resolved knob itself.  Each trial carries a small

@@ -102,7 +102,7 @@ def krylov_degree(eps: float, p: float, d: int,
                   kappa: Optional[float] = None) -> int:
     """Krylov degree k = ceil(``unrounded_krylov_degree``), at least 1."""
     _check_eps(eps)
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     return max(1, math.ceil(unrounded_krylov_degree(eps, p, d, kappa)))
 
@@ -157,7 +157,7 @@ def nonadaptive_mv_tester(op, eps: float, p: float, *,
     the verdict comes from the smallest eigenvalue of GᵀAG against the same
     rejection floor as the vmv variant (``_lowest``), with witness G v.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
 
     def read(g: np.ndarray) -> np.ndarray:

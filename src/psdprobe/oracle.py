@@ -28,15 +28,13 @@ start y along u_1 .. u_{j-1} only; so every answer of every step is a
 linear function of the products below, and the descent solves its steps
 from them:
 
-  * compressed(G)          -> a handle on B (no charge; G, when given, is
+  * compressed(G)          -> a handle on B, formed once, uncounted, when
+                              the handle is built (G, when given, is
                               checked like any block and copied)
-  * comp.form()            -> forms B once, uncounted, when m < dim; a
-                              no-op otherwise, so B is never larger than A
   * comp.lift(x)           -> G x, the vector of A's space x stands for
                               (x itself when G is None)
   * comp.directions(U)     -> a handle on the columns u_j of an (m, n) U
-                              (no charge; the simulator forms U^T B from B
-                              once it is formed, (G U)^T A before)
+                              (no charge; it holds U^T B)
   * handle.gram()          -> U^T B U                  (no charge)
   * handle.against(y)      -> U^T B y                  (no charge)
   * handle.charge_steps(k) -> charges A the two ``vmv`` queries
@@ -279,32 +277,22 @@ class Compression:
 
     Built by ``SymmetricOperator.compressed``, which checks G like any
     block and keeps its own copy, so mutating G later changes no answer;
-    G None means A itself, with m = dim.  ``form`` forms B once, uncounted,
-    and symmetrizes it the way the backing is, but only when m < dim: B is
-    then smaller than A.  Until it is formed, a direction handle on U reads
-    its products on A at the images G U.  Building the handle and forming
-    B charge nothing.  G is fixed before any answer is read and B depends
-    on nothing else, so forming it reveals nothing a reader could not get
-    from the same reads asked on A at images under G, and every step is
-    charged to A as those queries.
+    G None means A itself, with m = dim.  With G, building the handle forms
+    B once, uncounted, and symmetrizes it the way the backing is, so no
+    later read asks A for a product.  G is fixed before any answer is read
+    and B depends on nothing else, so forming it reveals nothing a reader
+    could not get from the same reads asked on A at images under G, and
+    every step is charged to A as those queries.
     """
 
     def __init__(self, owner: SymmetricOperator, g):
         self.owner = owner
-        self._g = (None if g is None
-                   else np.array(_checked_block(g, owner.dim, "compressed")))
-        self.dim = owner.dim if g is None else self._g.shape[1]
-        self._b: Optional[np.ndarray] = None
-
-    @property
-    def formed(self) -> bool:
-        """Whether B has been formed (by an earlier ``form`` call)."""
-        return self._b is not None
-
-    def form(self) -> None:
-        """Form B, uncounted, unless it is formed already or m >= dim."""
-        if self._b is None and self.dim < self.owner.dim:
-            b = self._g.T @ self.owner._product(self._g)
+        self._g = self._b = None
+        self.dim = owner.dim
+        if g is not None:
+            self._g = np.array(_checked_block(g, owner.dim, "compressed"))
+            self.dim = self._g.shape[1]
+            b = self._g.T @ owner._product(self._g)
             b *= 0.5
             self._b = b + b.T
 
@@ -320,49 +308,42 @@ class Compression:
         handle costs A two ``vmv``.
         """
         u = _checked_block(u, self.dim, "directions")
-        if self._b is not None:
-            return DirectionBlock(self.owner, u.T @ self._b, u, None)
-        images = self.lift(u)
-        uta = self.owner._product(images, left=True)
-        return DirectionBlock(self.owner, uta, images, self._g)
+        utb = (self.owner._product(u, left=True) if self._b is None
+               else u.T @ self._b)
+        return DirectionBlock(self.owner, utb, u)
 
 
 class DirectionBlock:
     """Fixed directions u_j of B's space, for one descent sweep.
 
-    Built by ``Compression.directions`` from ``uta``, the rows w_j^T M of
-    the images w_j of the u_j (w_j = u_j and M = B once B is formed,
-    w_j = G u_j and M = A before), and ``g``, the G that maps B's space to
-    M's (None when M is B).  ``gram`` and ``against`` hand the descent the
-    products it solves its steps from, uncounted; the descent pays for the
-    steps it takes through ``charge_steps``, two ``vmv`` per step, and never
-    for more steps than the handle has directions.  ``against`` checks that
-    y is an array of B's dimension; it leaves y's finiteness unchecked, so
-    a diverging descent sees its own non-finite values.  The handle keeps
-    no reference to U, so mutating U later changes no answer.
+    Built by ``Compression.directions`` from ``utb``, the rows u_j^T B.
+    ``gram`` and ``against`` hand the descent the products it solves its
+    steps from, uncounted; the descent pays for the steps it takes through
+    ``charge_steps``, two ``vmv`` per step, and never for more steps than
+    the handle has directions.  ``against`` checks that y is an array of
+    B's dimension; it leaves y's finiteness unchecked, so a diverging
+    descent sees its own non-finite values.  The handle keeps no reference
+    to U, so mutating U later changes no answer.
     """
 
-    def __init__(self, owner: SymmetricOperator, uta: np.ndarray,
-                 images: np.ndarray, g: Optional[np.ndarray]):
+    def __init__(self, owner: SymmetricOperator, utb: np.ndarray,
+                 u: np.ndarray):
         self._owner = owner
-        self._uta = uta
-        self._g = g
-        self._gram = uta @ images
+        self._utb = utb
+        self._gram = utb @ u
         self._gram.flags.writeable = False
-        self._steps_left = images.shape[1]
-        self._y_shape = (images.shape[0] if g is None else g.shape[1],)
+        self._steps_left = u.shape[1]
 
     def gram(self) -> np.ndarray:
         """The read-only (n, n) matrix of u_i^T B u_j, entry (i, j)."""
         return self._gram
 
     def against(self, y: np.ndarray) -> np.ndarray:
-        """u_j^T B y for every direction j, answered as (W^T M) (G y), with
-        G y read as y when M is B."""
-        if getattr(y, "shape", None) != self._y_shape:
+        """u_j^T B y for every direction j."""
+        if getattr(y, "shape", None) != self._utb.shape[1:]:
             raise ValueError(f"against expects an array of shape "
-                             f"{self._y_shape}, got {np.shape(y)}")
-        return self._uta @ (y if self._g is None else self._g @ y)
+                             f"{self._utb.shape[1:]}, got {np.shape(y)}")
+        return self._utb @ y
 
     def charge_steps(self, steps: int) -> None:
         """Charge the two vmv reads, t_j and s_j, of ``steps`` more steps."""

@@ -24,15 +24,12 @@ Both Oja-based testers share one descent, ``_descend``: it runs on a
 x^T B x with B = G^T A G for a Gaussian map G (B = A without one), and
 optionally under an affine shift of every answer.  The iterate lives in
 B's space, and its steps read their two vmv queries from the handle's
-direction handles; every query is charged to the operator handed in.  A
-run reads its first drawn block on A at images G u, in growing chunks,
-unless the handle already holds B; every later block is one handle, from
-B once the handle forms it, which it does only when G narrows A.  So runs
-that stop in their first block, as rejections usually do, never form B,
-and neither does ``adaptive_l2_tester`` once its k passes d: it then
-simulates G = L Q through the square d x d Bartlett factor L (see
-``_descend``).  ``oja_l1_tester`` shares the handle across the runs of a
-repetition.
+direction handles, all read from B, which the handle forms, uncounted,
+when it is built; every query is charged to the operator handed in.
+``oja_l1_tester`` shares one handle across the runs of a repetition, and
+``adaptive_l2_tester`` across the runs of a trial; once its k passes d,
+it simulates G = L Q through the square d x d Bartlett factor L (see
+``_descend``).
 """
 
 from __future__ import annotations
@@ -185,7 +182,7 @@ def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
 
 
 _DRAW_BATCH = 64
-# Column edges of the U^T A products inside a run's first drawn block.
+# Column edges of the U^T B products inside a run's first drawn block.
 # Growing chunks let a run that stops early (a confirmed rejection, a
 # blow-up) pay for a few columns instead of the whole block.
 _CHUNK_EDGES = (0, 4, 12, 28, _DRAW_BATCH)
@@ -222,9 +219,9 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     block's null parts are drawn afresh from a rotation-invariant law.
 
     A drawn block is fixed before any of its answers is read, so the steps
-    along one direction handle (see ``_read_blocks``) are computed together
-    from its products (see ``_sweep``) and charged two vmv each, up to the
-    step where the run stops.
+    along one direction handle on B (see ``_read_blocks``) are computed
+    together from its products (see ``_sweep``) and charged two vmv each,
+    up to the step where the run stops.
 
     The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
     is exact algebra, subtracted in step order; once it falls below
@@ -329,19 +326,11 @@ def _read_blocks(comp, us, first):
     """Direction handles for one drawn block of ``_descend``, as (handle,
     rows), each built when the run first reaches it.
 
-    A run's first block is read in the ``_CHUNK_EDGES`` chunks unless the
-    handle already holds B, since most rejections stop inside its first
-    chunk; any other block is one handle, read from B once ``comp`` forms
-    it (see ``Compression.form``), since a few-row product costs nearly as
-    much as a 64-row one.  So B is formed at some run's second block, once
-    per handle: forming it in a run that stops early (one A G product,
-    dearer than a 4-column chunk) would only add cost.
+    A run's first block is read in the ``_CHUNK_EDGES`` chunks, since most
+    rejections stop inside its first chunk; any other block is one handle,
+    since a few-row product costs nearly as much as a 64-row one.
     """
-    if first and not comp.formed:
-        edges = _CHUNK_EDGES
-    else:
-        comp.form()
-        edges = (0, len(us))
+    edges = _CHUNK_EDGES if first else (0, len(us))
     for lo, hi in zip(edges, edges[1:]):
         if lo < len(us):
             yield comp.directions(us[lo:hi, :comp.dim].T), us[lo:hi]
@@ -427,11 +416,9 @@ def oja_l1_tester(op, eps: float, cfg: Optional[OjaConfig] = None, *,
     entries, which keeps the trace norm within a factor 2 and pushes any
     eigenvalue below -eps*||A||_1 to below half its (normalized) depth with
     constant probability once m = O(1/eps).  The runs of one repetition
-    share one ``op.compressed(g)`` handle: a run's first drawn block is
-    asked on ``op`` at images under G, and once any run reads a second
-    block the simulator forms B, uncounted, and every later step reads from
-    it in m dimensions (see ``_read_blocks``).  Every read is still charged
-    to ``op`` as the query it stands for.
+    share one ``op.compressed(g)`` handle, which forms B, uncounted, when it
+    is built, and every step reads from it in m dimensions.  Every read is
+    still charged to ``op`` as the query it stands for.
 
     The maintained f = x^T B x can only go negative when some quadratic
     form is genuinely negative; before rejecting, the current iterate is
@@ -594,13 +581,15 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     in the shifted space proves nothing about A, so that rejection carries
     no witness.
 
-    Past k = d the sketch is simulated in d dimensions: the handle is
-    built on the d x d Bartlett factor L of G G^T ~ Wishart_d(k, I), drawn
-    in place of G, and ``_descend`` keeps the k - d null dimensions of
-    G = L Q as one norm; at k <= d G is drawn as it stands.  An eps whose
-    d x k G would pass ``defaults.SKETCH_MAX_BYTES`` raises ValueError
-    before any query, simulated or not: the cap also bounds the run
-    length, which grows with k.
+    The runs share one ``op.compressed`` handle, which forms its B,
+    uncounted, when it is built.  Past k = d the sketch is simulated in d
+    dimensions: the handle is built on the d x d Bartlett factor L of
+    G G^T ~ Wishart_d(k, I), drawn in place of G, so its B is L^T A L, and
+    ``_descend`` keeps the k - d null dimensions of G = L Q as one norm; at
+    k <= d G is drawn as it stands.  An eps whose d x k G would pass
+    ``defaults.SKETCH_MAX_BYTES`` raises ValueError before any query,
+    simulated or not: the cap also bounds the run length, which grows with
+    k.
     """
     if c_psd is None:
         c_psd = defaults.C_PSD

@@ -29,10 +29,10 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
     """``_descend`` with its steps read and taken one at a time.
 
     Each step charges its two reads on the handle and computes them from
-    the dense matrices: from B = G^T A G, formed as ``Compression`` forms
-    it, once the handle holds B, and on A at the images G u and G x before.
-    With ``null`` > 0 it keeps x and the rows in ``_descend``'s simulated
-    coordinates, [Q x, null part], and reads B through the first d.
+    a dense B that it forms itself from ``op.dense()`` and G: the
+    symmetrized G^T A G, or A itself without G.  With ``null`` > 0 it keeps
+    x and the rows in ``_descend``'s simulated coordinates, [Q x, null
+    part], and reads B through the first d.
     """
     op = comp.owner
     d = comp.dim
@@ -53,7 +53,8 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
     if f < 0.0:
         return xi, f
     a = op.dense()
-    g = comp.lift(np.eye(comp.dim))
+    # Without G, lift gives the identity back, and B comes out as A exactly.
+    g = comp.lift(np.eye(d))
     b = g.T @ (a @ g)
     b *= 0.5
     b = b + b.T
@@ -67,13 +68,8 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
         for block, rows in _read_blocks(comp, us, first):
             for u in rows:
                 block.charge_steps(1)
-                if comp.formed:
-                    bu = b @ u
-                    t, s = float(u @ bu), float(bu @ x)
-                else:
-                    w = comp.lift(u[:d])
-                    aw = a @ w
-                    t, s = float(w @ aw), float(aw @ comp.lift(x[:d]))
+                bu = b @ u[:d]
+                t, s = float(u[:d] @ bu), float(bu @ x[:d])
                 if affine is not None:
                     t = shifted(t, float(u @ u))
                     s = shifted(s, float(u @ x))

@@ -228,6 +228,21 @@ def test_krylov_tester_validates():
         krylov_tester(op, 0.1, 0.5)
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan])
+def test_schatten_exponent_below_one_or_nan_is_refused_before_any_query(p):
+    # NaN fails every comparison, so it is refused as a p below 1 is, and
+    # not later, when the degree or the column count is rounded.
+    op = identity_op(10)
+    refused = pytest.raises(ValueError,
+                            match=f"^Schatten exponent must be >= 1, got {p}$")
+    with refused:
+        krylov_degree(0.1, p, 10)
+    for tester in (krylov_tester, nonadaptive_mv_tester):
+        with refused:
+            tester(op, 0.1, p)
+    assert op.mv_queries == 0 and op.vmv_queries == 0
+
+
 # ---------------------------------------------------------------------------
 # deflation certificate
 # ---------------------------------------------------------------------------

@@ -293,22 +293,18 @@ def test_diagonal_backing_answers_bit_for_bit_like_diag_lam():
         got, want = (np.asarray(ask(op)) for op in ops)
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous == want.flags.c_contiguous
-    # The descent's handles, on A (U F-ordered, as the descent draws it)
-    # and through a map G, before and after B is formed.
-    u = rng.standard_normal((5, d)).T
-    gmap = rng.standard_normal((d, 12))
-    um, ym = rng.standard_normal((5, 12)).T, rng.standard_normal(12)
+    # The descent's handles, on A and through a narrow and a square map G,
+    # U F-ordered, as the descent draws it.
+    maps = [(None, rng.standard_normal((5, d)).T, y)]
+    for m in (12, d):
+        maps.append((rng.standard_normal((d, m)),
+                     rng.standard_normal((5, m)).T, rng.standard_normal(m)))
     reads = []
     for op in ops:
         read = []
-        for comp, uu, yy in ((op.compressed(None), u, y),
-                             (op.compressed(gmap), um, ym)):
-            for form in (False, True):
-                if form:
-                    comp.form()
-                handle = comp.directions(uu)
-                read += [handle.gram().tobytes(), handle.against(yy).tobytes()]
-            assert comp.formed == (comp.dim < d)
+        for gmap, uu, yy in maps:
+            handle = op.compressed(gmap).directions(uu)
+            read += [handle.gram().tobytes(), handle.against(yy).tobytes()]
         reads.append(read)
     assert reads[0] == reads[1]
     assert ((ops[0].mv_queries, ops[0].vmv_queries)
@@ -399,8 +395,7 @@ def test_compressed_steps_charge_two_vmv_each_and_match_dense():
     op = SymmetricOperator(a + a.T)
     g = rng.standard_normal((12, 4))
     comp = op.compressed(g)
-    comp.form()
-    assert comp.formed and op.vmv_queries == 0
+    assert op.mv_queries == 0 and op.vmv_queries == 0
     g_copy = g.copy()
     g[:] = 0.0  # the handle keeps its own G
     for n in (3, 5):  # the second block is read from the same B
@@ -432,7 +427,6 @@ def test_compressed_rejects_bad_maps_and_blocks_and_charges_nothing():
     for shape in ((2,), (3, 2), (1, 1), (2, 1, 1)):
         with pytest.raises(ValueError, match="directions expects"):
             comp.directions(np.ones(shape))
-    assert not comp.formed
     handle = comp.directions(np.ones((2, 1)))
     with pytest.raises(ValueError, match="against expects"):
         handle.against(np.ones(3))
@@ -440,11 +434,11 @@ def test_compressed_rejects_bad_maps_and_blocks_and_charges_nothing():
 
 
 @pytest.mark.parametrize("m", [None, 3, 6, 9])
-def test_compression_forms_b_only_when_it_narrows_a(m):
-    # On a d = 6 operator: B is formed only for m < d, and only when
-    # asked; unformed reads go to A at images G U.  Either way the reads
-    # match the dense (G U)^T A (G y), each step costs two vmv, and
-    # mutating G after the handle is built changes no answer.
+def test_compressed_reads_match_dense_and_keep_their_own_g(m):
+    # On a d = 6 operator, through no map, a narrow, a square and a wide
+    # G: the reads match the dense (G U)^T A (G y), each step costs two
+    # vmv, lift is G y, and mutating G after the handle is built changes no
+    # answer.
     rng = rng_from(36)
     a = rng.standard_normal((6, 6))
     op = SymmetricOperator(a + a.T)
@@ -453,20 +447,50 @@ def test_compression_forms_b_only_when_it_narrows_a(m):
     g_copy = None if g is None else g.copy()
     width = 6 if m is None else m
     u, y = rng.standard_normal((width, 4)), rng.standard_normal(width)
-    for ask in (False, True):
-        if ask:
-            comp.form()
-        assert comp.formed == (ask and width < 6)
-        handle = comp.directions(u)
-        gram, against = handle.gram().copy(), handle.against(y)
-        if g is not None:
-            g[:] = 0.0
-        _check_directions(op, u, y, comp, g_copy)
-        np.testing.assert_array_equal(handle.gram(), gram)
-        np.testing.assert_array_equal(handle.against(y), against)
+    handle = comp.directions(u)
+    gram, against = handle.gram().copy(), handle.against(y)
+    if g is not None:
+        g[:] = 0.0
+    _check_directions(op, u, y, comp, g_copy)
+    np.testing.assert_array_equal(handle.gram(), gram)
+    np.testing.assert_array_equal(handle.against(y), against)
     np.testing.assert_array_equal(comp.lift(y),
                                   y if g is None else g_copy @ y)
-    assert op.mv_queries == 0 and op.vmv_queries == 2 * 2 * 4
+    assert op.mv_queries == 0 and op.vmv_queries == 2 * 4
+
+
+class _ProductCountingOperator(SymmetricOperator):
+    """Counts every product with its backing, the one source of answers."""
+
+    def __init__(self, backing):
+        super().__init__(backing)
+        self.products = 0
+
+    def _product(self, v, *, left=False):
+        self.products += 1
+        return super()._product(v, left=left)
+
+
+@pytest.mark.parametrize("m", [5, 24])
+def test_compressed_handle_asks_a_for_no_product_once_built(m):
+    # A narrow G (m = 5) and a square one (m = d, as adaptive_l2's
+    # Bartlett factor is), on a dense and on a diagonal backing: every
+    # read of the handle's directions comes from the B it formed when it
+    # was built, so A sees no product after that, and the reads match the
+    # dense (G U)^T A (G y) within 1e-12 of scale.
+    rng = rng_from(38)
+    d = 24
+    a = rng.standard_normal((d, d))
+    for backing in (a + a.T, rng.standard_normal(d)):
+        op = _ProductCountingOperator(backing)
+        g = rng.standard_normal((d, m))
+        comp = op.compressed(g)
+        built = op.products
+        for n in (4, 8, 64):
+            _check_directions(op, rng.standard_normal((m, n)),
+                              rng.standard_normal(m), comp, g)
+        assert op.products == built
+        assert op.mv_queries == 0 and op.vmv_queries == 2 * (4 + 8 + 64)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,7 @@ from psdprobe.vmv_testers import (
     bilinear_sketch_tester,
     build_sketch,
     c_far_curve,
+    _CHUNK_EDGES,
     _OJA_STREAM,
     _descend,
     _gap_sketch_dim,
@@ -187,14 +188,9 @@ class _RecordingDirections:
 class _RecordingCompression:
     def __init__(self, op, comp, g):
         self._op, self._comp = op, comp
-        self.owner, self.dim = comp.owner, comp.dim
-        self.form, self.lift = comp.form, comp.lift
+        self.owner, self.dim, self.lift = comp.owner, comp.dim, comp.lift
         self._norm = op._norm * (1.0 if g is None
                                  else float(np.linalg.norm(g, 2)) ** 2)
-
-    @property
-    def formed(self):
-        return self._comp.formed
 
     def directions(self, u):
         return _RecordingDirections(self._op, self._comp.directions(u), u,
@@ -470,33 +466,35 @@ _PSD12 = tuple(np.linspace(0.1, 1.0, 12))
 _SKETCH = rng_from(22).standard_normal((12, 8)) / math.sqrt(12)
 
 
-# (G, lam, eta, up, answers, rejects, formed): the descent through no map,
-# a run that stops in its first block, read on A at images G u in chunks,
-# and a run that reaches later blocks, read from B U in 8 dimensions.
+# (G, lam, eta, up, answers, rejects): the descent through no map, a run
+# through G that stops in its first block, read in chunks, and a run
+# through G that reaches later blocks, each read as one handle; every read
+# is from B in 8 dimensions.
 DESCEND_CASES = {
     # PSD: all 150 steps run across three draw blocks, nothing to confirm.
-    "plain-psd": (None, _PSD12, 0.05, 5.5, 1 + 2 * 150, False, False),
+    "plain-psd": (None, _PSD12, 0.05, 5.5, 1 + 2 * 150, False),
     # Indefinite: the run ends on a confirmed negative value after 11 steps.
     "plain-reject": (None, tuple([-0.1] + [0.9 / 11] * 11), 0.3, 1.0,
-                     1 + 2 * 11 + 1, True, False),
+                     1 + 2 * 11 + 1, True),
     # Step far too large for the scale: the run ends on blow-up.
     "plain-blow-up": (None, tuple([-1.0] + [1.0] * 11), 1e3, 1.0, 1 + 2 * 19,
-                      False, False),
+                      False),
     # G^T A G indefinite: the run ends on a confirmed negative value after
     # 15 steps, across the first three chunks of the first block.
     "first-block-reject": (_SKETCH, tuple([-0.2] + [0.8 / 11] * 11), 0.3,
-                           1.0, 1 + 2 * 15 + 1, True, False),
+                           1.0, 1 + 2 * 15 + 1, True),
     "first-block-blow-up": (_SKETCH, tuple([-1.0] + [1.0] * 11), 1e3, 1.0,
-                            1 + 2 * 19, False, False),
-    # PSD: blocks two and three are read from B U.
-    "m-space-psd": (_SKETCH, _PSD12, 0.05, 1.0, 1 + 2 * 150, False, True),
+                            1 + 2 * 19, False),
+    # PSD: blocks two and three are each one handle.
+    "m-space-psd": (_SKETCH, _PSD12, 0.05, 1.0, 1 + 2 * 150, False),
     # The confirmed hit comes at step 80, in the second block, so the
     # confirming query is asked at G x built from m-space x.
     "m-space-reject": (_SKETCH, tuple([-0.2] + [0.8 / 11] * 11), 0.05, 1.0,
-                       1 + 2 * 80 + 1, True, True),
-    # Step too large for the scale: the run blows up at step 86, in m-space.
+                       1 + 2 * 80 + 1, True),
+    # Step too large for the scale: the run blows up at step 86, in the
+    # second block.
     "m-space-blow-up": (_SKETCH, tuple([-1.0] + [1.0] * 11), 3.0, 1.0,
-                        1 + 2 * 86, False, True),
+                        1 + 2 * 86, False),
 }
 
 
@@ -504,17 +502,14 @@ DESCEND_CASES = {
 def test_descend_matches_reference_step_loop(monkeypatch, case):
     # The descent solves its steps from the handles' products, the
     # reference asks one scalar query at a time on the dense G^T A G (A
-    # itself without G): the answers agree to rounding, in one order, the
-    # run forms B exactly when it reads past its first block through G,
-    # and the witness is G times the reference's.
-    g, lam, eta, up, n_answers, rejects, formed = DESCEND_CASES[case]
+    # itself without G): the answers agree to rounding, in one order, and
+    # the witness is G times the reference's.
+    g, lam, eta, up, n_answers, rejects = DESCEND_CASES[case]
     a = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=3)).dense()
     op = RecordingOperator(a)
     record_steps(monkeypatch)
     ref_op = RecordingOperator(a if g is None else g.T @ a @ g)
-    comp = op.compressed(g)
-    got = _descend(comp, eta, 150, rng_from(21), up)
-    assert comp.formed == formed
+    got = _descend(op.compressed(g), eta, 150, rng_from(21), up)
     want = reference_descent(ref_op, eta, 150, rng_from(21), up)
     assert len(op.answers) == len(ref_op.answers) == n_answers
     assert op.vmv_queries == ref_op.vmv_queries == n_answers
@@ -569,7 +564,7 @@ PARITY_TRIALS = [
     ("adaptive_l2", "far", 16, 0.5, 2.0, range(40), {}),
     # k = 116: 52 null dimensions, plain Gaussian null rows, at d64 (9 of
     # the far trials reach the descent, the rest reject on a probe); an
-    # explicit G, read on the formed B after the first block, at d128.
+    # explicit G at d128.
     ("adaptive_l2", "far", 64, 0.9, 2.0, range(20), {}),
     ("adaptive_l2", "random_psd", 64, 0.9, 2.0, range(2), {}),
     ("adaptive_l2", "random_psd", 128, 0.9, 2.0, range(2), {}),
@@ -610,11 +605,11 @@ def test_descent_matches_sequential_reference_trial_for_trial(
 
 def test_blow_up_inside_a_handle_overflows_silently_and_charges_its_steps(
         monkeypatch):
-    # A compressed handle that already holds B reads the first block whole,
-    # 64 steps in m-space.  At eta = 1e40 the iterate passes OJA_BLOWUP at
-    # the second step and the later rows of the solve overflow; no warning
-    # escapes, and the run pays two vmv per step up to and including the
-    # blow-up step, as the step-at-a-time reference does.
+    # A run reads its first chunk, 4 steps in m-space, as one handle.  At
+    # eta = 1e150 the iterate passes OJA_BLOWUP at the first step and the
+    # later rows of the solve overflow; no warning escapes, and the run
+    # pays two vmv per step up to and including the blow-up step, as the
+    # step-at-a-time reference does.
     a = gen_rotated_diag(SpectrumInstance(
         eigenvalues=tuple([-1.0] + [1.0] * 11), rotation_seed=3)).dense()
     steps = vmv_testers._steps
@@ -629,14 +624,13 @@ def test_blow_up_inside_a_handle_overflows_silently_and_charges_its_steps(
     counts = []
     for descend in (_descend, sequential_descend):
         op = SymmetricOperator(a)
-        comp = op.compressed(_SKETCH)
-        comp.form()  # forms B, uncounted
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert descend(comp, 1e40, 150, rng_from(21), 1.0) is None
+            assert descend(op.compressed(_SKETCH), 1e150, 150, rng_from(21),
+                           1.0) is None
         counts.append(op.vmv_queries)
-    assert counts[0] == counts[1] == 1 + 2 * 2
-    assert len(solved) == 1 and len(solved[0]) == 64
+    assert counts[0] == counts[1] == 1 + 2 * 1
+    assert len(solved) == 1 and len(solved[0]) == _CHUNK_EDGES[1]
     assert not np.isfinite(solved[0]).all()
 
 
@@ -691,46 +685,53 @@ def test_steps_match_a_forward_substitution_loop():
 
 
 class _FormCountingOperator(SymmetricOperator):
-    """Counts how often its compressed handles form B = G^T A G."""
+    """Counts its compressed handles, and the products with A they ask for
+    while they are built, each one forming its B = G^T A G."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.forms = 0
+        self.handles = self.forms = self.products = 0
+
+    def _product(self, v, *, left=False):
+        self.products += 1
+        return super()._product(v, left=left)
 
     def compressed(self, g):
+        self.handles += 1
         return _FormCountingCompression(self, g)
 
 
 class _FormCountingCompression(Compression):
-    def form(self):
-        formed = self.formed
-        super().form()
-        self.owner.forms += self.formed and not formed
+    def __init__(self, owner, g):
+        before = owner.products
+        super().__init__(owner, g)
+        owner.forms += owner.products - before
 
 
-@pytest.mark.parametrize("seed,queries", [(6, 28), (5, 39)])
-def test_oja_rejection_in_the_first_block_never_forms_b(seed, queries):
+def test_b_is_formed_once_per_compressed_handle():
     # cluster_l1 d128 (m = 27): seed 6 rejects on the start query, seed 5
-    # on a confirmed value a few steps in (BYTE_TABLE rows).
-    op = _FormCountingOperator(
-        family_op("cluster_l1", 128, 0.3, 1.0, seed).dense())
-    v = oja_l1_tester(op, 0.3, rng=seed)
-    assert (v.is_psd, v.queries_used) == (False, queries)
-    assert op.forms == 0
-
-
-def test_oja_forms_b_once_per_repetition_and_adaptive_l2_never():
+    # on a confirmed value a few steps into the first block (BYTE_TABLE
+    # rows); each forms its one repetition's B all the same.
+    for seed, queries in ((6, 28), (5, 39)):
+        op = _FormCountingOperator(
+            family_op("cluster_l1", 128, 0.3, 1.0, seed).dense())
+        v = oja_l1_tester(op, 0.3, rng=seed)
+        assert (v.is_psd, v.queries_used) == (False, queries)
+        assert op.handles == op.forms == 1
     # random_psd d64 through 27 columns: every repetition runs 11 step-size
     # scales, most of them for many draw blocks, on one handle.
-    dense = instance_operator({"kind": "random_psd", "dim": 64}, 0.3, 1.0, 5).dense()
+    dense = instance_operator({"kind": "random_psd", "dim": 64}, 0.3, 1.0,
+                              5).dense()
     for amplification in (1, 2):
         op = _FormCountingOperator(dense)
         cfg = OjaConfig.from_eps(0.3, dim=64, amplification=amplification)
         assert oja_l1_tester(op, 0.3, cfg, rng=5).is_psd
-        assert op.forms == amplification
+        assert op.handles == op.forms == amplification
+    # adaptive_l2 at k = 664 > 64: one handle on the Bartlett factor L per
+    # trial, whose B = L^T A L serves all GAMMA_AMP runs.
     op = _FormCountingOperator(dense)
-    adaptive_l2_tester(op, 0.5, rng=5)
-    assert op.forms == 0
+    assert adaptive_l2_tester(op, 0.5, rng=5).is_psd
+    assert op.handles == op.forms == 1
 
 
 # (tester, instance kind, dim, eps, p, seed) -> (is_psd, queries_used,
@@ -738,12 +739,13 @@ def test_oja_forms_b_once_per_repetition_and_adaptive_l2_never():
 # sketched and shifted-sketch descents were three separate code paths; the
 # hex and SHA-1 columns of the ten Oja rejections were re-recorded when the
 # steps moved to A.U products, again when each handle's steps came to be
-# solved together, and again (eight of them) when every handle's steps came
-# to be solved alike and the witness to be G x, all of which round
-# differently.  The six adaptive_l2 descent rejections at d16 and d32 (k =
-# 664) were re-recorded when its sketch past k = d came to be simulated in
-# d dimensions, which draws other numbers; its two probe rejections did
-# not move.  Covers
+# solved together, again (eight of them) when every handle's steps came
+# to be solved alike and the witness to be G x, and again (the six at far
+# d48 and cluster_l1 d128 s5 and s8) when every read came to be from the B
+# its handle forms when built, all of which round differently.  The six
+# adaptive_l2 descent rejections at d16 and d32 (k = 664) were re-recorded
+# when its sketch past k = d came to be simulated in d dimensions, which
+# draws other numbers; its two probe rejections did not move.  Covers
 # Oja without reduction (far d24), with reduction (far d48, cluster_l1 d128),
 # an Oja accept whose large step sizes blow up and leave draws unused
 # (random_psd d16), the adaptive l2 descent past k = d (far d16, d32) and
@@ -755,14 +757,14 @@ BYTE_TABLE = [
     ("oja_l1", "far", 24, 0.3, 1.0, 6, (False, 34, "-0x1.39152d1368292p+39", "663a44b368ee5bfd7aa09d186c0f6910c388ad70")),
     ("oja_l1", "far", 24, 0.3, 1.0, 7, (False, 36, "-0x1.9f5163aaf2196p+37", "09eab2cec52a6d6db373d0ddf325af9489f14efd")),
     ("oja_l1", "far", 24, 0.3, 1.0, 8, (False, 36, "-0x1.4f3af6b2ac3b4p+18", "9cf03c681042098e314edb704e8edb151735f098")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 5, (False, 41, "-0x1.daf2165dc72b4p+23", "c22ba8941d2f3a45565bd3ecf40be86b196a59b7")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 6, (False, 59, "-0x1.c7760143bcccep+86", "4cba876c70381e50a03c64dae84b6fefae6af317")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 7, (False, 31, "-0x1.188afbfaf9fdap+12", "3fc02004a18619db829bf42b068d13e322952968")),
-    ("oja_l1", "far", 48, 0.3, 1.0, 8, (False, 45, "-0x1.48765adedce93p+37", "746586d0adb3e0ecf6f33e154d20f21a912b26e3")),
-    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 5, (False, 39, "-0x1.7e606dfdc0774p+21", "2fa069f6b747ddc6b2835aa0a510be0b07eb1373")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 5, (False, 41, "-0x1.daf2165dc73d4p+23", "88433573935bc31c32b99157fed636195937b112")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 6, (False, 59, "-0x1.c7760143bccfep+86", "0d08cef1869cf4b94d83371e24a1cbad530942bd")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 7, (False, 31, "-0x1.188afbfaf9fd5p+12", "a2ff6e46f1d6bdc6a0b2141484272134cfd2692d")),
+    ("oja_l1", "far", 48, 0.3, 1.0, 8, (False, 45, "-0x1.48765adedce67p+37", "d519d71d160057e3f11d312d0722136c1f34f9be")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 5, (False, 39, "-0x1.7e606dfdc07a9p+21", "13314a5f29be4b940addc5673a92c6f38c3cb8de")),
     ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 6, (False, 28, "-0x1.8d6622c95babep-6", "8393092c1c5a74ed4fbc6137d2d1d57451ac1467")),
     ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 7, (False, 28, "-0x1.3c8ecf8527c66p-1", "88edbc886ba8a44c968d2a52b88db509d81de9fe")),
-    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 8, (False, 37, "-0x1.ed0c837529394p+17", "e543b33b6885eed1eb29202182b59dfacb1f0279")),
+    ("oja_l1", "cluster_l1", 128, 0.3, 1.0, 8, (False, 37, "-0x1.ed0c8375293b7p+17", "732c3091bd29fe67a978a290d2b6b3120a71454a")),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 5, (True, 51722, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 6, (True, 51594, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 7, (True, 51684, None, None)),
