@@ -57,12 +57,14 @@ CONFIGS = {
     "bilinear_sketch/wishart": _cfg("bilinear_sketch", _dim("wishart"), 0.5,
                                     2.0),
     # k = 664 at eps 0.5: past d the sketch is simulated through its d x d
-    # Bartlett factor, and past d + 65 so are the null rows of each block.
+    # Bartlett factor, and past d + n + 1 so are the null rows of each
+    # n-row drawn block.
     "adaptive_l2/random_psd": _cfg("adaptive_l2", _dim("random_psd"), 0.5,
                                    2.0),
     "adaptive_l2/far": _cfg("adaptive_l2", _dim("far"), 0.5, 2.0),
-    # k = 116 at eps 0.9: 52 null dimensions, whose block rows are plain
-    # Gaussians, at d = 64; an explicit G at d = 128.
+    # k = 116 at eps 0.9: 52 null dimensions at d = 64, whose rows are a
+    # Bartlett factor in the 4- to 36-row first blocks and plain Gaussians
+    # in the 64-row ones; an explicit G at d = 128.
     "adaptive_l2/far_d64": _cfg("adaptive_l2", _dim("far", 64), 0.9, 2.0),
     "adaptive_l2/far_d128": _cfg("adaptive_l2", _dim("far", 128), 0.9, 2.0),
     "nonadaptive_l1/random_psd": _cfg("nonadaptive_l1", _dim("random_psd", 24),

@@ -50,7 +50,8 @@ _DROP_TOL = 1e-10
 
 
 def build_krylov(op, k: int, seed: SeedLike) -> KrylovSpace:
-    """Build the degree-k Krylov space of op from a Gaussian start.
+    """Build the degree-k Krylov space of op from a Gaussian start; degree
+    0 is the start's span, which is all of R^1 at dim 1.
 
     One Lanczos loop with full reorthogonalization: step i asks one mv at
     the orthonormal vector q_i, projects the answer off q_0..q_i twice, and
@@ -60,8 +61,8 @@ def build_krylov(op, k: int, seed: SeedLike) -> KrylovSpace:
     matrix is the symmetrized Q^T [A q_0 ... A q_r], read straight from the
     answers.
     """
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
     if k + 1 > op.dim:
         raise ValueError(f"need k + 1 <= dim, got k={k} at dim {op.dim}")
     q = np.empty((op.dim, k + 1), order="F")

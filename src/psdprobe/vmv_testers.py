@@ -35,6 +35,7 @@ it simulates G = L Q through the square d x d Bartlett factor L (see
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -115,7 +116,7 @@ class OjaConfig:
             raise ValueError("max_iters, eta_scales and amplification must be >= 1")
 
     @classmethod
-    def from_eps(cls, eps: float, dim: Optional[int] = None,
+    def from_eps(cls, eps: float, dim: int,
                  amplification: Optional[int] = None,
                  iter_scale: Optional[float] = None) -> "OjaConfig":
         """Default configuration for testing at trace-norm parameter eps.
@@ -127,7 +128,7 @@ class OjaConfig:
         """
         _check_eps(eps)
         m = math.ceil(defaults.REDUCE_KAPPA / eps)
-        if dim is not None and m >= dim:
+        if m >= dim:
             m = dim
             eps_eff = eps
         else:
@@ -182,10 +183,11 @@ def _scale_grid(lo: float, up: float, n: int) -> np.ndarray:
 
 
 _DRAW_BATCH = 64
-# Column edges of the U^T B products inside a run's first drawn block.
-# Growing chunks let a run that stops early (a confirmed rejection, a
-# blow-up) pay for a few columns instead of the whole block.
-_CHUNK_EDGES = (0, 4, 12, 28, _DRAW_BATCH)
+# Row counts of a run's first four drawn blocks; every later block has
+# _DRAW_BATCH rows.  Most rejections stop within a few steps, so growing
+# blocks let a run that stops early (a confirmed rejection, a blow-up)
+# draw and read a few rows instead of a whole batch.
+_FIRST_DRAWS = (4, 8, 16, 36)
 _OJA_STREAM = 0x01A1
 # Strictly lower-triangular 0/1 mask; its leading n x n corner serves a
 # handle of n directions.
@@ -204,8 +206,10 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     (q - alpha u.v) / denom + shift u.v.  The iterate x lives in B's space
     only.  Each step asks two vmv queries, t = u^T B u, then s = u^T B x,
     and every query is charged to A.  Directions u are standard Gaussian,
-    drawn after x in blocks of at most 64 rows, and no further block is
-    drawn once the run stops.
+    drawn after x in blocks of 4, 8, 16 and 36 rows, then 64 rows each,
+    every block capped at the steps left; each drawn block is read as one
+    direction handle on B, and no further block is drawn once the run
+    stops.
 
     ``null = D > 0`` runs the descent of a d x (d + D) Gaussian G = L Q on
     the handle of its d x d Bartlett factor L, Q being Haar with
@@ -218,10 +222,9 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     coordinates, and after it only |x_perp| is kept, since the next
     block's null parts are drawn afresh from a rotation-invariant law.
 
-    A drawn block is fixed before any of its answers is read, so the steps
-    along one direction handle on B (see ``_read_blocks``) are computed
-    together from its products (see ``_sweep``) and charged two vmv each,
-    up to the step where the run stops.
+    A drawn block is fixed before any of its answers is read, so its steps
+    are computed together from its handle's products (see ``_sweep``) and
+    charged two vmv each, up to the step where the run stops.
 
     The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
     is exact algebra, subtracted in step order; once it falls below
@@ -246,41 +249,41 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     if f < 0.0:
         return xi, f
     left = iters
+    sizes = itertools.chain(_FIRST_DRAWS, itertools.repeat(_DRAW_BATCH))
     # Steps after a blow-up may overflow; the stop tests below catch every
     # non-finite value, so the warnings would only repeat them.
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0:
-            us = _draw_rows(gen, min(_DRAW_BATCH, left), d, null)
-            first = left == iters
-            left -= len(us)
+            rows = _draw_rows(gen, min(next(sizes), left), d, null)
+            left -= len(rows)
             if null:  # x = [Q x, |x_perp|] takes the block's null axes
-                x = np.concatenate([x, np.zeros(us.shape[1] - x.size)])
-            for block, rows in _read_blocks(comp, us, first):
-                x0 = x
-                e, drops, go_norm, limit = _sweep(block, rows, x0, d, eta,
-                                                  up, affine)
-                lo = 0  # first step not yet taken
-                while lo < len(e):
-                    drops[lo] = f  # step lo - 1's drop is spent
-                    fs = np.subtract.accumulate(drops[lo:])[1:]
-                    # f_j >= limit_j also fails for a NaN f_j, and f_j < inf
-                    # for an infinite one of either sign.
-                    go = (fs >= limit[lo:]) & (fs < math.inf) & go_norm[lo:]
-                    if go.all():
-                        block.charge_steps(len(e) - lo)
-                        f = float(fs[-1])
-                        break
-                    stop = int(np.argmin(go))
-                    block.charge_steps(stop + 1)
-                    if not (math.isfinite(fs[stop]) and go_norm[lo + stop]):
-                        return None
-                    lo += stop + 1
-                    x = x0 - e[:lo] @ rows[:lo]
-                    xi, confirmed = direct()
-                    if confirmed < 0.0:
-                        return xi, confirmed
-                    f = confirmed  # maintained value had drifted; resynchronize
-                x = x0 - e @ rows
+                x = np.concatenate([x, np.zeros(rows.shape[1] - x.size)])
+            block = comp.directions(rows[:, :d].T)
+            x0 = x
+            e, drops, go_norm, limit = _sweep(block, rows, x0, d, eta, up,
+                                              affine)
+            lo = 0  # first step not yet taken
+            while lo < len(e):
+                drops[lo] = f  # step lo - 1's drop is spent
+                fs = np.subtract.accumulate(drops[lo:])[1:]
+                # f_j >= limit_j also fails for a NaN f_j, and f_j < inf for
+                # an infinite one of either sign.
+                go = (fs >= limit[lo:]) & (fs < math.inf) & go_norm[lo:]
+                if go.all():
+                    block.charge_steps(len(e) - lo)
+                    f = float(fs[-1])
+                    break
+                stop = int(np.argmin(go))
+                block.charge_steps(stop + 1)
+                if not (math.isfinite(fs[stop]) and go_norm[lo + stop]):
+                    return None
+                lo += stop + 1
+                x = x0 - e[:lo] @ rows[:lo]
+                xi, confirmed = direct()
+                if confirmed < 0.0:
+                    return xi, confirmed
+                f = confirmed  # maintained value had drifted; resynchronize
+            x = x0 - e @ rows
             if null:
                 x = np.append(x[:d], np.linalg.norm(x[d:]))
     return None
@@ -320,20 +323,6 @@ def _shifted(affine: Tuple[float, float, float], raw, dot):
     """The affine map (raw - alpha dot) / denom + shift dot of ``_descend``."""
     alpha, denom, shift = affine
     return (raw - alpha * dot) / denom + shift * dot
-
-
-def _read_blocks(comp, us, first):
-    """Direction handles for one drawn block of ``_descend``, as (handle,
-    rows), each built when the run first reaches it.
-
-    A run's first block is read in the ``_CHUNK_EDGES`` chunks, since most
-    rejections stop inside its first chunk; any other block is one handle,
-    since a few-row product costs nearly as much as a 64-row one.
-    """
-    edges = _CHUNK_EDGES if first else (0, len(us))
-    for lo, hi in zip(edges, edges[1:]):
-        if lo < len(us):
-            yield comp.directions(us[lo:hi, :comp.dim].T), us[lo:hi]
 
 
 def _sweep(block, rows: np.ndarray, x: np.ndarray, d: int, eta: float,

@@ -4,22 +4,24 @@
 unit lower-triangular system.  This module keeps the step-at-a-time loop
 it replaced: each step reads t = u^T B u and then s = u^T B x, updates x,
 and runs the blow-up and margin tests before the next step is read.  It
-draws the same directions in the same order, takes its handles from
-``_read_blocks`` as ``_descend`` does and charges every step on them, so a
-tester run with it in ``_descend``'s place asks the same queries; the
-tests check that the two agree trial for trial.  No tester calls it.
+draws the same directions in the same blocks, 4, 8, 16 and 36 rows, then
+64 each, takes one handle per drawn block as ``_descend`` does and charges
+every step on it, so a tester run with it in ``_descend``'s place asks the
+same queries; the tests check that the two agree trial for trial.  No
+tester calls it.
 
   * sequential_descend -- drop-in for ``_descend``, one step at a time
   * steps_loop         -- ``_steps`` as a loop over Python floats
 """
 
+import itertools
 import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 from psdprobe import defaults
-from psdprobe.vmv_testers import _DRAW_BATCH, _draw_rows, _read_blocks
+from psdprobe.vmv_testers import _draw_rows
 
 
 def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
@@ -59,30 +61,31 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
     b *= 0.5
     b = b + b.T
     left = iters
-    while left > 0:
-        us = _draw_rows(gen, min(_DRAW_BATCH, left), d, null)
-        first = left == iters
-        left -= len(us)
+    for size in itertools.chain((4, 8, 16, 36), itertools.repeat(64)):
+        if left <= 0:
+            break
+        rows = _draw_rows(gen, min(size, left), d, null)
+        left -= len(rows)
         if null:
-            x = np.concatenate([x, np.zeros(us.shape[1] - x.size)])
-        for block, rows in _read_blocks(comp, us, first):
-            for u in rows:
-                block.charge_steps(1)
-                bu = b @ u[:d]
-                t, s = float(u[:d] @ bu), float(bu @ x[:d])
-                if affine is not None:
-                    t = shifted(t, float(u @ u))
-                    s = shifted(s, float(u @ x))
-                x = x - (eta * s) * u
-                f -= eta * s * s * (2.0 - eta * t)
-                norm_sq = float(x @ x)
-                if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
-                    return None
-                if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
-                    xi, confirmed = direct()
-                    if confirmed < 0.0:
-                        return xi, confirmed
-                    f = confirmed  # maintained value had drifted
+            x = np.concatenate([x, np.zeros(rows.shape[1] - x.size)])
+        block = comp.directions(rows[:, :d].T)
+        for u in rows:
+            block.charge_steps(1)
+            bu = b @ u[:d]
+            t, s = float(u[:d] @ bu), float(bu @ x[:d])
+            if affine is not None:
+                t = shifted(t, float(u @ u))
+                s = shifted(s, float(u @ x))
+            x = x - (eta * s) * u
+            f -= eta * s * s * (2.0 - eta * t)
+            norm_sq = float(x @ x)
+            if not math.isfinite(f) or norm_sq > defaults.OJA_BLOWUP:
+                return None
+            if f < -defaults.OJA_MARGIN * up * max(1.0, norm_sq):
+                xi, confirmed = direct()
+                if confirmed < 0.0:
+                    return xi, confirmed
+                f = confirmed  # maintained value had drifted
         if null:
             x = np.append(x[:d], np.linalg.norm(x[d:]))
     return None

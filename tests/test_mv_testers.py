@@ -108,7 +108,7 @@ def test_build_krylov_keeps_the_full_degree_on_random_psd(d):
 def test_build_krylov_validates_degree():
     op = identity_op(10)
     with pytest.raises(ValueError):
-        build_krylov(op, 0, seed=0)
+        build_krylov(op, -1, seed=0)
     with pytest.raises(ValueError):
         build_krylov(op, 10, seed=0)  # k + 1 > d
 
@@ -218,6 +218,21 @@ def test_krylov_stops_once_an_accepted_space_spans_the_dimension():
             if v.is_psd and kind == "random_psd":
                 assert (op.mv_queries, ref.mv_queries) == (d, 5 * d)
     assert saved >= 100
+
+
+@pytest.mark.parametrize("lam,accepts", [(-1.0, False), (2.0, True)])
+def test_krylov_decides_a_one_by_one_operator(lam, accepts):
+    # At d = 1 the degree is clipped to d - 1 = 0: one mv spans R^1, so the
+    # space holds A's one eigenvalue, and a rejection's witness is checked
+    # by its one confirming query.
+    space = build_krylov(SymmetricOperator([lam]), 0, seed=0)
+    assert space.basis.shape == (1, 1) and not space.degenerate
+    op = SymmetricOperator([lam])
+    v = krylov_tester(op, 0.3, 1.0)
+    assert (v.is_psd, v.statistic) == (accepts, lam)
+    assert (op.mv_queries, op.vmv_queries) == (1, 0 if accepts else 1)
+    if not accepts:
+        assert SymmetricOperator([lam]).quad_form(v.witness) < 0.0
 
 
 def test_krylov_tester_validates():

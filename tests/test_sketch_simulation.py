@@ -18,7 +18,6 @@ from psdprobe import vmv_testers
 from psdprobe.harness import instance_operator
 from psdprobe.oracle import SymmetricOperator, rng_from
 from psdprobe.vmv_testers import (
-    _DRAW_BATCH,
     _bartlett,
     _descend,
     _draw_rows,
@@ -53,8 +52,8 @@ def _completed(w, gen):
 
 
 # d = 4 with k = 9: D - 1 = 4 <= n, plain Gaussian null rows; with k = 80:
-# D - 1 = 75 > n, Bartlett rows.  150 steps cross blocks of 64, 64 and 22,
-# two folds between them.
+# D - 1 = 75 > n, Bartlett rows.  150 steps cross drawn blocks of 4, 8, 16,
+# 36, 64 and 22, five folds between them.
 @pytest.mark.parametrize("k", [9, 80])
 def test_null_simulation_matches_the_explicit_k_space_run(monkeypatch, k):
     d, iters = 4, 150
@@ -95,8 +94,8 @@ def test_null_simulation_matches_the_explicit_k_space_run(monkeypatch, k):
     lifted = [g @ x]  # G X after each step, the start's first
     step = 0
     for rows, x0, t_sim, s_sim in sweeps:
-        if step % _DRAW_BATCH == 0:  # a new drawn block: x_perp leads
-            frame = _completed(n_basis.T @ x, rng_from(6 + step))
+        # Each sweep reads a new drawn block, whose null frame x_perp leads.
+        frame = _completed(n_basis.T @ x, rng_from(6 + step))
         pad = np.zeros((len(rows), null))
         pad[:, :rows.shape[1] - d] = rows[:, d:]
         us = rows[:, :d] @ q + (pad @ frame.T) @ n_basis.T

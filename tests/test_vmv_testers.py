@@ -28,7 +28,6 @@ from psdprobe.vmv_testers import (
     bilinear_sketch_tester,
     build_sketch,
     c_far_curve,
-    _CHUNK_EDGES,
     _OJA_STREAM,
     _descend,
     _gap_sketch_dim,
@@ -86,7 +85,7 @@ def test_oja_config_validates():
     with pytest.raises(ValueError):
         OjaConfig(eta=0.1, max_iters=5, eta_scales=1, amplification=0)
     with pytest.raises(ValueError):
-        OjaConfig.from_eps(1.5)
+        OjaConfig.from_eps(1.5, dim=10)
 
 
 def test_oja_config_from_eps_frozen_values():
@@ -467,11 +466,12 @@ _SKETCH = rng_from(22).standard_normal((12, 8)) / math.sqrt(12)
 
 
 # (G, lam, eta, up, answers, rejects): the descent through no map, a run
-# through G that stops in its first block, read in chunks, and a run
-# through G that reaches later blocks, each read as one handle; every read
-# is from B in 8 dimensions.
+# through G that stops in its first few drawn blocks, and a run through G
+# that reaches its 64-row blocks; each drawn block is one handle, and
+# every read is from B in 8 dimensions.
 DESCEND_CASES = {
-    # PSD: all 150 steps run across three draw blocks, nothing to confirm.
+    # PSD: all 150 steps run across six drawn blocks (4, 8, 16, 36, 64 and
+    # 22 rows), nothing to confirm.
     "plain-psd": (None, _PSD12, 0.05, 5.5, 1 + 2 * 150, False),
     # Indefinite: the run ends on a confirmed negative value after 11 steps.
     "plain-reject": (None, tuple([-0.1] + [0.9 / 11] * 11), 0.3, 1.0,
@@ -480,19 +480,19 @@ DESCEND_CASES = {
     "plain-blow-up": (None, tuple([-1.0] + [1.0] * 11), 1e3, 1.0, 1 + 2 * 19,
                       False),
     # G^T A G indefinite: the run ends on a confirmed negative value after
-    # 15 steps, across the first three chunks of the first block.
+    # 15 steps, across the first three drawn blocks (4, 8 and 16 rows).
     "first-block-reject": (_SKETCH, tuple([-0.2] + [0.8 / 11] * 11), 0.3,
                            1.0, 1 + 2 * 15 + 1, True),
     "first-block-blow-up": (_SKETCH, tuple([-1.0] + [1.0] * 11), 1e3, 1.0,
                             1 + 2 * 19, False),
-    # PSD: blocks two and three are each one handle.
+    # PSD: as plain-psd, through G.
     "m-space-psd": (_SKETCH, _PSD12, 0.05, 1.0, 1 + 2 * 150, False),
-    # The confirmed hit comes at step 80, in the second block, so the
+    # The confirmed hit comes at step 80, in the first 64-row block, so the
     # confirming query is asked at G x built from m-space x.
     "m-space-reject": (_SKETCH, tuple([-0.2] + [0.8 / 11] * 11), 0.05, 1.0,
                        1 + 2 * 80 + 1, True),
     # Step too large for the scale: the run blows up at step 86, in the
-    # second block.
+    # first 64-row block.
     "m-space-blow-up": (_SKETCH, tuple([-1.0] + [1.0] * 11), 3.0, 1.0,
                         1 + 2 * 86, False),
 }
@@ -551,7 +551,7 @@ def test_descend_resynchronizes_after_drift_and_keeps_running():
 # (tester, kind, dim, eps, p, seeds, OjaConfig overrides): 231 seeded trials.
 # In the d16 random_psd accepts, 11 of the 90 runs blow up inside a handle
 # at their large step sizes; the rejections stop at the start query,
-# inside the first chunk or a few chunks in.
+# inside the first drawn block or a few blocks in.
 PARITY_TRIALS = [
     ("oja_l1", "random_psd", 16, 0.3, 1.0, range(10), {"amplification": 1}),
     ("oja_l1", "random_psd", 64, 0.3, 1.0, range(8), {"amplification": 1}),
@@ -562,9 +562,10 @@ PARITY_TRIALS = [
     ("oja_l1", "far", 48, 0.3, 1.0, range(40), {}),
     ("adaptive_l2", "random_psd", 16, 0.5, 2.0, range(6), {}),
     ("adaptive_l2", "far", 16, 0.5, 2.0, range(40), {}),
-    # k = 116: 52 null dimensions, plain Gaussian null rows, at d64 (9 of
-    # the far trials reach the descent, the rest reject on a probe); an
-    # explicit G at d128.
+    # k = 116: 52 null dimensions at d64, Bartlett null rows in the first
+    # four blocks and plain Gaussian ones in the 64-row blocks (9 of the far
+    # trials reach the descent, the rest reject on a probe); an explicit G
+    # at d128.
     ("adaptive_l2", "far", 64, 0.9, 2.0, range(20), {}),
     ("adaptive_l2", "random_psd", 64, 0.9, 2.0, range(2), {}),
     ("adaptive_l2", "random_psd", 128, 0.9, 2.0, range(2), {}),
@@ -605,7 +606,7 @@ def test_descent_matches_sequential_reference_trial_for_trial(
 
 def test_blow_up_inside_a_handle_overflows_silently_and_charges_its_steps(
         monkeypatch):
-    # A run reads its first chunk, 4 steps in m-space, as one handle.  At
+    # A run draws its first block, 4 steps in m-space, as one handle.  At
     # eta = 1e150 the iterate passes OJA_BLOWUP at the first step and the
     # later rows of the solve overflow; no warning escapes, and the run
     # pays two vmv per step up to and including the blow-up step, as the
@@ -630,8 +631,23 @@ def test_blow_up_inside_a_handle_overflows_silently_and_charges_its_steps(
                            1.0) is None
         counts.append(op.vmv_queries)
     assert counts[0] == counts[1] == 1 + 2 * 1
-    assert len(solved) == 1 and len(solved[0]) == _CHUNK_EDGES[1]
+    assert len(solved) == 1 and len(solved[0]) == 4
     assert not np.isfinite(solved[0]).all()
+
+
+@pytest.mark.parametrize("g", [None, _SKETCH], ids=["plain", "sketched"])
+def test_a_run_that_stops_draws_no_rows_past_its_block(g):
+    # A run that blows up at its first step draws its start x (n normals,
+    # n the handle's dimension) and its first 4-row block (4 n), and not
+    # a whole 64-row batch, so the generator is 5 n normals further on.
+    a = gen_rotated_diag(SpectrumInstance(
+        eigenvalues=tuple([-1.0] + [1.0] * 11), rotation_seed=3)).dense()
+    comp = SymmetricOperator(a).compressed(g)
+    gen, ref = rng_from(21), rng_from(21)
+    assert _descend(comp, 1e150, 150, gen, 1.0) is None
+    ref.standard_normal(5 * comp.dim)
+    np.testing.assert_array_equal(gen.standard_normal(8),
+                                  ref.standard_normal(8))
 
 
 def test_steps_match_a_forward_substitution_loop():
@@ -710,8 +726,8 @@ class _FormCountingCompression(Compression):
 
 def test_b_is_formed_once_per_compressed_handle():
     # cluster_l1 d128 (m = 27): seed 6 rejects on the start query, seed 5
-    # on a confirmed value a few steps into the first block (BYTE_TABLE
-    # rows); each forms its one repetition's B all the same.
+    # on a confirmed value five steps in, in its second drawn block
+    # (BYTE_TABLE rows); each forms its one repetition's B all the same.
     for seed, queries in ((6, 28), (5, 39)):
         op = _FormCountingOperator(
             family_op("cluster_l1", 128, 0.3, 1.0, seed).dense())
@@ -745,8 +761,10 @@ def test_b_is_formed_once_per_compressed_handle():
 # its handle forms when built, all of which round differently.  The six
 # adaptive_l2 descent rejections at d16 and d32 (k = 664) were re-recorded
 # when its sketch past k = d came to be simulated in d dimensions, which
-# draws other numbers; its two probe rejections did not move.  Covers
-# Oja without reduction (far d24), with reduction (far d48, cluster_l1 d128),
+# draws other numbers, and again when each run came to draw its first
+# blocks at 4, 8, 16 and 36 rows, which draws their null rows per block;
+# its two probe rejections did not move.  Covers Oja without reduction
+# (far d24), with reduction (far d48, cluster_l1 d128),
 # an Oja accept whose large step sizes blow up and leave draws unused
 # (random_psd d16), the adaptive l2 descent past k = d (far d16, d32) and
 # with an explicit G at k = 116 <= d (d128 at eps 0.9, recorded before the
@@ -769,14 +787,14 @@ BYTE_TABLE = [
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 6, (True, 51594, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 7, (True, 51684, None, None)),
     ("oja_l1", "random_psd", 16, 0.3, 1.0, 8, (True, 51546, None, None)),
-    ("adaptive_l2", "far", 16, 0.5, 2.0, 5, (False, 1166, None, None)),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 5, (False, 1158, None, None)),
     ("adaptive_l2", "far", 16, 0.5, 2.0, 6, (False, 1, "-0x1.3ec808a9a6d2cp+1", "cf35e6e3ebb2c5b74e1660893074e4b40a7ae98b")),
-    ("adaptive_l2", "far", 16, 0.5, 2.0, 7, (False, 1224, None, None)),
+    ("adaptive_l2", "far", 16, 0.5, 2.0, 7, (False, 1352, None, None)),
     ("adaptive_l2", "far", 16, 0.5, 2.0, 8, (False, 2, "-0x1.00ae0870ca6dap+4", "5ff01d114a56c0edb49ac5ea3d05ce9317b77174")),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 5, (False, 1214, None, None)),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 6, (False, 1404, None, None)),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 7, (False, 1200, None, None)),
-    ("adaptive_l2", "far", 32, 0.5, 2.0, 8, (False, 1144, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 5, (False, 1094, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 6, (False, 1206, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 7, (False, 1178, None, None)),
+    ("adaptive_l2", "far", 32, 0.5, 2.0, 8, (False, 1136, None, None)),
     ("adaptive_l2", "random_psd", 128, 0.9, 2.0, 5, (True, 1465, None, None)),
     ("adaptive_l2", "far", 128, 0.9, 2.0, 5, (False, 794, None, None)),
 ]
