@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .oracle import SeedLike, rng_from
-from .vmv_testers import (ONE_SIDED, Verdict, _check_eps,
+from .vmv_testers import (ONE_SIDED, Verdict, _check_constant, _check_eps,
                           _fixed_sketch_tester, _lowest, _tester)
 
 __all__ = [
@@ -94,6 +94,7 @@ def unrounded_krylov_degree(eps: float, p: float, d: int,
     takes its limit -1/2.
     """
     kappa = defaults.KRYLOV_KAPPA if kappa is None else kappa
+    _check_constant("kappa", kappa)
     exponent = -0.5 if math.isinf(p) else -p / (2.0 * p + 1.0)
     k = kappa * eps ** exponent * math.log(1.0 / eps)
     return k * math.log2(d) if p > 1 else k
@@ -122,9 +123,11 @@ def krylov_tester(op, eps: float, p: float, *,
     reject with a basis of d columns ends the accept: that space is all of
     R^d, so T holds A's exact spectrum, and any further build would find
     the same one.  A is read only through counted queries; A = 0 gives
-    T = 0, floor 0 and an accept.  Eps and p are checked before any query.
+    T = 0, floor 0 and an accept.  Eps, p, repeats and kappa are checked
+    before any query.
     """
     repeats = defaults.KRYLOV_REPEATS if repeats is None else repeats
+    _check_constant("repeats", repeats, count=True)
     gen = rng_from(rng, 0x4B70)
 
     k = min(krylov_degree(eps, p, op.dim, kappa), op.dim - 1)

@@ -30,21 +30,20 @@ from them:
 
   * compressed(G)          -> a handle on B, formed once, uncounted, when
                               the handle is built (G, when given, is
-                              checked like any block and copied)
+                              checked like any block and copied; without
+                              G, B is a copy of A)
   * comp.lift(x)           -> G x, the vector of A's space x stands for
                               (x itself when G is None)
-  * comp.directions(U)     -> a handle on the columns u_j of an (m, n) U
-                              (no charge; it holds U^T B)
-  * handle.gram()          -> U^T B U                  (no charge)
-  * handle.against(y)      -> U^T B y                  (no charge)
-  * handle.charge_steps(k) -> charges A the two ``vmv`` queries
+  * comp.read(U, y)        -> (U^T B U, U^T B y) for the columns u_j of an
+                              (m, n) U (no charge; opens U's n steps)
+  * comp.charge_steps(k)   -> charges A the two ``vmv`` queries
                               (G u_j)^T A (G u_j) and (G u_j)^T A (G x_{j-1})
                               of each of the next k steps, at most one step
-                              per direction
+                              per direction of the last read
 
 A query with a wrongly shaped vector or block raises ValueError before it
-is charged.  Block queries, ``compressed`` and ``directions`` also reject
-non-finite blocks; scalar queries and ``against`` pass non-finite values
+is charged.  Block queries, ``compressed`` and ``read`` also reject
+non-finite blocks; scalar queries and ``read``'s y pass non-finite values
 through, so a diverging caller sees its own non-finite values.
 
 Ground-truth helpers (``dense``, ``eigenvalues``) bypass the counters and
@@ -63,14 +62,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "MAX_DENSE_DIM",
     "Compression",
-    "DirectionBlock",
     "SymmetricOperator",
     "SpectrumInstance",
     "rng_from",
@@ -105,10 +103,11 @@ class SymmetricOperator:
 
     The backing is a square matrix, held dense (at most ``MAX_DENSE_DIM``
     rows), or a vector lam, held as itself and standing for diag(lam).
-    Every query, scalar or block, and every step charged on a direction
+    Every query, scalar or block, and every step charged on a compressed
     handle is charged through ``_charge``, the one place the counters are
-    written, and every answer is read from ``_product``, the one product
-    with the backing.
+    written.  Every query answer is read from ``_product``, the one
+    product with the backing, and every handle's reads from the B it
+    formed when it was built.
     Scalar queries check that their vectors have shape (dim,) and block
     queries that their blocks are (dim, n) and finite, both before any
     charge.  Operators are not thread-safe: the counters are plain
@@ -160,17 +159,17 @@ class SymmetricOperator:
         self._mv += mv
         self._vmv += vmv
 
-    def _product(self, v: np.ndarray, *, left: bool = False) -> np.ndarray:
-        """A v for a (dim,) vector or (dim, n) block v, or v^T A when ``left``.
+    def _product(self, v: np.ndarray) -> np.ndarray:
+        """A v for a (dim,) vector or (dim, n) block v.
 
         A diagonal backing answers bit for bit as the dense diag(lam) does:
         C-ordered, as a BLAS product is, so later products sum in the same
         order, and +0.0 where lam_i v_i is zero, as a BLAS sum of zeros is.
         """
         if self._a.ndim == 2:
-            return v.T @ self._a if left else self._a @ v
-        lam = self._a if left or v.ndim == 1 else self._a[:, None]
-        out = np.multiply(v.T if left else v, lam, order="C")
+            return self._a @ v
+        lam = self._a if v.ndim == 1 else self._a[:, None]
+        out = np.multiply(v, lam, order="C")
         out += 0.0  # -0.0 + 0.0 is +0.0; every other entry keeps its bits
         return out
 
@@ -245,7 +244,8 @@ class SymmetricOperator:
     # -- uncounted ground-truth access -------------------------------------
 
     def dense(self) -> np.ndarray:
-        """Copy of the hidden matrix (diag(lam) for a vector backing)."""
+        """Copy of the hidden matrix (diag(lam) for a vector backing); also
+        the B, O(dim^2) for any backing, of a ``Compression`` without G."""
         return np.diag(self._a) if self._a.ndim == 1 else self._a.copy()
 
     def eigenvalues(self) -> np.ndarray:
@@ -277,81 +277,57 @@ class Compression:
 
     Built by ``SymmetricOperator.compressed``, which checks G like any
     block and keeps its own copy, so mutating G later changes no answer;
-    G None means A itself, with m = dim.  With G, building the handle forms
-    B once, uncounted, and symmetrizes it the way the backing is, so no
-    later read asks A for a product.  G is fixed before any answer is read
-    and B depends on nothing else, so forming it reveals nothing a reader
-    could not get from the same reads asked on A at images under G, and
-    every step is charged to A as those queries.
+    G None means A itself, with m = dim.  Building the handle forms B once,
+    uncounted: with G, G^T A G symmetrized the way the backing is, and
+    without it the copy ``owner.dense()``, so no read asks A for a
+    product.  G is fixed before any answer is read and B depends on
+    nothing else, so forming it reveals nothing a reader could not get
+    from the same reads asked on A at images under G, and every step is
+    charged to A as those queries.
     """
 
     def __init__(self, owner: SymmetricOperator, g):
         self.owner = owner
-        self._g = self._b = None
-        self.dim = owner.dim
-        if g is not None:
+        self._g = None
+        self._steps_left = 0
+        if g is None:
+            self._b = owner.dense()
+        else:
             self._g = np.array(_checked_block(g, owner.dim, "compressed"))
-            self.dim = self._g.shape[1]
             b = self._g.T @ owner._product(self._g)
             b *= 0.5
             self._b = b + b.T
+        self.dim = self._b.shape[0]
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """G x, the vector of A's space that the m-space x stands for (x
         itself without G)."""
         return x if self._g is None else self._g @ x
 
-    def directions(self, u) -> "DirectionBlock":
-        """Descent handle on the columns of an (m, n) U, with B in A's place.
+    def read(self, u, y) -> Tuple[np.ndarray, np.ndarray]:
+        """(U^T B U, U^T B y) for an (m, n) U and an (m,) y, uncounted.
 
-        U is checked like any block; each step charged on the returned
-        handle costs A two ``vmv``.
+        U is checked like any block; y only for its shape, so a diverging
+        descent sees its own non-finite values.  Both checks come before
+        anything changes.  The read opens U's n steps for
+        ``charge_steps``, in place of any steps left from the last read.
         """
-        u = _checked_block(u, self.dim, "directions")
-        utb = (self.owner._product(u, left=True) if self._b is None
-               else u.T @ self._b)
-        return DirectionBlock(self.owner, utb, u)
-
-
-class DirectionBlock:
-    """Fixed directions u_j of B's space, for one descent sweep.
-
-    Built by ``Compression.directions`` from ``utb``, the rows u_j^T B.
-    ``gram`` and ``against`` hand the descent the products it solves its
-    steps from, uncounted; the descent pays for the steps it takes through
-    ``charge_steps``, two ``vmv`` per step, and never for more steps than
-    the handle has directions.  ``against`` checks that y is an array of
-    B's dimension; it leaves y's finiteness unchecked, so a diverging
-    descent sees its own non-finite values.  The handle keeps no reference
-    to U, so mutating U later changes no answer.
-    """
-
-    def __init__(self, owner: SymmetricOperator, utb: np.ndarray,
-                 u: np.ndarray):
-        self._owner = owner
-        self._utb = utb
-        self._gram = utb @ u
-        self._gram.flags.writeable = False
+        u = _checked_block(u, self.dim, "read")
+        if getattr(y, "shape", None) != (self.dim,):
+            raise ValueError(f"read expects a y of shape ({self.dim},), "
+                             f"got {np.shape(y)}")
+        utb = u.T @ self._b
         self._steps_left = u.shape[1]
-
-    def gram(self) -> np.ndarray:
-        """The read-only (n, n) matrix of u_i^T B u_j, entry (i, j)."""
-        return self._gram
-
-    def against(self, y: np.ndarray) -> np.ndarray:
-        """u_j^T B y for every direction j."""
-        if getattr(y, "shape", None) != self._utb.shape[1:]:
-            raise ValueError(f"against expects an array of shape "
-                             f"{self._utb.shape[1:]}, got {np.shape(y)}")
-        return self._utb @ y
+        return utb @ u, utb @ y
 
     def charge_steps(self, steps: int) -> None:
-        """Charge the two vmv reads, t_j and s_j, of ``steps`` more steps."""
+        """Charge the two vmv reads, t_j and s_j, of ``steps`` more steps
+        along the directions of the last read."""
         if not 0 <= steps <= self._steps_left:
-            raise ValueError(f"cannot charge {steps} steps on a handle with "
+            raise ValueError(f"cannot charge {steps} steps on a read with "
                              f"{self._steps_left} directions left")
         self._steps_left -= steps
-        self._owner._charge(0, 2 * steps)
+        self.owner._charge(0, 2 * steps)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ Both Oja-based testers share one descent, ``_descend``: it runs on a
 ``compressed`` handle of the operator the caller handed in, so on the form
 x^T B x with B = G^T A G for a Gaussian map G (B = A without one), and
 optionally under an affine shift of every answer.  The iterate lives in
-B's space, and its steps read their two vmv queries from the handle's
-direction handles, all read from B, which the handle forms, uncounted,
-when it is built; every query is charged to the operator handed in.
+B's space, and each block of its steps is solved from one ``read`` of
+the handle, whose products come from B, formed, uncounted, when the
+handle is built; the handle charges every step taken to the operator
+handed in as its two vmv queries.
 ``oja_l1_tester`` shares one handle across the runs of a repetition, and
 ``adaptive_l2_tester`` across the runs of a trial; once its k passes d,
 it simulates G = L Q through the square d x d Bartlett factor L (see
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -92,6 +94,17 @@ def _check_eps(eps) -> None:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
 
 
+def _check_constant(name: str, value, *, count: bool = False) -> None:
+    """The one library check of a tester constant: ValueError naming it
+    unless it is a finite number > 0, or, for a ``count``, an integer >= 1
+    (numpy's too); a bool is neither."""
+    kind = numbers.Integral if count else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not 0 < value < math.inf):
+        rule = "an integer >= 1" if count else "a finite number > 0"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OjaConfig:
     """Tuning knobs of the Oja-style descent.
@@ -110,10 +123,9 @@ class OjaConfig:
     amplification: int
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.max_iters < 1 or self.eta_scales < 1 or self.amplification < 1:
-            raise ValueError("max_iters, eta_scales and amplification must be >= 1")
+        _check_constant("eta", self.eta)
+        for name in ("max_iters", "eta_scales", "amplification"):
+            _check_constant(name, getattr(self, name), count=True)
 
     @classmethod
     def from_eps(cls, eps: float, dim: int,
@@ -127,6 +139,8 @@ class OjaConfig:
         hence ceil(log2(2 m^2)) step-size scales.
         """
         _check_eps(eps)
+        scale = defaults.OJA_ITER_SCALE if iter_scale is None else iter_scale
+        _check_constant("iter_scale", scale)
         m = math.ceil(defaults.REDUCE_KAPPA / eps)
         if m >= dim:
             m = dim
@@ -135,7 +149,6 @@ class OjaConfig:
             eps_eff = eps / defaults.REDUCE_EPS_SHRINK
         log_term = math.log(10.0 / eps_eff ** 2)
         eta = min(defaults.OJA_ETA_MAX, defaults.OJA_STEP_C / log_term)
-        scale = defaults.OJA_ITER_SCALE if iter_scale is None else iter_scale
         n = math.ceil(scale * (2.0 / (eta * eps_eff)) * log_term)
         return cls(eta=eta,
                    max_iters=n,
@@ -190,7 +203,7 @@ _DRAW_BATCH = 64
 _FIRST_DRAWS = (4, 8, 16, 36)
 _OJA_STREAM = 0x01A1
 # Strictly lower-triangular 0/1 mask; its leading n x n corner serves a
-# handle of n directions.
+# block of n directions.
 _LOWER = np.tri(_DRAW_BATCH, k=-1)
 _LOWER.flags.writeable = False
 
@@ -207,9 +220,8 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     only.  Each step asks two vmv queries, t = u^T B u, then s = u^T B x,
     and every query is charged to A.  Directions u are standard Gaussian,
     drawn after x in blocks of 4, 8, 16 and 36 rows, then 64 rows each,
-    every block capped at the steps left; each drawn block is read as one
-    direction handle on B, and no further block is drawn once the run
-    stops.
+    every block capped at the steps left; each drawn block is one
+    ``comp.read``, and no further block is drawn once the run stops.
 
     ``null = D > 0`` runs the descent of a d x (d + D) Gaussian G = L Q on
     the handle of its d x d Bartlett factor L, Q being Haar with
@@ -223,8 +235,9 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
     block's null parts are drawn afresh from a rotation-invariant law.
 
     A drawn block is fixed before any of its answers is read, so its steps
-    are computed together from its handle's products (see ``_sweep``) and
-    charged two vmv each, up to the step where the run stops.
+    are computed together from that read (see ``_sweep``) and charged
+    through ``comp.charge_steps``, two vmv each, up to the step where the
+    run stops.
 
     The maintained f = x^T B x drops by eta s^2 (2 - eta t) per step, which
     is exact algebra, subtracted in step order; once it falls below
@@ -258,10 +271,8 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
             left -= len(rows)
             if null:  # x = [Q x, |x_perp|] takes the block's null axes
                 x = np.concatenate([x, np.zeros(rows.shape[1] - x.size)])
-            block = comp.directions(rows[:, :d].T)
             x0 = x
-            e, drops, go_norm, limit = _sweep(block, rows, x0, d, eta, up,
-                                              affine)
+            e, drops, go_norm, limit = _sweep(comp, rows, x0, eta, up, affine)
             lo = 0  # first step not yet taken
             while lo < len(e):
                 drops[lo] = f  # step lo - 1's drop is spent
@@ -270,11 +281,11 @@ def _descend(comp, eta: float, iters: int, gen: np.random.Generator,
                 # an infinite one of either sign.
                 go = (fs >= limit[lo:]) & (fs < math.inf) & go_norm[lo:]
                 if go.all():
-                    block.charge_steps(len(e) - lo)
+                    comp.charge_steps(len(e) - lo)
                     f = float(fs[-1])
                     break
                 stop = int(np.argmin(go))
-                block.charge_steps(stop + 1)
+                comp.charge_steps(stop + 1)
                 if not (math.isfinite(fs[stop]) and go_norm[lo + stop]):
                     return None
                 lo += stop + 1
@@ -325,20 +336,19 @@ def _shifted(affine: Tuple[float, float, float], raw, dot):
     return (raw - alpha * dot) / denom + shift * dot
 
 
-def _sweep(block, rows: np.ndarray, x: np.ndarray, d: int, eta: float,
-           up: float, affine
-           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every step along one handle at once, before any stop test.
+def _sweep(comp, rows: np.ndarray, x: np.ndarray, eta: float, up: float,
+           affine) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every step along one drawn block at once, before any stop test.
 
     With u_j the rows and x_0 = x, step j reads t_j = m_jj and
     s_j = c_j - eta sum_{i<j} m_ji s_i, where m = U^T B U and c = U^T B x
-    come from the handle, after the affine map when there is one (its dots
-    are P = U U^T and q = U x, since u_j . x_{j-1} = q_j - eta
-    sum_{i<j} p_ji s_i).  The handle sees the first d coordinates of the
-    rows and of x; the rest, ``_descend``'s null coordinates, enter only
-    the dots.  So s solves the unit lower-triangular
-    (I + eta tril(m, -1)) s = c.  The drop of f at step j is
-    eta s_j^2 (2 - eta t_j), and
+    come from one ``comp.read``, which opens the block's steps, after the
+    affine map when there is one (its dots are P = U U^T and q = U x,
+    since u_j . x_{j-1} = q_j - eta sum_{i<j} p_ji s_i).  The read sees
+    the first ``comp.dim`` coordinates of the rows and of x; the rest,
+    ``_descend``'s null coordinates, enter only the dots.  So s solves the
+    unit lower-triangular (I + eta tril(m, -1)) s = c.  The drop of f at
+    step j is eta s_j^2 (2 - eta t_j), and
     |x_j|^2 = |x_{j-1}|^2 - eta s_j (2 u_j . x_{j-1} - eta s_j p_jj).
 
     Returns (eta s, drops, go_norm, limit): drops[j + 1] is step j's drop
@@ -347,8 +357,8 @@ def _sweep(block, rows: np.ndarray, x: np.ndarray, d: int, eta: float,
     calls for a confirming query.  Steps after a blow-up may overflow;
     their values are meaningless, and the caller silences the warnings.
     """
-    m = block.gram()
-    c = block.against(x[:d])
+    d = comp.dim
+    m, c = comp.read(rows[:, :d].T, x[:d])
     dots = rows @ rows.T
     q = rows @ x
     if affine is not None:
@@ -466,6 +476,7 @@ def sketch_dim(eps: float, kappa: Optional[float] = None) -> int:
     """Sketch size k = ceil(kappa * eps^-2 * ln^2(max(e, 1/eps)))."""
     _check_eps(eps)
     kappa = defaults.SKETCH_KAPPA if kappa is None else kappa
+    _check_constant("kappa", kappa)
     return math.ceil(kappa * eps ** -2 * math.log(max(math.e, 1.0 / eps)) ** 2)
 
 
@@ -515,8 +526,8 @@ def bilinear_sketch_tester(op, eps: float, c_psd: Optional[float] = None, *,
     confirming query), or when gamma exceeds the calibrated threshold;
     accepts otherwise.  The statistic field always carries gamma.
     """
-    if c_psd is None:
-        c_psd = defaults.C_PSD
+    c_psd = defaults.C_PSD if c_psd is None else c_psd
+    _check_constant("c_psd", c_psd)
     state = build_sketch(op, sketch_dim(eps, kappa), rng)
     if state.direction is not None:
         witness = state.g @ state.direction
@@ -580,8 +591,8 @@ def adaptive_l2_tester(op, eps: float, *, rng: SeedLike = 0,
     simulated or not: the cap also bounds the run length, which grows with
     k.
     """
-    if c_psd is None:
-        c_psd = defaults.C_PSD
+    c_psd = defaults.C_PSD if c_psd is None else c_psd
+    _check_constant("c_psd", c_psd)
     k = _gap_sketch_dim(eps, c_psd)
     _check_sketch_bytes(f"adaptive_l2 at eps={eps} (k={k}, d={op.dim})",
                         8 * op.dim * k)
@@ -647,6 +658,8 @@ def _fixed_sketch_tester(op, eps: float, p: float, read, repeats, kappa,
     """
     repeats = defaults.NONADAPT_REPEATS if repeats is None else repeats
     kappa = defaults.NONADAPT_KAPPA if kappa is None else kappa
+    _check_constant("repeats", repeats, count=True)
+    _check_constant("kappa", kappa)
     d = op.dim
     m = min(d, math.ceil(kappa * d ** (1.0 - 1.0 / p) / eps))
     lam_last = None

@@ -1,14 +1,14 @@
 """Sequential reference for the Oja descent, ``vmv_testers._descend``.
 
-``_descend`` solves every step along one direction handle at once, as one
+``_descend`` solves every step along one drawn block at once, as one
 unit lower-triangular system.  This module keeps the step-at-a-time loop
 it replaced: each step reads t = u^T B u and then s = u^T B x, updates x,
 and runs the blow-up and margin tests before the next step is read.  It
 draws the same directions in the same blocks, 4, 8, 16 and 36 rows, then
-64 each, takes one handle per drawn block as ``_descend`` does and charges
-every step on it, so a tester run with it in ``_descend``'s place asks the
-same queries; the tests check that the two agree trial for trial.  No
-tester calls it.
+64 each, opens each drawn block with one ``comp.read`` as ``_descend``
+does and charges its steps one at a time, so a tester run with it in
+``_descend``'s place asks the same queries; the tests check that the two
+agree trial for trial.  No tester calls it.
 
   * sequential_descend -- drop-in for ``_descend``, one step at a time
   * steps_loop         -- ``_steps`` as a loop over Python floats
@@ -32,7 +32,8 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
 
     Each step charges its two reads on the handle and computes them from
     a dense B that it forms itself from ``op.dense()`` and G: the
-    symmetrized G^T A G, or A itself without G.  With ``null`` > 0 it keeps
+    symmetrized G^T A G, or A itself without G.  The products of each
+    block's ``comp.read`` go unused; the read only opens its steps.  With ``null`` > 0 it keeps
     x and the rows in ``_descend``'s simulated coordinates, [Q x, null
     part], and reads B through the first d.
     """
@@ -68,9 +69,9 @@ def sequential_descend(comp, eta: float, iters: int, gen: np.random.Generator,
         left -= len(rows)
         if null:
             x = np.concatenate([x, np.zeros(rows.shape[1] - x.size)])
-        block = comp.directions(rows[:, :d].T)
+        comp.read(rows[:, :d].T, x[:d])
         for u in rows:
-            block.charge_steps(1)
+            comp.charge_steps(1)
             bu = b @ u[:d]
             t, s = float(u[:d] @ bu), float(bu @ x[:d])
             if affine is not None:

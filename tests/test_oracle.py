@@ -83,10 +83,11 @@ def test_mutating_a_query_vector_never_changes_a_later_answer():
     np.testing.assert_allclose(op.quad_forms(block)[1:], got[1:], rtol=1e-12)
     assert op.quad_forms(block)[0] == 0.0
     block[:, 0] = y
-    handle = op.compressed(None).directions(block)
+    gram, against = op.compressed(None).read(block, y)
     block[:] = 0.0
-    assert handle.gram()[0, 0] == pytest.approx(got[0], rel=1e-12)
-    assert handle.against(y)[0] == pytest.approx(got[0], rel=1e-12)
+    y[:] = 0.0
+    assert gram[0, 0] == pytest.approx(got[0], rel=1e-12)
+    assert against[0] == pytest.approx(got[0], rel=1e-12)
 
 
 def test_operator_rejects_bad_backing():
@@ -293,7 +294,7 @@ def test_diagonal_backing_answers_bit_for_bit_like_diag_lam():
         got, want = (np.asarray(ask(op)) for op in ops)
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous == want.flags.c_contiguous
-    # The descent's handles, on A and through a narrow and a square map G,
+    # The descent's reads, on A and through a narrow and a square map G,
     # U F-ordered, as the descent draws it.
     maps = [(None, rng.standard_normal((5, d)).T, y)]
     for m in (12, d):
@@ -303,8 +304,7 @@ def test_diagonal_backing_answers_bit_for_bit_like_diag_lam():
     for op in ops:
         read = []
         for gmap, uu, yy in maps:
-            handle = op.compressed(gmap).directions(uu)
-            read += [handle.gram().tobytes(), handle.against(yy).tobytes()]
+            read += [r.tobytes() for r in op.compressed(gmap).read(uu, yy)]
         reads.append(read)
     assert reads[0] == reads[1]
     assert ((ops[0].mv_queries, ops[0].vmv_queries)
@@ -323,22 +323,25 @@ def test_block_queries_over_shapes(d, kx, ky, seed):
     _check_block_queries(op, op.dense(), x, y, _block_scale(op.dense(), x, y))
 
 
-def _check_directions(op, u, y, comp=None, g=None):
-    """Products and charges of a directions handle on U from ``comp``, a
-    compressed handle on g (on A itself when comp is None): they match the
-    dense (G U)^T A (G y) within 1e-12 of ||A||_2 ||G||_2^2 |u| |y|, charge
-    nothing, and each step charged costs two vmv, up to one step per
-    direction."""
+def _check_read(op, u, y, comp=None, g=None):
+    """One read of U and y from ``comp``, a compressed handle on g (on A
+    itself when comp is None): U^T B U and U^T B y match the dense
+    (G U)^T A (G y) within 1e-12 of ||A||_2 ||G||_2^2 |u| |y|, even once U
+    and y are overwritten, the read charges nothing, and each step charged
+    after it costs two vmv, up to one step per column of U."""
     dense = op.dense()
     before = (op.mv_queries, op.vmv_queries)
     nrm = float(np.linalg.norm(dense, 2))
-    handle = (op.compressed(None) if comp is None else comp).directions(u)
+    u_buf, y_buf = u.copy(), y.copy()
+    comp = op.compressed(None) if comp is None else comp
+    gram, against = comp.read(u_buf, y_buf)
+    u_buf[:] = np.nan
+    y_buf[:] = np.nan
     if g is not None:
         nrm *= float(np.linalg.norm(g, 2)) ** 2
         dense = g.T @ dense @ g
     n = u.shape[1]
     sizes = np.linalg.norm(u, axis=0)
-    gram, against = handle.gram(), handle.against(y)
     assert gram.shape == (n, n) and against.shape == (n,)
     assert np.all(np.abs(gram - u.T @ dense @ u)
                   <= 1e-12 * np.maximum(nrm * np.outer(sizes, sizes), 1e-300))
@@ -348,45 +351,62 @@ def _check_directions(op, u, y, comp=None, g=None):
     assert (op.mv_queries, op.vmv_queries) == before
     half = n // 2
     for taken, steps in ((half, half), (n, n - half)):
-        handle.charge_steps(steps)
+        comp.charge_steps(steps)
         assert op.vmv_queries == before[1] + 2 * taken
     with pytest.raises(ValueError, match="cannot charge 1 steps"):
-        handle.charge_steps(1)
+        comp.charge_steps(1)
     assert (op.mv_queries, op.vmv_queries) == (before[0], before[1] + 2 * n)
 
 
-def test_directions_charge_two_vmv_per_step_and_match_dense():
+def test_read_charges_nothing_and_steps_two_vmv_each():
     rng = rng_from(34)
     a = rng.standard_normal((12, 12))
     op = SymmetricOperator(a + a.T)
-    _check_directions(op, rng.standard_normal((12, 5)), rng.standard_normal(12))
+    _check_read(op, rng.standard_normal((12, 5)), rng.standard_normal(12))
     assert op.vmv_queries == 10
 
 
-def test_directions_reject_bad_blocks_and_charge_nothing():
+def test_read_rejects_bad_blocks_and_charges_nothing():
     op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
     bad = np.ones((3, 2))
     for value in (np.nan, np.inf, -np.inf):
         bad[1, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
-            op.compressed(None).directions(bad)
+            op.compressed(None).read(bad, np.ones(3))
     for shape in ((3,), (2, 2), (4, 1), (3, 1, 1)):
-        with pytest.raises(ValueError, match="directions expects"):
-            op.compressed(None).directions(np.ones(shape))
+        with pytest.raises(ValueError, match="read expects"):
+            op.compressed(None).read(np.ones(shape), np.ones(3))
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
-def test_direction_handles_check_their_arguments_before_charging():
+def test_read_checks_its_arguments_and_opens_one_block():
+    # Bad steps and a misshaped y raise before any charge, and leave the
+    # open block as it was; a non-finite y passes through.  Each read
+    # opens its own block's steps in place of any left from the last.
     op = SymmetricOperator(np.eye(4))
-    handle = op.compressed(None).directions(np.ones((4, 2)))
+    comp = op.compressed(None)
+    for steps in (-1, 1):
+        with pytest.raises(ValueError, match="cannot charge"):
+            comp.charge_steps(steps)
+    comp.read(np.ones((4, 2)), np.ones(4))
     for steps in (-1, 3, 5):
         with pytest.raises(ValueError, match="cannot charge"):
-            handle.charge_steps(steps)
+            comp.charge_steps(steps)
     for y in (np.ones(3), np.ones(5), np.ones((4, 1)), np.ones((1, 4)),
               [1.0] * 4):
-        with pytest.raises(ValueError, match="against expects"):
-            handle.against(y)
+        with pytest.raises(ValueError, match="read expects"):
+            comp.read(np.ones((4, 3)), y)
+    with pytest.raises(ValueError, match="non-finite"):
+        comp.read(np.full((4, 3), np.nan), np.ones(4))
     assert op.mv_queries == 0 and op.vmv_queries == 0
+    comp.charge_steps(2)  # the failed reads left the 2-column block open
+    assert np.isnan(comp.read(np.ones((4, 3)), np.full(4, np.nan))[1]).all()
+    comp.charge_steps(1)
+    comp.read(np.ones((4, 1)), np.ones(4))  # two steps left go unused
+    with pytest.raises(ValueError, match="cannot charge 2 steps"):
+        comp.charge_steps(2)
+    comp.charge_steps(1)
+    assert op.mv_queries == 0 and op.vmv_queries == 2 * (2 + 1 + 1)
 
 
 def test_compressed_steps_charge_two_vmv_each_and_match_dense():
@@ -399,11 +419,11 @@ def test_compressed_steps_charge_two_vmv_each_and_match_dense():
     g_copy = g.copy()
     g[:] = 0.0  # the handle keeps its own G
     for n in (3, 5):  # the second block is read from the same B
-        _check_directions(op, rng.standard_normal((4, n)),
-                          rng.standard_normal(4), comp, g_copy)
+        _check_read(op, rng.standard_normal((4, n)), rng.standard_normal(4),
+                    comp, g_copy)
     # B is exactly symmetric, as the backing is: read entrywise through
     # unit directions, b_ij and b_ji are the same float.
-    entries = comp.directions(np.eye(4)).gram()
+    entries, _ = comp.read(np.eye(4), np.zeros(4))
     np.testing.assert_array_equal(entries, entries.T)
     assert op.mv_queries == 0 and op.vmv_queries == 2 * (3 + 5)
 
@@ -423,13 +443,12 @@ def test_compressed_rejects_bad_maps_and_blocks_and_charges_nothing():
     for value in (np.nan, np.inf, -np.inf):
         bad[0, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
-            comp.directions(bad)
+            comp.read(bad, np.ones(2))
     for shape in ((2,), (3, 2), (1, 1), (2, 1, 1)):
-        with pytest.raises(ValueError, match="directions expects"):
-            comp.directions(np.ones(shape))
-    handle = comp.directions(np.ones((2, 1)))
-    with pytest.raises(ValueError, match="against expects"):
-        handle.against(np.ones(3))
+        with pytest.raises(ValueError, match="read expects"):
+            comp.read(np.ones(shape), np.ones(2))
+    with pytest.raises(ValueError, match="read expects"):
+        comp.read(np.ones((2, 1)), np.ones(3))
     assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
@@ -438,7 +457,7 @@ def test_compressed_reads_match_dense_and_keep_their_own_g(m):
     # On a d = 6 operator, through no map, a narrow, a square and a wide
     # G: the reads match the dense (G U)^T A (G y), each step costs two
     # vmv, lift is G y, and mutating G after the handle is built changes no
-    # answer.
+    # read.
     rng = rng_from(36)
     a = rng.standard_normal((6, 6))
     op = SymmetricOperator(a + a.T)
@@ -447,13 +466,12 @@ def test_compressed_reads_match_dense_and_keep_their_own_g(m):
     g_copy = None if g is None else g.copy()
     width = 6 if m is None else m
     u, y = rng.standard_normal((width, 4)), rng.standard_normal(width)
-    handle = comp.directions(u)
-    gram, against = handle.gram().copy(), handle.against(y)
+    first = comp.read(u, y)
     if g is not None:
         g[:] = 0.0
-    _check_directions(op, u, y, comp, g_copy)
-    np.testing.assert_array_equal(handle.gram(), gram)
-    np.testing.assert_array_equal(handle.against(y), against)
+    _check_read(op, u, y, comp, g_copy)
+    for got, want in zip(comp.read(u, y), first):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(comp.lift(y),
                                   y if g is None else g_copy @ y)
     assert op.mv_queries == 0 and op.vmv_queries == 2 * 4
@@ -466,29 +484,29 @@ class _ProductCountingOperator(SymmetricOperator):
         super().__init__(backing)
         self.products = 0
 
-    def _product(self, v, *, left=False):
+    def _product(self, v):
         self.products += 1
-        return super()._product(v, left=left)
+        return super()._product(v)
 
 
-@pytest.mark.parametrize("m", [5, 24])
+@pytest.mark.parametrize("m", [None, 5, 24])
 def test_compressed_handle_asks_a_for_no_product_once_built(m):
-    # A narrow G (m = 5) and a square one (m = d, as adaptive_l2's
-    # Bartlett factor is), on a dense and on a diagonal backing: every
-    # read of the handle's directions comes from the B it formed when it
-    # was built, so A sees no product after that, and the reads match the
+    # No G (B is a copy of A), a narrow G (m = 5) and a square one (m = d,
+    # as adaptive_l2's Bartlett factor is), on a dense and on a diagonal
+    # backing: every read comes from the B the handle formed when it was
+    # built, so A sees no product after that, and the reads match the
     # dense (G U)^T A (G y) within 1e-12 of scale.
     rng = rng_from(38)
     d = 24
     a = rng.standard_normal((d, d))
     for backing in (a + a.T, rng.standard_normal(d)):
         op = _ProductCountingOperator(backing)
-        g = rng.standard_normal((d, m))
+        g = None if m is None else rng.standard_normal((d, m))
         comp = op.compressed(g)
         built = op.products
         for n in (4, 8, 64):
-            _check_directions(op, rng.standard_normal((m, n)),
-                              rng.standard_normal(m), comp, g)
+            _check_read(op, rng.standard_normal((comp.dim, n)),
+                        rng.standard_normal(comp.dim), comp, g)
         assert op.products == built
         assert op.mv_queries == 0 and op.vmv_queries == 2 * (4 + 8 + 64)
 
@@ -496,11 +514,11 @@ def test_compressed_handle_asks_a_for_no_product_once_built(m):
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 10), n=st.integers(0, 6),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_directions_over_widths(d, n, seed):
+def test_read_over_widths(d, n, seed):
     rng = rng_from(seed)
     a = rng.standard_normal((d, d))
     op = SymmetricOperator(a + a.T)
-    _check_directions(op, rng.standard_normal((d, n)), rng.standard_normal(d))
+    _check_read(op, rng.standard_normal((d, n)), rng.standard_normal(d))
     assert op.vmv_queries == 2 * n
 
 

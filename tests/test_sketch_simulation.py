@@ -72,10 +72,10 @@ def test_null_simulation_matches_the_explicit_k_space_run(monkeypatch, k):
     sweeps = []
     sweep = vmv_testers._sweep
 
-    def recording(block, rows, x, *args):
-        out = sweep(block, rows, x, *args)
-        sweeps.append((rows.copy(), x.copy(), np.diagonal(block.gram()).copy(),
-                       out[0] / eta))
+    def recording(comp, rows, x, *args):
+        m, _ = comp.read(rows[:, :d].T, x[:d])
+        out = sweep(comp, rows, x, *args)
+        sweeps.append((rows.copy(), x.copy(), np.diagonal(m), out[0] / eta))
         return out
 
     monkeypatch.setattr(vmv_testers, "_sweep", recording)
@@ -155,9 +155,9 @@ def test_the_start_stands_for_a_gaussian_k_vector(monkeypatch):
     starts = []
     sweep = vmv_testers._sweep
 
-    def recording(block, rows, x, *args):
+    def recording(comp, rows, x, *args):
         starts.append(x.copy())
-        return sweep(block, rows, x, *args)
+        return sweep(comp, rows, x, *args)
 
     monkeypatch.setattr(vmv_testers, "_sweep", recording)
     comp = SymmetricOperator(np.ones(2)).compressed(np.eye(2))

@@ -11,7 +11,8 @@ from oja_reference import sequential_descend, steps_loop
 
 from psdprobe import defaults, vmv_testers
 from psdprobe.harness import family_spectrum, instance_operator
-from psdprobe.mv_testers import krylov_tester, nonadaptive_mv_tester
+from psdprobe.mv_testers import (krylov_degree, krylov_tester,
+                                 nonadaptive_mv_tester)
 from psdprobe.oracle import (
     Compression,
     SpectrumInstance,
@@ -78,14 +79,59 @@ def test_verdict_is_immutable():
 
 
 def test_oja_config_validates():
-    with pytest.raises(ValueError):
-        OjaConfig(eta=0.0, max_iters=5, eta_scales=1, amplification=1)
-    with pytest.raises(ValueError):
-        OjaConfig(eta=0.1, max_iters=0, eta_scales=1, amplification=1)
-    with pytest.raises(ValueError):
-        OjaConfig(eta=0.1, max_iters=5, eta_scales=1, amplification=0)
+    # A NaN or infinite step once passed the check and let oja_l1 accept an
+    # eps-far input; a fractional count built and failed later, in range.
+    for eta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            OjaConfig(eta=eta, max_iters=5, eta_scales=1, amplification=1)
+    for name in ("max_iters", "eta_scales", "amplification"):
+        for bad in (0, -1, 2.5, math.nan, True):
+            counts = dict(max_iters=5, eta_scales=1, amplification=1)
+            counts[name] = bad
+            with pytest.raises(ValueError, match=name):
+                OjaConfig(eta=0.1, **counts)
+    assert OjaConfig(eta=0.1, max_iters=np.int64(5), eta_scales=1,
+                     amplification=1).max_iters == 5
+    with pytest.raises(ValueError, match="amplification"):
+        OjaConfig.from_eps(0.3, dim=64, amplification=2.5)
     with pytest.raises(ValueError):
         OjaConfig.from_eps(1.5, dim=10)
+
+
+# (call on the far d64 operator, name of the bad constant): every library
+# tester checks its constants before any draw or query.  At the parent the
+# zero and negative repeat counts accepted the far input after no query,
+# the non-adaptive kappas failed deep in numpy, krylov's negative kappa ran
+# at degree 1, and a NaN c_psd ran a tiny sketch or never rejected.
+BAD_CONSTANTS = [
+    (lambda op: krylov_tester(op, 0.3, 1.0, repeats=-1), "repeats"),
+    (lambda op: krylov_tester(op, 0.3, 1.0, repeats=2.0), "repeats"),
+    (lambda op: krylov_tester(op, 0.3, 1.0, kappa=-1.0), "kappa"),
+    (lambda op: krylov_degree(0.3, 1.0, op.dim, kappa=math.nan), "kappa"),
+    (lambda op: nonadaptive_l1_tester(op, 0.3, repeats=0), "repeats"),
+    (lambda op: nonadaptive_l1_tester(op, 0.3, kappa=0.0), "kappa"),
+    (lambda op: nonadaptive_l1_tester(op, 0.3, kappa=-1.0), "kappa"),
+    (lambda op: nonadaptive_l1_tester(op, 0.3, kappa=math.nan), "kappa"),
+    (lambda op: nonadaptive_mv_tester(op, 0.3, 1.0, kappa=math.inf),
+     "kappa"),
+    (lambda op: sketch_dim(0.3, math.nan), "kappa"),
+    (lambda op: bilinear_sketch_tester(op, 0.3, kappa=-4.0), "kappa"),
+    (lambda op: bilinear_sketch_tester(op, 0.3, c_psd=math.nan), "c_psd"),
+    (lambda op: adaptive_l2_tester(op, 0.3, c_psd=math.nan), "c_psd"),
+    (lambda op: adaptive_l2_tester(op, 0.3, c_psd=0.0), "c_psd"),
+    (lambda op: OjaConfig.from_eps(0.3, op.dim, iter_scale=math.nan),
+     "iter_scale"),
+]
+
+
+@pytest.mark.parametrize("call,name", BAD_CONSTANTS,
+                         ids=[f"{i}-{c[1]}" for i, c in
+                              enumerate(BAD_CONSTANTS)])
+def test_bad_constants_raise_before_any_query(call, name):
+    op = instance_operator({"kind": "far", "dim": 64}, 0.3, 1.0, 1)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(op)
+    assert op.mv_queries == 0 and op.vmv_queries == 0
 
 
 def test_oja_config_from_eps_frozen_values():
@@ -129,9 +175,9 @@ def oja_step(op, x, eta, rng, g=None):
 class RecordingOperator(SymmetricOperator):
     """Symmetric operator that logs every scalar answer in query order.
 
-    The two answers of every step charged on the direction handles of a
-    ``compressed`` handle are logged too, in step order, when the step is
-    charged: t_j from the handle's gram and s_j from the descent's own
+    The two answers of every step charged on a ``compressed`` handle are
+    logged too, in step order, when the step is charged: t_j from the
+    diagonal of the handle's last read and s_j from the descent's own
     steps, which ``record_steps`` hands to the handle.  Each entry is
     (answer, scale), the scale being ||M||_2 |x| |y| for the query x^T M y,
     with ||M||_2 taken as ||A||_2 ||G||_2^2 for a read of B = G^T A G
@@ -161,49 +207,38 @@ class RecordingOperator(SymmetricOperator):
         return _RecordingCompression(self, super().compressed(g), g)
 
 
-class _RecordingDirections:
-    def __init__(self, op, block, u, norm):
-        self._op, self._block, self._u = op, block, np.array(u)
-        self._norm = norm
-        self._taken = 0
-        self.s = None
-
-    def gram(self):
-        return self._block.gram()
-
-    def against(self, y):
-        return self._block.against(y)
-
-    def charge_steps(self, steps):
-        self._block.charge_steps(steps)
-        t = np.diagonal(self._block.gram())
-        for j in range(self._taken, self._taken + steps):
-            u = self._u[:, j]
-            self._op._log(float(t[j]), u, u, self._norm)
-            self._op._log(float(self.s[j]), u, u, 0.0)
-        self._taken += steps
-
-
 class _RecordingCompression:
     def __init__(self, op, comp, g):
         self._op, self._comp = op, comp
         self.owner, self.dim, self.lift = comp.owner, comp.dim, comp.lift
         self._norm = op._norm * (1.0 if g is None
                                  else float(np.linalg.norm(g, 2)) ** 2)
+        self.s = None
+        self.reads = 0
 
-    def directions(self, u):
-        return _RecordingDirections(self._op, self._comp.directions(u), u,
-                                    self._norm)
+    def read(self, u, y):
+        self.reads += 1
+        m, c = self._comp.read(u, y)
+        self._u, self._t, self._taken = np.array(u), np.diagonal(m), 0
+        return m, c
+
+    def charge_steps(self, steps):
+        self._comp.charge_steps(steps)
+        for j in range(self._taken, self._taken + steps):
+            u = self._u[:, j]
+            self._op._log(float(self._t[j]), u, u, self._norm)
+            self._op._log(float(self.s[j]), u, u, 0.0)
+        self._taken += steps
 
 
 def record_steps(monkeypatch):
-    """Hand the answers s_j that ``_descend`` computes along a handle to
-    the handle, for its log; they come back as eta s_j, divided here."""
+    """Hand the answers s_j that ``_descend`` computes along a drawn block
+    to its handle, for the log; they come back as eta s_j, divided here."""
     sweep = vmv_testers._sweep
 
-    def recording(block, rows, x, d, eta, up, affine):
-        out = sweep(block, rows, x, d, eta, up, affine)
-        block.s = out[0] / eta
+    def recording(comp, rows, x, eta, up, affine):
+        out = sweep(comp, rows, x, eta, up, affine)
+        comp.s = out[0] / eta
         return out
 
     monkeypatch.setattr(vmv_testers, "_sweep", recording)
@@ -467,7 +502,7 @@ _SKETCH = rng_from(22).standard_normal((12, 8)) / math.sqrt(12)
 
 # (G, lam, eta, up, answers, rejects): the descent through no map, a run
 # through G that stops in its first few drawn blocks, and a run through G
-# that reaches its 64-row blocks; each drawn block is one handle, and
+# that reaches its 64-row blocks; each drawn block is one read, and
 # every read is from B in 8 dimensions.
 DESCEND_CASES = {
     # PSD: all 150 steps run across six drawn blocks (4, 8, 16, 36, 64 and
@@ -500,16 +535,20 @@ DESCEND_CASES = {
 
 @pytest.mark.parametrize("case", sorted(DESCEND_CASES))
 def test_descend_matches_reference_step_loop(monkeypatch, case):
-    # The descent solves its steps from the handles' products, the
+    # The descent solves its steps from the handle's reads, the
     # reference asks one scalar query at a time on the dense G^T A G (A
     # itself without G): the answers agree to rounding, in one order, and
-    # the witness is G times the reference's.
+    # the witness is G times the reference's.  The descent reads each block
+    # it draws once.
     g, lam, eta, up, n_answers, rejects = DESCEND_CASES[case]
     a = gen_rotated_diag(SpectrumInstance(eigenvalues=lam, rotation_seed=3)).dense()
     op = RecordingOperator(a)
     record_steps(monkeypatch)
     ref_op = RecordingOperator(a if g is None else g.T @ a @ g)
-    got = _descend(op.compressed(g), eta, 150, rng_from(21), up)
+    comp = op.compressed(g)
+    got = _descend(comp, eta, 150, rng_from(21), up)
+    drawn = np.cumsum([4, 8, 16, 36, 64, 64])
+    assert comp.reads == np.searchsorted(drawn, (n_answers - 1) // 2) + 1
     want = reference_descent(ref_op, eta, 150, rng_from(21), up)
     assert len(op.answers) == len(ref_op.answers) == n_answers
     assert op.vmv_queries == ref_op.vmv_queries == n_answers
@@ -549,7 +588,7 @@ def test_descend_resynchronizes_after_drift_and_keeps_running():
 
 
 # (tester, kind, dim, eps, p, seeds, OjaConfig overrides): 231 seeded trials.
-# In the d16 random_psd accepts, 11 of the 90 runs blow up inside a handle
+# In the d16 random_psd accepts, 11 of the 90 runs blow up inside a block
 # at their large step sizes; the rejections stop at the start query,
 # inside the first drawn block or a few blocks in.
 PARITY_TRIALS = [
@@ -604,9 +643,9 @@ def test_descent_matches_sequential_reference_trial_for_trial(
             assert np.abs(got.witness - want.witness).max() <= 1e-12 * scale
 
 
-def test_blow_up_inside_a_handle_overflows_silently_and_charges_its_steps(
+def test_blow_up_inside_a_block_overflows_silently_and_charges_its_steps(
         monkeypatch):
-    # A run draws its first block, 4 steps in m-space, as one handle.  At
+    # A run draws its first block, 4 steps in m-space, as one read.  At
     # eta = 1e150 the iterate passes OJA_BLOWUP at the first step and the
     # later rows of the solve overflow; no warning escapes, and the run
     # pays two vmv per step up to and including the blow-up step, as the
@@ -651,7 +690,7 @@ def test_a_run_that_stops_draws_no_rows_past_its_block(g):
 
 
 def test_steps_match_a_forward_substitution_loop():
-    # On random handles whose |eta m_ij| reach 1e6 (where a pivoting LU
+    # On random blocks whose |eta m_ij| reach 1e6 (where a pivoting LU
     # would reorder the rows), the solved steps eta s_j match the plain
     # forward-substitution loop to rounding, row for row, down to which
     # rows overflow, and every row after a non-finite one is non-finite.
@@ -659,7 +698,7 @@ def test_steps_match_a_forward_substitution_loop():
     # margin limits match too.
     gen = rng_from(41)
     for trial in range(300):
-        # Every tenth handle has 64 directions at |eta m_ij| up to 1e6, so
+        # Every tenth block has 64 directions at |eta m_ij| up to 1e6, so
         # its later rows overflow.
         wide = trial % 10 == 0
         n = 64 if wide else int(gen.integers(1, 65))
@@ -708,9 +747,9 @@ class _FormCountingOperator(SymmetricOperator):
         super().__init__(matrix)
         self.handles = self.forms = self.products = 0
 
-    def _product(self, v, *, left=False):
+    def _product(self, v):
         self.products += 1
-        return super()._product(v, left=left)
+        return super()._product(v)
 
     def compressed(self, g):
         self.handles += 1
